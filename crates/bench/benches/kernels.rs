@@ -1,7 +1,9 @@
-//! Backend kernel comparison at GNN-realistic matmul shapes.
+//! Dense-kernel timings at GNN-realistic matmul shapes: one row per
+//! (kernel, shape) on the global-pool kernels that the tape and
+//! `Tensor::matmul` run.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root so the perf
-//! trajectory of the compute backends is recorded PR over PR.
+//! trajectory of the kernels is recorded change over change.
 //!
 //! Run with `cargo bench -p moss-bench --bench kernels`.
 //!
@@ -13,63 +15,32 @@
 use std::time::Duration;
 
 use moss_benchkit::Suite;
-use moss_tensor::backend::{configured_threads, Backend};
-use moss_tensor::{Blocked, Naive, Parallel, Tensor};
+use moss_tensor::pool::configured_threads;
+use moss_tensor::{Kernels, Tensor};
 
-/// The shapes named in the issue: a per-cluster GNN update and a full
-/// design-level batch.
+/// A per-cluster GNN update and a full design-level batch.
 const SHAPES: &[(usize, usize, usize)] = &[(256, 16, 16), (2048, 64, 64)];
-
-/// The size-based auto dispatch exercised at the bench shapes (what
-/// `Tensor::matmul` runs when `MOSS_BACKEND` is unset).
-#[derive(Debug)]
-struct Auto;
-
-impl Backend for Auto {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        moss_tensor::for_flops(a.rows() * a.cols() * b.cols()).matmul(a, b)
-    }
-    fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        moss_tensor::for_flops(a.rows() * a.cols() * b.cols()).matmul_at_b(a, b)
-    }
-}
 
 fn main() {
     let mut suite = Suite::new("kernels");
     if std::env::var("MOSS_BENCH_QUICK").is_ok_and(|v| v == "1") {
         suite = suite.with_budget(Duration::from_millis(50), Duration::from_millis(200));
     }
-    let parallel = Parallel::new();
-    let backends: [(&str, &dyn Backend); 4] = [
-        ("naive", &Naive),
-        ("blocked", &Blocked),
-        ("parallel", &parallel),
-        ("auto", &Auto),
-    ];
-    eprintln!("threads for parallel backend: {}", configured_threads());
-    // Spawn the pool and run SIMD feature detection before any timing
-    // starts, so no bench row inherits one-time setup cost.
-    moss_tensor::pool::warm_up();
+    eprintln!("pool threads: {}", configured_threads());
 
+    let kernels = Kernels::GLOBAL;
     for &(m, k, n) in SHAPES {
         let a = Tensor::xavier(m, k, 1);
         let b = Tensor::xavier(k, n, 2);
         let flops = (2 * m * k * n) as u64;
-        for (name, backend) in backends {
-            suite.bench_with_flops(&format!("matmul/{name}/{m}x{k}x{n}"), flops, || {
-                std::hint::black_box(backend.matmul(&a, &b));
-            });
-        }
+        suite.bench_with_flops(&format!("matmul/{m}x{k}x{n}"), flops, || {
+            std::hint::black_box(kernels.matmul(&a, &b));
+        });
         // The backward-pass form that dominates weight-gradient time.
         let g = Tensor::xavier(m, n, 3);
-        for (name, backend) in backends {
-            suite.bench_with_flops(&format!("matmul_at_b/{name}/{m}x{k}x{n}"), flops, || {
-                std::hint::black_box(backend.matmul_at_b(&a, &g));
-            });
-        }
+        suite.bench_with_flops(&format!("matmul_at_b/{m}x{k}x{n}"), flops, || {
+            std::hint::black_box(kernels.matmul_at_b(&a, &g));
+        });
     }
 
     let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {

@@ -1,5 +1,5 @@
-//! Benches for the learned components: encoder embedding, node clustering,
-//! GNN forward, and a full training step (moss-benchkit harness).
+//! Benches for the learned components: encoder embedding, GNN forward,
+//! and a full training step (moss-benchkit harness).
 //!
 //! Run with `cargo bench -p moss-bench --bench models`.
 
@@ -49,23 +49,6 @@ fn bench_encoder(suite: &mut Suite) {
     });
 }
 
-fn bench_clustering(suite: &mut Suite) {
-    let m = moss_datagen::signed_mac(10, 12);
-    let synth = moss_synth::synthesize(&m, &moss_synth::SynthOptions::default()).unwrap();
-    let n = synth.netlist.node_count();
-    let embs: Vec<Vec<f32>> = (0..n)
-        .map(|i| vec![(i % 13) as f32 / 13.0, (i % 7) as f32 / 7.0])
-        .collect();
-    let st: Vec<(f32, f32)> = (0..n).map(|i| ((i % 3) as f32, (i % 5) as f32)).collect();
-    suite.bench("dbscan_hierarchical_1348_cells", || {
-        std::hint::black_box(moss_gnn::cluster_nodes(
-            &embs,
-            &st,
-            &moss_gnn::ClusterConfig::default(),
-        ));
-    });
-}
-
 fn bench_gnn_forward(suite: &mut Suite) {
     for m in [
         moss_datagen::max_selector(5, 8),
@@ -96,7 +79,6 @@ fn main() {
     let mut suite =
         Suite::new("models").with_budget(Duration::from_millis(100), Duration::from_millis(500));
     bench_encoder(&mut suite);
-    bench_clustering(&mut suite);
     bench_gnn_forward(&mut suite);
     bench_train_step(&mut suite);
 }

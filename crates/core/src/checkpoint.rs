@@ -721,24 +721,4 @@ mod tests {
         // …while a training checkpoint still loads as a plain one.
         assert!(load_checkpoint(buf.as_slice()).is_ok());
     }
-
-    #[test]
-    fn io_fault_site_injects_save_and_load_failures() {
-        let path = temp_ckpt_path("iofault");
-        let mut store = ParamStore::new();
-        let config = MossConfig::small(8, MossVariant::Full);
-        let _ = MossModel::new(config, &mut store, 1);
-        save_checkpoint_file(&path, &config, &store).unwrap();
-
-        moss_faults::override_for_tests(Some("io:1.0"));
-        let e = save_checkpoint_file(&path, &config, &store).unwrap_err();
-        assert!(e.to_string().contains("injected fault"));
-        let e = load_checkpoint_file(&path).unwrap_err();
-        assert!(e.to_string().contains("injected fault"));
-        moss_faults::override_for_tests(None);
-
-        // The published checkpoint is intact once faults clear.
-        assert!(load_checkpoint_file(&path).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
 }

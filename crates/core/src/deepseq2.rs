@@ -11,6 +11,8 @@
 //! produces) so its Table I numbers are directly comparable; this choice
 //! favors the baseline, making MOSS's margin conservative.
 
+use std::collections::HashMap;
+
 use moss_gnn::{CircuitGraph, Clustering, StateTable};
 use moss_netlist::{CellLibrary, NodeKind};
 use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
@@ -133,6 +135,7 @@ impl DeepSeq2 {
             &sample.netlist,
             encoder,
             store,
+            &HashMap::new(),
             &sample.register_descs,
             &sample.bindings,
             &FeatureOptions {
@@ -142,7 +145,7 @@ impl DeepSeq2 {
         let n = sample.netlist.node_count();
         let circuit = CircuitGraph::new(
             &sample.netlist,
-            features.matrix,
+            features,
             Clustering {
                 assignment: vec![0; n],
                 count: 1,

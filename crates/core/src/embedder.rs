@@ -7,42 +7,37 @@
 //! request. [`NetlistEmbedder`] exploits the fact that everything the LLM
 //! modality contributes to a *bare* netlist is circuit-independent: the 18
 //! cell-kind description embeddings and the kind-vocabulary clustering
-//! (Fig. 5) depend only on the model, so both are computed once at
-//! construction. Per-request work is then purely structural: features,
-//! schedule, one GNN forward, one alignment projection.
+//! (Fig. 5) depend only on the model, so the [`KindTable`] holding both is
+//! built once at construction, by the same code `MossModel::prepare` runs.
+//! Per-request work is then purely structural: features, schedule, one GNN
+//! forward, one alignment projection.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use moss_gnn::{cluster_nodes, CircuitGraph, ClusterConfig, Clustering};
+use moss_gnn::CircuitGraph;
 use moss_llm::{EncoderConfig, TextEncoder};
-use moss_netlist::{CellKind, Netlist, NetlistError, NodeKind};
+use moss_netlist::{Netlist, NetlistError};
 use moss_tensor::ParamStore;
 
 use crate::checkpoint::load_checkpoint_file;
 use crate::features::{build_node_features_with, FeatureOptions};
+use crate::kinds::KindTable;
 use crate::model::{MossConfig, MossModel};
 
 /// Seed for any parameter the checkpoint did not carry. Parameters bind by
 /// name via `get_or_add`, so for a complete checkpoint the seed is inert.
 const BIND_SEED: u64 = 0x5e12e;
 
-/// A loaded MOSS model specialized for embedding bare netlists: weights,
-/// precomputed cell-kind embeddings, and the fixed kind-vocabulary
+/// A loaded MOSS model specialized for embedding bare netlists: weights
+/// plus the precomputed cell-kind embeddings and kind-vocabulary
 /// clustering.
 #[derive(Debug)]
 pub struct NetlistEmbedder {
     model: MossModel,
     store: ParamStore,
-    /// L2-unnormalized cell-kind description embeddings (normalization
-    /// happens inside feature construction, as in the pipeline).
-    kind_emb: HashMap<CellKind, Vec<f32>>,
-    /// Aggregator assignment per cell-kind index, plus the cluster count
-    /// and the wire-like cluster ports ride with.
-    kind_assignment: Vec<usize>,
-    cluster_count: usize,
-    wire_cluster: usize,
+    kinds: KindTable,
     /// Empty maps: bare netlists carry no register prompts.
     no_regs: HashMap<String, Vec<f32>>,
     no_bindings: HashMap<usize, String>,
@@ -68,53 +63,12 @@ impl NetlistEmbedder {
         let encoder = TextEncoder::new(encoder_config_for(config.d_llm), &mut store, BIND_SEED);
         let model = MossModel::new(config, &mut store, BIND_SEED);
 
-        // Cell-kind description embeddings — the whole LLM contribution to
-        // a bare netlist, computed once.
-        let mut kind_emb: HashMap<CellKind, Vec<f32>> = HashMap::new();
-        if config.variant.llm_features() {
-            let descs: Vec<&str> = CellKind::ALL.iter().map(|k| k.description()).collect();
-            let embs = encoder.embed_batch(&store, &descs);
-            for (kind, e) in CellKind::ALL.into_iter().zip(embs) {
-                kind_emb.insert(kind, e.data().to_vec());
-            }
-        }
-
-        // Kind-vocabulary clustering, mirroring `MossModel::prepare` op
-        // for op so served circuits see the same aggregator assignment the
-        // model trained with.
-        let (kind_assignment, cluster_count) = if config.variant.adaptive_aggregator() {
-            let kind_embs: Vec<Vec<f32>> = CellKind::ALL
-                .iter()
-                .map(|k| kind_emb.get(k).cloned().unwrap_or_default())
-                .collect();
-            let kind_struct: Vec<(f32, f32)> = CellKind::ALL
-                .iter()
-                .map(|k| (k.input_count() as f32, 1.0))
-                .collect();
-            let kinds = cluster_nodes(
-                &kind_embs,
-                &kind_struct,
-                &ClusterConfig {
-                    eps: config.cluster_eps,
-                    min_pts: 2,
-                    max_clusters: config.aggregators,
-                    structure_weight: 0.25,
-                },
-            );
-            debug_assert!(kinds.count <= config.aggregators);
-            (kinds.assignment, kinds.count)
-        } else {
-            (vec![0; CellKind::ALL.len()], 1)
-        };
-        let wire_cluster = kind_assignment[CellKind::Buf.index()];
-
+        // The whole LLM contribution to a bare netlist, computed once.
+        let kinds = KindTable::new(&config, &encoder, &store);
         NetlistEmbedder {
             model,
             store,
-            kind_emb,
-            kind_assignment,
-            cluster_count,
-            wire_cluster,
+            kinds,
             no_regs: HashMap::new(),
             no_bindings: HashMap::new(),
         }
@@ -157,24 +111,12 @@ impl NetlistEmbedder {
         let features = build_node_features_with(
             netlist,
             config.d_llm,
-            &self.kind_emb,
+            self.kinds.embeddings(),
             &self.no_regs,
             &self.no_bindings,
             &options,
         )?;
-        let assignment: Vec<usize> = netlist
-            .node_ids()
-            .map(|id| match netlist.kind(id) {
-                NodeKind::Cell(k) => self.kind_assignment[k.index()],
-                // Ports ride with the buffer (wire-like) family.
-                _ => self.wire_cluster,
-            })
-            .collect();
-        let clusters = Clustering {
-            assignment,
-            count: self.cluster_count,
-        };
-        CircuitGraph::new(netlist, features.matrix, clusters)
+        CircuitGraph::new(netlist, features, self.kinds.clustering(netlist))
     }
 
     /// Embeds several prepared circuits in one fused forward pass (one
@@ -202,7 +144,7 @@ impl NetlistEmbedder {
 mod tests {
     use super::*;
     use crate::model::MossVariant;
-    use moss_netlist::parse_verilog;
+    use moss_netlist::{parse_verilog, CellKind};
 
     fn demo_netlist() -> Netlist {
         parse_verilog(

@@ -17,25 +17,11 @@ use moss_tensor::{ParamStore, Tensor};
 /// Width of the structural feature block.
 pub const STRUCT_DIM: usize = CellKind::ALL.len() + 8;
 
-/// Assembled node features plus the raw pieces other stages need.
-#[derive(Debug, Clone)]
-pub struct NodeFeatures {
-    /// Feature matrix, `node_count × (STRUCT_DIM + d_llm)`.
-    pub matrix: Tensor,
-    /// The LLM slice per node (used for adaptive-aggregator clustering).
-    pub llm_vectors: Vec<Vec<f32>>,
-    /// `(fan_in, fan_out)` per node (clustering's structural signal).
-    pub structure_pairs: Vec<(f32, f32)>,
-    /// LLM embedding width used.
-    pub d_llm: usize,
-}
-
 /// Feature construction options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureOptions {
     /// Include LLM embeddings (the "F" in the w/o FAA ablation). When
-    /// disabled the LLM slots are zero and clustering sees only one-hot
-    /// cell classes.
+    /// disabled the LLM slots carry only a one-hot cell class.
     pub llm_enhancement: bool,
 }
 
@@ -47,11 +33,15 @@ impl Default for FeatureOptions {
     }
 }
 
-/// Builds node features for a synthesized netlist.
+/// Builds the node feature matrix of a synthesized netlist,
+/// `node_count × (STRUCT_DIM + d_llm)`.
 ///
-/// `register_descs` are the RTL register prompts (from
-/// [`moss_rtl::describe_registers`]) and `bindings` map DFFs to register
-/// bits (from synthesis); both come from the same design.
+/// `kind_emb` is the cell-description embedding of every [`CellKind`]
+/// (circuit-independent, so callers compute it once per encoder snapshot;
+/// read only with LLM enhancement on). `register_descs` are the RTL
+/// register prompts (from [`moss_rtl::describe_registers`]) and `bindings`
+/// map DFFs to register bits (from synthesis); both come from the same
+/// design.
 ///
 /// # Errors
 ///
@@ -60,23 +50,13 @@ pub fn build_node_features(
     netlist: &Netlist,
     encoder: &TextEncoder,
     store: &ParamStore,
+    kind_emb: &HashMap<CellKind, Vec<f32>>,
     register_descs: &[RegisterDescription],
     bindings: &[DffBinding],
     options: &FeatureOptions,
-) -> Result<NodeFeatures, moss_netlist::NetlistError> {
+) -> Result<Tensor, moss_netlist::NetlistError> {
     let d_llm = encoder.config().d_model;
 
-    // Cache cell-description embeddings per kind (the expensive part);
-    // `embed_batch` fans the independent forwards out over the persistent
-    // moss-tensor thread pool.
-    let mut kind_emb: HashMap<CellKind, Vec<f32>> = HashMap::new();
-    if options.llm_enhancement {
-        let descs: Vec<&str> = CellKind::ALL.iter().map(|k| k.description()).collect();
-        let embs = encoder.embed_batch(store, &descs);
-        for (kind, e) in CellKind::ALL.into_iter().zip(embs) {
-            kind_emb.insert(kind, e.data().to_vec());
-        }
-    }
     // Register-prompt embeddings per register name.
     let mut reg_emb: HashMap<String, Vec<f32>> = HashMap::new();
     if options.llm_enhancement {
@@ -91,15 +71,15 @@ pub fn build_node_features(
         .map(|b| (b.dff.index(), b.register_name.clone()))
         .collect();
 
-    build_node_features_with(netlist, d_llm, &kind_emb, &reg_emb, &dff_to_reg, options)
+    build_node_features_with(netlist, d_llm, kind_emb, &reg_emb, &dff_to_reg, options)
 }
 
 /// The table-driven core of [`build_node_features`]: structural features
 /// plus LLM lookups from *precomputed* embedding maps. A serving layer
-/// precomputes the (circuit-independent) cell-kind embeddings once at
-/// startup and calls this per request, so no encoder forward pass sits on
-/// the request path; the training pipeline goes through the public wrapper
-/// above. One shared implementation keeps the two paths bit-identical.
+/// calls this per request with no register prompts, so no encoder forward
+/// pass sits on the request path; the training pipeline goes through the
+/// public wrapper above. One shared implementation keeps the two paths
+/// bit-identical.
 pub(crate) fn build_node_features_with(
     netlist: &Netlist,
     d_llm: usize,
@@ -107,19 +87,16 @@ pub(crate) fn build_node_features_with(
     reg_emb: &HashMap<String, Vec<f32>>,
     dff_to_reg: &HashMap<usize, String>,
     options: &FeatureOptions,
-) -> Result<NodeFeatures, moss_netlist::NetlistError> {
+) -> Result<Tensor, moss_netlist::NetlistError> {
     let levels = Levelization::of(netlist)?;
     let n = netlist.node_count();
     let max_level = levels.max_level().max(1) as f32;
 
     let mut matrix = Tensor::zeros(n, STRUCT_DIM + d_llm);
-    let mut llm_vectors = Vec::with_capacity(n);
-    let mut structure_pairs = Vec::with_capacity(n);
     for id in netlist.node_ids() {
         let i = id.index();
         let fan_in = netlist.fanins(id).len() as f32;
         let fan_out = netlist.fanouts(id).len() as f32;
-        structure_pairs.push((fan_in, fan_out));
 
         // Structural block.
         match netlist.kind(id) {
@@ -170,22 +147,16 @@ pub(crate) fn build_node_features_with(
                 }
             }
         } else if let NodeKind::Cell(kind) = netlist.kind(id) {
-            // Without LLM enhancement, clustering falls back to the pure
+            // Without LLM enhancement, the slot falls back to the pure
             // one-hot class signal.
             llm[kind.index() % d_llm] = 1.0;
         }
         for (j, &v) in llm.iter().enumerate() {
             matrix.set(i, STRUCT_DIM + j, v);
         }
-        llm_vectors.push(llm);
     }
 
-    Ok(NodeFeatures {
-        matrix,
-        llm_vectors,
-        structure_pairs,
-        d_llm,
-    })
+    Ok(matrix)
 }
 
 /// Unit-normalizes a vector (returns zeros for a zero vector).
@@ -200,7 +171,19 @@ fn normalized(v: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinds::KindTable;
+    use crate::model::{MossConfig, MossVariant};
     use moss_llm::EncoderConfig;
+
+    fn kind_embeddings(enc: &TextEncoder, store: &ParamStore) -> HashMap<CellKind, Vec<f32>> {
+        let config = MossConfig::small(16, MossVariant::Full);
+        KindTable::new(&config, enc, store).embeddings().clone()
+    }
+
+    /// The LLM slice of one node's feature row.
+    fn llm_slice(f: &Tensor, node: usize) -> &[f32] {
+        &f.row_slice(node)[STRUCT_DIM..]
+    }
 
     fn setup() -> (Netlist, TextEncoder, ParamStore, Vec<DffBinding>) {
         let m = moss_rtl::parse(
@@ -233,16 +216,17 @@ mod tests {
             &nl,
             &enc,
             &store,
+            &kind_embeddings(&enc, &store),
             &descs,
             &bindings,
             &FeatureOptions::default(),
         )
         .unwrap();
-        assert_eq!(f.matrix.rows(), nl.node_count());
-        assert_eq!(f.matrix.cols(), STRUCT_DIM + 16);
+        assert_eq!(f.rows(), nl.node_count());
+        assert_eq!(f.cols(), STRUCT_DIM + 16);
         // DFF flag set exactly on DFFs.
         for id in nl.node_ids() {
-            let flag = f.matrix.get(id.index(), CellKind::ALL.len() + 3);
+            let flag = f.get(id.index(), CellKind::ALL.len() + 3);
             assert_eq!(flag == 1.0, nl.kind(id).is_dff());
         }
     }
@@ -263,6 +247,7 @@ mod tests {
             &nl,
             &enc,
             &store,
+            &kind_embeddings(&enc, &store),
             &descs,
             &bindings,
             &FeatureOptions::default(),
@@ -270,7 +255,7 @@ mod tests {
         .unwrap();
         let dff = nl.dffs()[0];
         let plain_dff_emb = enc.embed_text(&store, CellKind::Dff.description());
-        let stored = &f.llm_vectors[dff.index()];
+        let stored = llm_slice(&f, dff.index());
         let diff: f32 = stored
             .iter()
             .zip(plain_dff_emb.data())
@@ -286,6 +271,7 @@ mod tests {
             &nl,
             &enc,
             &store,
+            &HashMap::new(),
             &[],
             &bindings,
             &FeatureOptions {
@@ -293,9 +279,9 @@ mod tests {
             },
         )
         .unwrap();
-        // Fallback one-hot: each llm vector sums to ≤ 1.
-        for v in &f.llm_vectors {
-            let sum: f32 = v.iter().sum();
+        // Fallback one-hot: each llm slice sums to ≤ 1.
+        for id in nl.node_ids() {
+            let sum: f32 = llm_slice(&f, id.index()).iter().sum();
             assert!(sum <= 1.0 + 1e-6);
         }
     }

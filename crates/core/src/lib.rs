@@ -60,6 +60,7 @@ mod deepseq2;
 mod embedder;
 mod features;
 mod ingest;
+mod kinds;
 pub mod metrics;
 mod model;
 mod sample;
@@ -72,7 +73,7 @@ pub use checkpoint::{
 };
 pub use deepseq2::{DeepSeq2, DeepSeq2Config, DeepSeq2Losses};
 pub use embedder::NetlistEmbedder;
-pub use features::{build_node_features, FeatureOptions, NodeFeatures, STRUCT_DIM};
+pub use features::{build_node_features, FeatureOptions, STRUCT_DIM};
 pub use ingest::bindings_from_design;
 pub use model::{LocalLosses, MossConfig, MossModel, MossVariant, Predictions, Prepared};
 pub use sample::{

@@ -3,12 +3,13 @@
 
 use std::collections::HashMap;
 
-use moss_gnn::{cluster_nodes, CircuitGnn, CircuitGraph, ClusterConfig, Clustering, GnnConfig};
+use moss_gnn::{CircuitGnn, CircuitGraph, GnnConfig};
 use moss_llm::TextEncoder;
-use moss_netlist::{CellKind, CellLibrary, NodeKind};
+use moss_netlist::{CellLibrary, NodeKind};
 use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::features::{build_node_features, FeatureOptions, STRUCT_DIM};
+use crate::kinds::KindTable;
 use crate::sample::CircuitSample;
 
 /// The paper's model variants (Table I columns).
@@ -255,63 +256,18 @@ impl MossModel {
         let options = FeatureOptions {
             llm_enhancement: self.config.variant.llm_features(),
         };
+        let kinds = KindTable::new(&self.config, encoder, store);
         let features = build_node_features(
             &sample.netlist,
             encoder,
             store,
+            kinds.embeddings(),
             &sample.register_descs,
             &sample.bindings,
             &options,
         )?;
-        let clusters = if self.config.variant.adaptive_aggregator() {
-            // Cluster the *cell-kind vocabulary* (18 LLM-embedded datasheet
-            // descriptions) rather than the per-circuit node embeddings, so
-            // that aggregator k always sees the same functional family of
-            // cells in every circuit. Per-circuit clustering would give the
-            // dedicated aggregators incoherent training populations (cluster
-            // 0 meaning NANDs in one design and XORs in another).
-            let kind_descs: Vec<&str> = CellKind::ALL.iter().map(|k| k.description()).collect();
-            let kind_embs: Vec<Vec<f32>> = encoder
-                .embed_batch(store, &kind_descs)
-                .into_iter()
-                .map(|e| e.data().to_vec())
-                .collect();
-            let kind_struct: Vec<(f32, f32)> = CellKind::ALL
-                .iter()
-                .map(|k| (k.input_count() as f32, 1.0))
-                .collect();
-            let kinds = cluster_nodes(
-                &kind_embs,
-                &kind_struct,
-                &ClusterConfig {
-                    eps: self.config.cluster_eps,
-                    min_pts: 2,
-                    max_clusters: self.config.aggregators,
-                    structure_weight: 0.25,
-                },
-            );
-            debug_assert!(kinds.count <= self.config.aggregators);
-            let wire_cluster = kinds.assignment[CellKind::Buf.index()];
-            let assignment: Vec<usize> = sample
-                .netlist
-                .node_ids()
-                .map(|id| match sample.netlist.kind(id) {
-                    NodeKind::Cell(k) => kinds.assignment[k.index()],
-                    // Ports ride with the buffer (wire-like) family.
-                    _ => wire_cluster,
-                })
-                .collect();
-            Clustering {
-                assignment,
-                count: kinds.count,
-            }
-        } else {
-            Clustering {
-                assignment: vec![0; sample.netlist.node_count()],
-                count: 1,
-            }
-        };
-        let circuit = CircuitGraph::new(&sample.netlist, features.matrix, clusters)?;
+        let clusters = kinds.clustering(&sample.netlist);
+        let circuit = CircuitGraph::new(&sample.netlist, features, clusters)?;
 
         let cell_nodes: Vec<usize> = sample
             .netlist

@@ -982,22 +982,4 @@ mod tests {
         }
         let _ = std::fs::remove_file(&path);
     }
-
-    #[test]
-    fn nan_fault_site_skips_steps_without_poisoning_training() {
-        let (model, _enc, mut store, preps) = tiny_world();
-        moss_faults::override_for_tests(Some("nan:0.3:5"));
-        let mut trainer = Trainer::new(TrainConfig {
-            pretrain_epochs: 6,
-            learning_rate: 3e-3,
-            ..TrainConfig::default()
-        });
-        let hist = trainer.pretrain(&model, &mut store, &preps);
-        moss_faults::override_for_tests(None);
-        assert_eq!(hist.len(), 6);
-        assert!(hist.iter().all(|e| e.total.is_finite()), "{hist:?}");
-        for (_, _, t) in store.iter() {
-            assert!(t.data().iter().all(|v| v.is_finite()));
-        }
-    }
 }

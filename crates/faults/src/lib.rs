@@ -47,7 +47,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
 
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
@@ -107,17 +108,10 @@ impl Site {
         }
     }
 
+    /// Position in [`Site::ALL`], which lists the sites in declaration
+    /// order.
     fn index(self) -> usize {
-        match self {
-            Site::Synth => 0,
-            Site::Sim => 1,
-            Site::Sta => 2,
-            Site::Io => 3,
-            Site::Nan => 4,
-            Site::Serve => 5,
-            Site::Store => 6,
-            Site::Net => 7,
-        }
+        self as usize
     }
 
     fn counter(self) -> &'static str {
@@ -204,9 +198,38 @@ impl FaultConfig {
 
     /// True if no site can ever fire.
     pub fn is_inert(&self) -> bool {
-        self.rates.iter().all(|&r| r <= 0.0) && self.oom_cap.is_none()
+        self.armed_mask() == 0
+    }
+
+    /// Bit `i` for each site of [`Site::index`] `i` with a non-zero rate,
+    /// plus [`OOM_BIT`] when a cell cap is set.
+    fn armed_mask(&self) -> u32 {
+        let sites = Site::ALL
+            .iter()
+            .filter(|s| self.rates[s.index()] > 0.0)
+            .fold(0, |mask, s| mask | (1 << s.index()));
+        if self.oom_cap.is_some() {
+            sites | OOM_BIT
+        } else {
+            sites
+        }
     }
 }
+
+/// [`FaultConfig::armed_mask`] bit of the `oom-cap` site.
+const OOM_BIT: u32 = 1 << 8;
+
+/// Set in [`ARMED`] until the configuration has been loaded.
+const UNLOADED: u32 = 1 << 31;
+
+/// The armed-site mask of the active configuration, so a decision for a
+/// zero-rate site costs one relaxed load. `Relaxed` suffices because the
+/// mask publishes nothing else: a set bit sends the caller to the
+/// lock-protected configuration, and it is stored under that lock's write
+/// guard, so a reader who sees it reads the configuration it belongs to.
+/// Any thread that synchronizes with the installing one afterwards (spawn,
+/// channel, pool hand-off) sees the new mask.
+static ARMED: AtomicU32 = AtomicU32::new(UNLOADED);
 
 fn env_config() -> &'static FaultConfig {
     static CONFIG: OnceLock<FaultConfig> = OnceLock::new();
@@ -222,30 +245,78 @@ fn env_config() -> &'static FaultConfig {
     })
 }
 
-fn override_slot() -> &'static RwLock<Option<FaultConfig>> {
-    static SLOT: OnceLock<RwLock<Option<FaultConfig>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
+/// The active configuration: `MOSS_FAULTS`, or a test override while a
+/// [`FaultOverride`] lives.
+fn active_config() -> &'static RwLock<FaultConfig> {
+    static ACTIVE: OnceLock<RwLock<FaultConfig>> = OnceLock::new();
+    ACTIVE.get_or_init(|| {
+        let config = env_config().clone();
+        ARMED.store(config.armed_mask(), Ordering::Relaxed);
+        RwLock::new(config)
+    })
 }
 
-fn current() -> FaultConfig {
-    if let Ok(guard) = override_slot().read() {
-        if let Some(c) = guard.as_ref() {
-            return c.clone();
-        }
+fn read_active() -> std::sync::RwLockReadGuard<'static, FaultConfig> {
+    active_config().read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn install(config: FaultConfig) {
+    let mut active = active_config().write().unwrap_or_else(|e| e.into_inner());
+    ARMED.store(config.armed_mask(), Ordering::Relaxed);
+    *active = config;
+}
+
+/// The armed-site mask, loading `MOSS_FAULTS` on first use.
+fn armed() -> u32 {
+    let mask = ARMED.load(Ordering::Relaxed);
+    if mask & UNLOADED == 0 {
+        return mask;
     }
-    env_config().clone()
+    active_config();
+    ARMED.load(Ordering::Relaxed)
 }
 
-/// Replaces the ambient configuration for the current process — test
-/// support, where mutating the environment of a threaded test binary would
-/// race. `None` restores the `MOSS_FAULTS` environment configuration.
+/// A test override of the fault configuration, in force while the guard
+/// lives. See [`override_for_tests`].
+#[must_use = "the override ends when the guard is dropped"]
+#[derive(Debug)]
+pub struct FaultOverride {
+    _exclusive: MutexGuard<'static, ()>,
+}
+
+impl Drop for FaultOverride {
+    fn drop(&mut self) {
+        install(env_config().clone());
+    }
+}
+
+/// Replaces the ambient configuration for the whole process until the
+/// returned guard drops — test support, where mutating the environment of
+/// a threaded test binary would race. `None` keeps the `MOSS_FAULTS`
+/// environment configuration but still takes the guard.
+///
+/// The guard holds one process-wide lock, so tests that take it run one at
+/// a time instead of overwriting each other's specs, and dropping it —
+/// also while unwinding from a failed assertion — restores the
+/// `MOSS_FAULTS` configuration. Drop a guard before taking the next one on
+/// the same thread. Code that never takes the guard still sees whatever
+/// override is in force, which is why fault-arming tests live in test
+/// binaries of their own.
 ///
 /// # Panics
 ///
 /// Panics on an unparsable spec (tests should be loud about typos).
-pub fn override_for_tests(spec: Option<&str>) {
-    let config = spec.map(|s| FaultConfig::parse(s).expect("valid fault spec"));
-    *override_slot().write().expect("fault override lock") = config;
+pub fn override_for_tests(spec: Option<&str>) -> FaultOverride {
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    let config = match spec {
+        Some(s) => FaultConfig::parse(s).expect("valid fault spec"),
+        None => env_config().clone(),
+    };
+    let exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    install(config);
+    FaultOverride {
+        _exclusive: exclusive,
+    }
 }
 
 /// Stable 64-bit key for a work item named by a string (FNV-1a).
@@ -267,15 +338,20 @@ pub fn key(name: &str) -> u64 {
 ///
 /// An injected fault bumps the `faults.injected.<site>` obs counter.
 pub fn fire(site: Site, key: u64) -> bool {
-    let config = current();
-    let rate = config.rates[site.index()];
+    if armed() & (1 << site.index()) == 0 {
+        return false;
+    }
+    let (rate, seed) = {
+        let config = read_active();
+        (config.rates[site.index()], config.seeds[site.index()])
+    };
     if rate <= 0.0 {
         return false;
     }
     // Per-site salt keeps sites with equal seeds decorrelated; splitmix in
     // seed_from_u64 then diffuses the combined word.
     let salt = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(site.index() as u64 + 1);
-    let mut rng = StdRng::seed_from_u64(config.seeds[site.index()] ^ salt ^ key);
+    let mut rng = StdRng::seed_from_u64(seed ^ salt ^ key);
     let hit = rng.gen_bool(rate);
     if hit {
         moss_obs::counter(site.counter(), 1);
@@ -285,7 +361,10 @@ pub fn fire(site: Site, key: u64) -> bool {
 
 /// The configured `oom-cap` cell budget, if any.
 pub fn oom_cap() -> Option<u64> {
-    current().oom_cap
+    if armed() & OOM_BIT == 0 {
+        return None;
+    }
+    read_active().oom_cap
 }
 
 /// Decides whether the `oom-cap` site rejects a circuit of `cells` cells.
@@ -303,7 +382,7 @@ pub fn fire_oom(cells: u64) -> bool {
 
 /// True when any fault site can fire under the ambient configuration.
 pub fn active() -> bool {
-    !current().is_inert()
+    armed() != 0
 }
 
 #[cfg(test)]
@@ -332,9 +411,8 @@ mod tests {
         let c = FaultConfig::parse("serve:1.0:5").unwrap();
         assert_eq!(c.rates[Site::Serve.index()], 1.0);
         assert_eq!(c.seeds[Site::Serve.index()], 5);
-        override_for_tests(Some("serve:1.0"));
+        let _faults = override_for_tests(Some("serve:1.0"));
         assert!(fire(Site::Serve, key("any-circuit")));
-        override_for_tests(None);
     }
 
     #[test]
@@ -342,9 +420,8 @@ mod tests {
         let c = FaultConfig::parse("store:1.0:9").unwrap();
         assert_eq!(c.rates[Site::Store.index()], 1.0);
         assert_eq!(c.seeds[Site::Store.index()], 9);
-        override_for_tests(Some("store:1.0"));
+        let _faults = override_for_tests(Some("store:1.0"));
         assert!(fire(Site::Store, 0x1234));
-        override_for_tests(None);
     }
 
     #[test]
@@ -352,9 +429,8 @@ mod tests {
         let c = FaultConfig::parse("net:1.0:11").unwrap();
         assert_eq!(c.rates[Site::Net.index()], 1.0);
         assert_eq!(c.seeds[Site::Net.index()], 11);
-        override_for_tests(Some("net:1.0"));
+        let _faults = override_for_tests(Some("net:1.0"));
         assert!(fire(Site::Net, key("some-connection")));
-        override_for_tests(None);
     }
 
     #[test]
@@ -370,7 +446,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_key_dependent() {
-        override_for_tests(Some("synth:0.5:7"));
+        let _faults = override_for_tests(Some("synth:0.5:7"));
         let first: Vec<bool> = (0..64).map(|k| fire(Site::Synth, k)).collect();
         // Replaying in reverse order gives the same per-key answers:
         // decisions are stateless.
@@ -380,33 +456,69 @@ mod tests {
         // Roughly half fire at rate 0.5 — and not all the same way.
         let hits = first.iter().filter(|&&h| h).count();
         assert!((16..=48).contains(&hits), "{hits}/64 fired");
-        override_for_tests(None);
     }
 
     #[test]
     fn sites_are_decorrelated_under_equal_seeds() {
-        override_for_tests(Some("synth:0.5:7,sim:0.5:7"));
+        let _faults = override_for_tests(Some("synth:0.5:7,sim:0.5:7"));
         let a: Vec<bool> = (0..256).map(|k| fire(Site::Synth, k)).collect();
         let b: Vec<bool> = (0..256).map(|k| fire(Site::Sim, k)).collect();
         assert_ne!(a, b, "same seed must not mirror decisions across sites");
-        override_for_tests(None);
     }
 
     #[test]
     fn zero_rate_never_fires_and_one_always_fires() {
-        override_for_tests(Some("nan:0.0,io:1.0"));
+        let _faults = override_for_tests(Some("nan:0.0,io:1.0"));
         assert!((0..128).all(|k| !fire(Site::Nan, k)));
         assert!((0..128).all(|k| fire(Site::Io, k)));
-        override_for_tests(None);
     }
 
     #[test]
     fn oom_cap_is_a_threshold() {
-        override_for_tests(Some("oom-cap:100"));
+        let faults = override_for_tests(Some("oom-cap:100"));
         assert!(!fire_oom(100));
         assert!(fire_oom(101));
-        override_for_tests(None);
+        drop(faults);
+        let _env = override_for_tests(None);
         assert!(!fire_oom(u64::MAX));
+    }
+
+    #[test]
+    fn concurrent_overrides_never_see_each_others_specs() {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let armed = t % 2 == 0;
+                    let spec = if armed { "nan:1.0" } else { "nan:0.0" };
+                    start.wait();
+                    for k in 0..200 {
+                        let _faults = override_for_tests(Some(spec));
+                        assert_eq!(fire(Site::Nan, k), armed, "thread {t} saw a foreign spec");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("override thread");
+        }
+    }
+
+    #[test]
+    fn dropping_the_guard_restores_the_environment_even_on_panic() {
+        let env = override_for_tests(None);
+        let env_fires = fire(Site::Io, 1);
+        drop(env);
+        let unwound = std::panic::catch_unwind(|| {
+            let _faults = override_for_tests(Some("io:1.0"));
+            assert!(fire(Site::Io, 1));
+            panic!("a failing test body");
+        });
+        assert!(unwound.is_err());
+        // The poisoned lock is reusable and the spec is gone.
+        let _env = override_for_tests(None);
+        assert_eq!(fire(Site::Io, 1), env_fires);
     }
 
     #[test]

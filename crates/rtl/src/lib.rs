@@ -37,7 +37,6 @@ mod describe;
 mod error;
 mod interp;
 mod lexer;
-mod optimize;
 mod parser;
 mod printer;
 
@@ -48,6 +47,5 @@ pub use describe::{describe_registers, module_summary, RegisterDescription};
 pub use error::RtlError;
 pub use interp::Interpreter;
 pub use lexer::{lex, Token, TokenKind};
-pub use optimize::{optimize, OptimizeStats};
 pub use parser::parse;
 pub use printer::{print_expr, print_module};

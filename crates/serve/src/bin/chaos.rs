@@ -141,7 +141,7 @@ fn main() -> ExitCode {
     let _obs = moss_obs::session();
 
     // ---- Setup: faults disarmed so scaffolding cannot trip them. ----
-    moss_faults::override_for_tests(Some(""));
+    let quiet = moss_faults::override_for_tests(Some(""));
 
     let dir = std::env::temp_dir().join(format!("moss-chaos-{}", std::process::id()));
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -238,7 +238,7 @@ fn main() -> ExitCode {
     let addr = server.addr().to_string();
 
     // ---- Soak: arm whatever MOSS_FAULTS the environment carries. ----
-    moss_faults::override_for_tests(None);
+    drop(quiet);
 
     let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let success = Arc::new(AtomicU64::new(0));
@@ -369,7 +369,7 @@ fn main() -> ExitCode {
     }
 
     // ---- Drain: faults off; the server must settle cleanly on A. ----
-    moss_faults::override_for_tests(Some(""));
+    let _quiet = moss_faults::override_for_tests(Some(""));
     let drain = (|| -> std::io::Result<Vec<String>> {
         let mut problems = Vec::new();
         let mut client = Client::connect_timeout(&addr, Duration::from_secs(2))?;

@@ -1,8 +1,8 @@
 //! Fault injection at the `serve` site: a poisoned request must come
 //! back as a typed `Fault` error while the rest of its batch succeeds.
 //!
-//! This test lives in its own binary because
-//! `moss_faults::override_for_tests` is process-global.
+//! This test lives in its own binary because the fault override it arms
+//! is process-global: any other test in the same process would see it.
 
 use std::time::Duration;
 
@@ -13,7 +13,7 @@ use moss_serve::{write_demo_checkpoint, Client, Reply, ServeConfig, Server};
 fn poisoned_request_fails_alone_while_its_batchmates_succeed() {
     // Half of all serve-site keys fault under this spec; decisions are
     // pure per (site, key), so we can predict per-circuit outcomes.
-    moss_faults::override_for_tests(Some("serve:0.5:77"));
+    let _faults = moss_faults::override_for_tests(Some("serve:0.5:77"));
 
     // Find one circuit that faults and one that does not, using the
     // exact hash the server will compute (parse of the wire text).
@@ -73,6 +73,4 @@ fn poisoned_request_fails_alone_while_its_batchmates_succeed() {
             panic!("clean batchmate failed too: code {code}, {message}")
         }
     }
-
-    moss_faults::override_for_tests(None);
 }

@@ -38,16 +38,12 @@
 #![warn(missing_debug_implementations)]
 
 mod compiled;
-mod saif;
 mod sim;
 mod toggle;
-mod vcd;
 
 pub use compiled::{CompiledSim, ToggleAccum};
-pub use saif::write_saif;
 pub use sim::GateSim;
 pub use toggle::{
     simulate_random, simulate_random_compiled, simulate_random_wide, toggle_rates,
     toggle_rates_wide, ToggleReport, WideToggleReport,
 };
-pub use vcd::VcdWriter;

@@ -19,8 +19,8 @@ pub struct ToggleReport {
     pub cycles: u64,
     /// Per-node toggle counts, indexed by node id.
     pub toggles: Vec<u64>,
-    /// Per-node count of cycles sampled at logic 1 (for signal probability
-    /// and SAIF `T1` durations).
+    /// Per-node count of cycles sampled at logic 1 (for signal
+    /// probability).
     pub ones: Vec<u64>,
 }
 

@@ -652,25 +652,4 @@ mod tests {
         assert_eq!(store.load(5), Some(rec));
         let _ = fs::remove_dir_all(store.root());
     }
-
-    #[test]
-    fn store_fault_site_corrupts_writes_but_never_serves_poison() {
-        let store = temp_store("faultsite");
-        let rec = sample_record();
-        moss_faults::override_for_tests(Some("store:1.0"));
-        // Both corruption flavors: even key = short write, odd = bit flip.
-        for key in [10u64, 11] {
-            store.store(key, &rec).unwrap();
-            assert_eq!(store.load(key), None, "poisoned record served (key {key})");
-            assert!(
-                !store.path_of(key).exists(),
-                "poisoned record kept (key {key})"
-            );
-        }
-        moss_faults::override_for_tests(None);
-        // Recovery: recompute-and-rewrite with the site quiet.
-        store.store(10, &rec).unwrap();
-        assert_eq!(store.load(10), Some(rec));
-        let _ = fs::remove_dir_all(store.root());
-    }
 }

@@ -1,44 +1,29 @@
-//! Pluggable compute backends for the dense kernels.
+//! The dense compute kernels.
 //!
 //! Every numeric op the autograd tape records — matmuls (forward and both
-//! backward forms), elementwise zip/map, and row reductions — dispatches
-//! through the [`Backend`] trait instead of hand-rolled loops, giving the
-//! workspace a single seam for kernel experiments without touching model
-//! code.
+//! backward forms), elementwise `map`/`zip_map`, and the `col_sums`/`sum`
+//! reductions — runs through [`Kernels`], and the pipeline's
+//! embarrassingly parallel loops run through [`par_map`]. There is one
+//! implementation of each kernel: the matmuls call the SIMD microkernels
+//! of [`crate::simd`] (level chosen by CPU detection), and every kernel
+//! splits its output into fixed-size blocks that fan out over the
+//! persistent work-stealing pool of [`crate::pool`] once the problem
+//! clears a size threshold. Below the threshold — a pool dispatch costs a
+//! few microseconds, more than a small op — the kernel runs inline on the
+//! caller without touching, or starting, any pool.
 //!
-//! Three implementations ship today:
-//!
-//! - [`Naive`] — the original reference loops, kept as the oracle every
-//!   other backend is tested against;
-//! - [`Blocked`] — sequential calls into the [`crate::simd`] register-tile
-//!   microkernels (runtime-dispatched AVX-512 / AVX2+FMA / portable
-//!   8-wide lane arrays);
-//! - [`Parallel`] — the same microkernels with row blocks submitted to the
-//!   persistent work-stealing pool in [`crate::pool`] (this workspace
-//!   builds offline, so no rayon; see DESIGN.md §11), behind the
-//!   on-by-default `parallel` cargo feature. Thread count comes from
-//!   `MOSS_THREADS`, else `available_parallelism`. Below the size
-//!   thresholds it runs the [`Blocked`] path inline, so `parallel` never
-//!   loses to `blocked` on small problems.
+//! The only parameter is the pool: [`Kernels::GLOBAL`] uses the
+//! process-wide pool sized by `MOSS_THREADS`, and [`Kernels::with_threads`]
+//! pins a pool size for the determinism tests.
 //!
 //! ## Determinism
 //!
 //! Seeded experiment reproducibility is a correctness property here, so
-//! every backend guarantees **bit-identical results across thread counts**:
-//! each matmul output element is accumulated by exactly one worker in a
-//! fixed order along the shared dimension, and cross-row reductions
-//! ([`Backend::col_sums`], [`Backend::sum`]) combine fixed-size block
-//! partials in block order — the grouping depends only on the input shape,
-//! never on `MOSS_THREADS`. (Across *SIMD levels* the FMA paths differ from
-//! [`Naive`] by ~1e-6 relative; the scalar level is bit-identical to it.
-//! See [`crate::simd`].)
-//!
-//! The active backend is process-global: [`active`] reads `MOSS_BACKEND`
-//! (`naive` | `blocked` | `parallel` | `auto`) once, defaulting to
-//! size-based auto dispatch ([`for_flops`]) when unset or `auto`.
-
-use std::fmt;
-use std::sync::OnceLock;
+//! the kernels are **bit-identical across thread counts**: each matmul
+//! output element is accumulated by exactly one task in a fixed order
+//! along the shared dimension, and the reductions combine fixed-size block
+//! partials in block order at every size — the grouping depends only on
+//! the input shape, never on `MOSS_THREADS` or on whether the pool ran.
 
 use crate::pool::{self, ThreadPool};
 use crate::simd;
@@ -55,184 +40,129 @@ const ROW_BLOCK: usize = 64;
 /// to keep workers busy; fixed for the same determinism reason.
 const AT_B_ROW_BLOCK: usize = 8;
 
-/// Elements per partial in flat reductions; fixed for the same reason.
+/// Elements per partial in flat reductions and per elementwise task; fixed
+/// for the same reason.
 const SUM_BLOCK: usize = 4096;
 
-/// Below this `m·k·n`, matmuls run sequentially even on [`Parallel`]:
-/// with the SIMD kernels a 1M-flop multiply takes ~10µs, the same order
-/// as a pool dispatch, so splitting it cannot win.
+/// Below this `m·k·n`, matmuls run inline: with the SIMD kernels a
+/// 1M-flop multiply takes ~10µs, the same order as a pool dispatch, so
+/// splitting it cannot win.
 const PAR_MATMUL_MIN_FLOPS: usize = 1_048_576;
 
-/// Below this element count, elementwise ops run sequentially.
+/// Below this element count, elementwise ops and reductions run inline.
 const PAR_ELEMWISE_MIN: usize = 65_536;
 
-/// A dense-kernel provider.
+/// The dense kernels, bound to the pool they fan out on.
 ///
-/// Implementations must be mathematically equivalent; [`Naive`] is the
-/// reference. `crates/tensor/tests/backend_equivalence.rs` enforces
-/// agreement within 1e-5 on random shapes and exact determinism across
-/// thread counts.
-pub trait Backend: fmt::Debug + Send + Sync {
-    /// Short identifier (`"naive"`, `"blocked"`, `"parallel"`).
-    fn name(&self) -> &'static str;
+/// `crates/tensor/tests/backend_equivalence.rs` checks every kernel
+/// against the naive reference loops, and `pool_determinism.rs` pins
+/// bit-identical results across pool sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernels {
+    /// `None` for the global pool, else a pinned thread count.
+    threads: Option<usize>,
+}
+
+impl Kernels {
+    /// Kernels on the process-wide pool ([`pool::global`], sized by
+    /// `MOSS_THREADS`).
+    pub const GLOBAL: Kernels = Kernels { threads: None };
+
+    /// Kernels on a pool of exactly `n` compute threads (the determinism
+    /// tests); the pool for each count is created on first use.
+    pub const fn with_threads(n: usize) -> Kernels {
+        Kernels { threads: Some(n) }
+    }
+
+    fn pool(self) -> &'static ThreadPool {
+        match self.threads {
+            Some(n) => pool::with_threads(n),
+            None => pool::global(),
+        }
+    }
+
+    /// The pool to fan out on, or `None` to run inline: small problems
+    /// never resolve (and so never start) a pool.
+    fn fan_out(self, parallel: bool) -> Option<&'static ThreadPool> {
+        if !parallel {
+            return None;
+        }
+        Some(self.pool()).filter(|p| p.workers() > 0)
+    }
+
+    /// Fills `out`, a run of `unit_len`-float units (matrix rows, or single
+    /// elements), by calling `f(first_unit, block)`: once over the whole
+    /// buffer when running inline, else once per block of `block_units`
+    /// units on the pool.
+    fn fill<F>(self, out: &mut [f32], unit_len: usize, block_units: usize, parallel: bool, f: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        let Some(pool) = self.fan_out(parallel) else {
+            return f(0, out);
+        };
+        let len = out.len();
+        let block_len = unit_len * block_units;
+        let optr = SendPtr(out.as_mut_ptr());
+        // SAFETY: block `blk` writes only `out[lo..hi]`; blocks are
+        // disjoint, and `run_indexed` returns only after every task's
+        // writes are visible to this thread.
+        pool.run_indexed(len.div_ceil(block_len), &|blk| {
+            let lo = blk * block_len;
+            let hi = (lo + block_len).min(len);
+            let block = unsafe { std::slice::from_raw_parts_mut(optr.get().add(lo), hi - lo) };
+            f(lo / unit_len, block);
+        });
+    }
+
+    /// `(0..blocks).map(f)` in index order, on the pool when `parallel`.
+    fn partials<U, F>(self, blocks: usize, parallel: bool, f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        match self.fan_out(parallel) {
+            Some(pool) => pool_map_indexed(pool, blocks, f),
+            None => (0..blocks).map(f).collect(),
+        }
+    }
 
     /// `a × b`.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor;
+    pub fn matmul(self, a: &Tensor, b: &Tensor) -> Tensor {
+        assert_eq!(
+            a.cols(),
+            b.rows(),
+            "matmul shape mismatch: {}×{} × {}×{}",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let mut out = vec![0.0f32; m * n];
+        if m * k * n > 0 {
+            let parallel = m * k * n >= PAR_MATMUL_MIN_FLOPS && m > ROW_BLOCK;
+            self.fill(&mut out, n, ROW_BLOCK, parallel, |r0, block| {
+                let rows = block.len() / n;
+                let a_rows = &a.data()[r0 * k..(r0 + rows) * k];
+                simd::matmul_block(a_rows, rows, k, b.data(), n, block);
+            });
+        }
+        Tensor::from_vec(out, m, n)
+    }
 
     /// `aᵀ × b` — the backward-pass form for weight gradients
-    /// (`dB = Aᵀ·dC`), kept separate so backends can skip materializing
-    /// the transpose.
+    /// (`dB = Aᵀ·dC`), computed without materializing the transpose.
     ///
     /// # Panics
     ///
     /// Panics if row counts disagree.
-    fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        self.matmul(&a.transpose(), b)
-    }
-
-    /// `a × bᵀ` — the backward-pass form for input gradients
-    /// (`dA = dC·Bᵀ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts disagree.
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        self.matmul(a, &b.transpose())
-    }
-
-    /// Elementwise binary map.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    fn zip_map(&self, a: &Tensor, b: &Tensor, f: &(dyn Fn(f32, f32) -> f32 + Sync)) -> Tensor {
-        assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
-        let data = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| f(x, y))
-            .collect();
-        Tensor::from_vec(data, a.rows(), a.cols())
-    }
-
-    /// Elementwise unary map.
-    fn map(&self, a: &Tensor, f: &(dyn Fn(f32) -> f32 + Sync)) -> Tensor {
-        let data = a.data().iter().map(|&x| f(x)).collect();
-        Tensor::from_vec(data, a.rows(), a.cols())
-    }
-
-    /// Per-column sums (an `n×d → d` reduction over rows).
-    fn col_sums(&self, a: &Tensor) -> Vec<f32> {
-        let (n, d) = a.shape();
-        let mut out = vec![0.0f32; d];
-        for r in 0..n {
-            for (acc, &v) in out.iter_mut().zip(a.row_slice(r)) {
-                *acc += v;
-            }
-        }
-        out
-    }
-
-    /// Sum of all elements.
-    fn sum(&self, a: &Tensor) -> f32 {
-        a.data().iter().sum()
-    }
-}
-
-fn assert_matmul_shapes(a: &Tensor, b: &Tensor) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul shape mismatch: {}×{} × {}×{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-}
-
-fn assert_a_bt_shapes(a: &Tensor, b: &Tensor) {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_a_bt shape mismatch: {}×{} × ({}×{})ᵀ",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-}
-
-/// Reference kernel: the original `Tensor::matmul` i-k-j loops, with the
-/// skip for zero coefficients (circuit one-hot features are mostly zeros).
-fn matmul_reference_row(a_row: &[f32], b: &Tensor, out_row: &mut [f32]) {
-    let n = b.cols();
-    for (k, &coeff) in a_row.iter().enumerate() {
-        if coeff == 0.0 {
-            continue;
-        }
-        let b_row = &b.data()[k * n..(k + 1) * n];
-        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-            *o += coeff * bv;
-        }
-    }
-}
-
-/// The original single-threaded loops, kept verbatim as the oracle that
-/// [`Blocked`] and [`Parallel`] are verified against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Naive;
-
-impl Backend for Naive {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_matmul_shapes(a, b);
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut out = vec![0.0f32; m * n];
-        for (i, out_row) in out.chunks_mut(n.max(1)).enumerate().take(m) {
-            matmul_reference_row(&a.data()[i * k..(i + 1) * k], b, out_row);
-        }
-        Tensor::from_vec(out, m, n)
-    }
-}
-
-/// Sequential register-tile SIMD kernels — see [`crate::simd`] for the
-/// tile shapes and the per-level numerics contract.
-///
-/// All three matmul forms run dense microkernels (no transpose is ever
-/// materialized for the backward forms). On the scalar SIMD level the
-/// per-element accumulation order is exactly [`Naive`]'s, so the two agree
-/// bit-for-bit; the FMA levels agree to ~1e-6 relative.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Blocked;
-
-impl Backend for Blocked {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_matmul_shapes(a, b);
-        let (m, k) = a.shape();
-        let n = b.cols();
-        if m * k * n == 0 {
-            return Tensor::zeros(m, n);
-        }
-        let mut out = vec![0.0f32; m * n];
-        simd::matmul_block(a.data(), m, k, b.data(), n, &mut out);
-        Tensor::from_vec(out, m, n)
-    }
-
-    fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
+    pub fn matmul_at_b(self, a: &Tensor, b: &Tensor) -> Tensor {
         assert_eq!(
             a.rows(),
             b.rows(),
@@ -244,75 +174,136 @@ impl Backend for Blocked {
         );
         let (m, k) = a.shape();
         let n = b.cols();
-        if m * k * n == 0 {
-            return Tensor::zeros(k, n);
-        }
         let mut out = vec![0.0f32; k * n];
-        simd::matmul_at_b_block(a.data(), m, k, 0, k, b.data(), n, &mut out);
+        if m * k * n > 0 {
+            let parallel = m * k * n >= PAR_MATMUL_MIN_FLOPS && k > AT_B_ROW_BLOCK;
+            self.fill(&mut out, n, AT_B_ROW_BLOCK, parallel, |i0, block| {
+                let rows = block.len() / n;
+                simd::matmul_at_b_block(a.data(), m, k, i0, rows, b.data(), n, block);
+            });
+        }
         Tensor::from_vec(out, k, n)
     }
 
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_a_bt_shapes(a, b);
+    /// `a × bᵀ` — the backward-pass form for input gradients
+    /// (`dA = dC·Bᵀ`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if column counts disagree.
+    pub fn matmul_a_bt(self, a: &Tensor, b: &Tensor) -> Tensor {
+        assert_eq!(
+            a.cols(),
+            b.cols(),
+            "matmul_a_bt shape mismatch: {}×{} × ({}×{})ᵀ",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
         let (m, l) = a.shape();
         let n = b.rows();
-        if m * l * n == 0 {
-            return Tensor::zeros(m, n);
-        }
         let mut out = vec![0.0f32; m * n];
-        simd::matmul_a_bt_block(a.data(), m, l, b.data(), n, &mut out);
+        if m * l * n > 0 {
+            let parallel = m * l * n >= PAR_MATMUL_MIN_FLOPS && m > ROW_BLOCK;
+            self.fill(&mut out, n, ROW_BLOCK, parallel, |r0, block| {
+                let rows = block.len() / n;
+                let a_rows = &a.data()[r0 * l..(r0 + rows) * l];
+                simd::matmul_a_bt_block(a_rows, rows, l, b.data(), n, block);
+            });
+        }
         Tensor::from_vec(out, m, n)
     }
-}
 
-/// Pool-submitting kernels: row blocks of the [`crate::simd`] microkernels
-/// distributed over the persistent work-stealing pool.
-///
-/// Sequential (the [`Blocked`] path, inline on the caller) below the size
-/// thresholds — a pool dispatch costs a few microseconds, so small ops
-/// never pay it — and identical per-element arithmetic above them: each
-/// output element is produced wholly by one task, so results are
-/// bit-identical for any thread count, including 1.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Parallel {
-    threads: Option<usize>,
-}
-
-impl Parallel {
-    /// Thread count from `MOSS_THREADS` / `available_parallelism`.
-    pub const fn new() -> Parallel {
-        Parallel { threads: None }
+    /// Elementwise unary map.
+    pub fn map<F>(self, a: &Tensor, f: F) -> Tensor
+    where
+        F: Fn(f32) -> f32 + Sync,
+    {
+        let ad = a.data();
+        let mut out = vec![0.0f32; ad.len()];
+        self.fill(
+            &mut out,
+            1,
+            SUM_BLOCK,
+            ad.len() >= PAR_ELEMWISE_MIN,
+            |lo, block| {
+                for (o, &x) in block.iter_mut().zip(&ad[lo..]) {
+                    *o = f(x);
+                }
+            },
+        );
+        Tensor::from_vec(out, a.rows(), a.cols())
     }
 
-    /// A backend pinned to exactly `n` threads (used by the determinism
-    /// tests); the pool for each pinned count is created on first use.
-    pub const fn with_threads(n: usize) -> Parallel {
-        Parallel { threads: Some(n) }
+    /// Elementwise binary map.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn zip_map<F>(self, a: &Tensor, b: &Tensor, f: F) -> Tensor
+    where
+        F: Fn(f32, f32) -> f32 + Sync,
+    {
+        assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
+        let (ad, bd) = (a.data(), b.data());
+        let mut out = vec![0.0f32; ad.len()];
+        self.fill(
+            &mut out,
+            1,
+            SUM_BLOCK,
+            ad.len() >= PAR_ELEMWISE_MIN,
+            |lo, block| {
+                for ((o, &x), &y) in block.iter_mut().zip(&ad[lo..]).zip(&bd[lo..]) {
+                    *o = f(x, y);
+                }
+            },
+        );
+        Tensor::from_vec(out, a.rows(), a.cols())
     }
 
-    fn pool(&self) -> &'static ThreadPool {
-        match self.threads {
-            Some(n) => pool::with_threads(n),
-            None => pool::global(),
+    /// Per-column sums (an `n×d → d` reduction over rows).
+    pub fn col_sums(self, a: &Tensor) -> Vec<f32> {
+        let (n, d) = a.shape();
+        let mut out = vec![0.0f32; d];
+        if n * d == 0 {
+            return out;
         }
+        // Fixed-size row blocks → per-block partials → ordered fold, inline
+        // or pooled alike, so every pool size gives bit-identical sums.
+        let partials = self.partials(n.div_ceil(ROW_BLOCK), n * d >= PAR_ELEMWISE_MIN, |blk| {
+            let mut acc = vec![0.0f32; d];
+            for r in blk * ROW_BLOCK..((blk + 1) * ROW_BLOCK).min(n) {
+                for (s, &v) in acc.iter_mut().zip(a.row_slice(r)) {
+                    *s += v;
+                }
+            }
+            acc
+        });
+        for p in &partials {
+            for (s, &v) in out.iter_mut().zip(p) {
+                *s += v;
+            }
+        }
+        out
     }
-}
 
-/// The process-wide worker count: `MOSS_THREADS` if set to a positive
-/// integer, else `std::thread::available_parallelism`.
-pub fn configured_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("MOSS_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
+    /// Sum of all elements, folded from fixed `SUM_BLOCK`-element
+    /// partials in block order.
+    pub fn sum(self, a: &Tensor) -> f32 {
+        let data = a.data();
+        if data.is_empty() {
+            return 0.0;
+        }
+        let blocks = data.len().div_ceil(SUM_BLOCK);
+        let partials = self.partials(blocks, data.len() >= PAR_ELEMWISE_MIN, |blk| {
+            let lo = blk * SUM_BLOCK;
+            data[lo..(lo + SUM_BLOCK).min(data.len())]
+                .iter()
+                .sum::<f32>()
+        });
+        partials.iter().sum()
+    }
 }
 
 /// A raw pointer that may cross thread boundaries. Safety is argued at
@@ -336,8 +327,7 @@ impl<T> SendPtr<T> {
 }
 
 /// `(0..n).map(f)` over the pool, results in index order regardless of
-/// which worker ran which index. Falls back to a plain sequential map when
-/// the pool has no workers or there is only one item.
+/// which worker ran which index.
 fn pool_map_indexed<U, F>(pool: &ThreadPool, n: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -357,201 +347,8 @@ where
         .collect()
 }
 
-impl Backend for Parallel {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_matmul_shapes(a, b);
-        let (m, k) = a.shape();
-        let n = b.cols();
-        if m * k * n == 0 {
-            return Tensor::zeros(m, n);
-        }
-        if m * k * n < PAR_MATMUL_MIN_FLOPS || m <= ROW_BLOCK {
-            return Blocked.matmul(a, b);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.matmul(a, b);
-        }
-        let mut out = vec![0.0f32; m * n];
-        let optr = SendPtr(out.as_mut_ptr());
-        let (ad, bd) = (a.data(), b.data());
-        // SAFETY: row block `blk` writes only rows r0..r1 of `out`;
-        // blocks are disjoint and run_indexed orders writes before return.
-        pool.run_indexed(m.div_ceil(ROW_BLOCK), &move |blk| {
-            let r0 = blk * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(m);
-            let ob =
-                unsafe { std::slice::from_raw_parts_mut(optr.get().add(r0 * n), (r1 - r0) * n) };
-            simd::matmul_block(&ad[r0 * k..r1 * k], r1 - r0, k, bd, n, ob);
-        });
-        Tensor::from_vec(out, m, n)
-    }
-
-    fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_eq!(
-            a.rows(),
-            b.rows(),
-            "matmul_at_b shape mismatch: ({}×{})ᵀ × {}×{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        );
-        let (m, k) = a.shape();
-        let n = b.cols();
-        if m * k * n == 0 {
-            return Tensor::zeros(k, n);
-        }
-        if m * k * n < PAR_MATMUL_MIN_FLOPS || k <= AT_B_ROW_BLOCK {
-            return Blocked.matmul_at_b(a, b);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.matmul_at_b(a, b);
-        }
-        let mut out = vec![0.0f32; k * n];
-        let optr = SendPtr(out.as_mut_ptr());
-        let (ad, bd) = (a.data(), b.data());
-        // SAFETY: block `blk` writes only out rows i0..i1; disjoint.
-        pool.run_indexed(k.div_ceil(AT_B_ROW_BLOCK), &move |blk| {
-            let i0 = blk * AT_B_ROW_BLOCK;
-            let i1 = (i0 + AT_B_ROW_BLOCK).min(k);
-            let ob =
-                unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
-            simd::matmul_at_b_block(ad, m, k, i0, i1 - i0, bd, n, ob);
-        });
-        Tensor::from_vec(out, k, n)
-    }
-
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_a_bt_shapes(a, b);
-        let (m, l) = a.shape();
-        let n = b.rows();
-        if m * l * n == 0 {
-            return Tensor::zeros(m, n);
-        }
-        if m * l * n < PAR_MATMUL_MIN_FLOPS || m <= ROW_BLOCK {
-            return Blocked.matmul_a_bt(a, b);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.matmul_a_bt(a, b);
-        }
-        let mut out = vec![0.0f32; m * n];
-        let optr = SendPtr(out.as_mut_ptr());
-        let (ad, bd) = (a.data(), b.data());
-        // SAFETY: disjoint row blocks, ordered by run_indexed.
-        pool.run_indexed(m.div_ceil(ROW_BLOCK), &move |blk| {
-            let r0 = blk * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(m);
-            let ob =
-                unsafe { std::slice::from_raw_parts_mut(optr.get().add(r0 * n), (r1 - r0) * n) };
-            simd::matmul_a_bt_block(&ad[r0 * l..r1 * l], r1 - r0, l, bd, n, ob);
-        });
-        Tensor::from_vec(out, m, n)
-    }
-
-    fn zip_map(&self, a: &Tensor, b: &Tensor, f: &(dyn Fn(f32, f32) -> f32 + Sync)) -> Tensor {
-        assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
-        let len = a.data().len();
-        if len < PAR_ELEMWISE_MIN {
-            return Blocked.zip_map(a, b, f);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.zip_map(a, b, f);
-        }
-        let mut out = vec![0.0f32; len];
-        let optr = SendPtr(out.as_mut_ptr());
-        let (ad, bd) = (a.data(), b.data());
-        // SAFETY: disjoint SUM_BLOCK chunks; every element is independent,
-        // so any partition is exact.
-        pool.run_indexed(len.div_ceil(SUM_BLOCK), &move |blk| {
-            let lo = blk * SUM_BLOCK;
-            let hi = (lo + SUM_BLOCK).min(len);
-            let chunk = unsafe { std::slice::from_raw_parts_mut(optr.get().add(lo), hi - lo) };
-            for (j, o) in chunk.iter_mut().enumerate() {
-                *o = f(ad[lo + j], bd[lo + j]);
-            }
-        });
-        Tensor::from_vec(out, a.rows(), a.cols())
-    }
-
-    fn map(&self, a: &Tensor, f: &(dyn Fn(f32) -> f32 + Sync)) -> Tensor {
-        let len = a.data().len();
-        if len < PAR_ELEMWISE_MIN {
-            return Blocked.map(a, f);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.map(a, f);
-        }
-        let mut out = vec![0.0f32; len];
-        let optr = SendPtr(out.as_mut_ptr());
-        let ad = a.data();
-        // SAFETY: disjoint SUM_BLOCK chunks.
-        pool.run_indexed(len.div_ceil(SUM_BLOCK), &move |blk| {
-            let lo = blk * SUM_BLOCK;
-            let hi = (lo + SUM_BLOCK).min(len);
-            let chunk = unsafe { std::slice::from_raw_parts_mut(optr.get().add(lo), hi - lo) };
-            for (j, o) in chunk.iter_mut().enumerate() {
-                *o = f(ad[lo + j]);
-            }
-        });
-        Tensor::from_vec(out, a.rows(), a.cols())
-    }
-
-    fn col_sums(&self, a: &Tensor) -> Vec<f32> {
-        let (n, d) = a.shape();
-        if n * d == 0 {
-            return vec![0.0; d];
-        }
-        // Fixed-size row blocks → per-block partials → ordered fold. The
-        // grouping depends only on the shape, so any thread count (and the
-        // sequential path) produces bit-identical sums.
-        let n_blocks = n.div_ceil(ROW_BLOCK);
-        let partials = pool_map_indexed(self.pool(), n_blocks, |blk| {
-            let lo = blk * ROW_BLOCK;
-            let hi = (lo + ROW_BLOCK).min(n);
-            let mut acc = vec![0.0f32; d];
-            for r in lo..hi {
-                for (s, &v) in acc.iter_mut().zip(a.row_slice(r)) {
-                    *s += v;
-                }
-            }
-            acc
-        });
-        let mut out = vec![0.0f32; d];
-        for p in &partials {
-            for (s, &v) in out.iter_mut().zip(p) {
-                *s += v;
-            }
-        }
-        out
-    }
-
-    fn sum(&self, a: &Tensor) -> f32 {
-        let data = a.data();
-        if data.is_empty() {
-            return 0.0;
-        }
-        let n_blocks = data.len().div_ceil(SUM_BLOCK);
-        let partials = pool_map_indexed(self.pool(), n_blocks, |blk| {
-            let lo = blk * SUM_BLOCK;
-            let hi = (lo + SUM_BLOCK).min(data.len());
-            data[lo..hi].iter().sum::<f32>()
-        });
-        partials.iter().sum()
-    }
-}
-
-/// Applies `f` to every item of `items` — over the global thread pool when
-/// the `parallel` feature is on and the pool has workers — returning
-/// results in input order.
+/// Applies `f` to every item of `items` over the global thread pool,
+/// returning results in input order.
 ///
 /// This is the workspace-wide primitive for embarrassingly parallel loops
 /// (per-circuit ground-truth generation, batched encoder forwards). `f`
@@ -565,89 +362,13 @@ where
     pool_map_indexed(pool::global(), items.len(), |i| f(i, &items[i]))
 }
 
-static NAIVE: Naive = Naive;
-static BLOCKED: Blocked = Blocked;
-static PARALLEL: Parallel = Parallel::new();
-
-fn default_backend() -> &'static dyn Backend {
-    #[cfg(feature = "parallel")]
-    {
-        &PARALLEL
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        &BLOCKED
-    }
-}
-
-struct Selection {
-    backend: &'static dyn Backend,
-    /// `true` when `MOSS_BACKEND` names a concrete backend, which disables
-    /// size-based dispatch in [`for_flops`].
-    pinned: bool,
-}
-
-fn selection() -> &'static Selection {
-    static SEL: OnceLock<Selection> = OnceLock::new();
-    SEL.get_or_init(|| match std::env::var("MOSS_BACKEND").as_deref() {
-        Ok("naive") => Selection {
-            backend: &NAIVE,
-            pinned: true,
-        },
-        Ok("blocked") => Selection {
-            backend: &BLOCKED,
-            pinned: true,
-        },
-        Ok("parallel") => Selection {
-            backend: &PARALLEL,
-            pinned: true,
-        },
-        Ok("auto") => Selection {
-            backend: default_backend(),
-            pinned: false,
-        },
-        Ok(other) => {
-            panic!("unknown MOSS_BACKEND {other:?}; expected naive|blocked|parallel|auto")
-        }
-        Err(_) => Selection {
-            backend: default_backend(),
-            pinned: false,
-        },
-    })
-}
-
-/// The process-wide active backend.
-///
-/// Chosen once from `MOSS_BACKEND` (`naive` | `blocked` | `parallel` |
-/// `auto`); unset (or `auto`) defaults to [`Parallel`] with the `parallel`
-/// feature, [`Blocked`] without.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `MOSS_BACKEND` value.
-pub fn active() -> &'static dyn Backend {
-    selection().backend
-}
-
-/// The backend to use for a problem of `flops ≈ m·k·n`: the pinned backend
-/// when `MOSS_BACKEND` names one explicitly, otherwise [`Blocked`]
-/// (sequential SIMD, zero dispatch overhead) below the parallel matmul
-/// threshold and the default backend above it.
-///
-/// [`Parallel`] applies the same threshold internally, so the two dispatch
-/// layers agree; this entry point just skips the per-call pool lookup for
-/// ops known to be small.
-pub fn for_flops(flops: usize) -> &'static dyn Backend {
-    let sel = selection();
-    if sel.pinned || flops >= PAR_MATMUL_MIN_FLOPS {
-        sel.backend
-    } else {
-        &BLOCKED
-    }
-}
+#[cfg(test)]
+#[path = "../tests/naive/mod.rs"]
+mod naive;
 
 #[cfg(test)]
 mod tests {
+    use super::naive::Naive;
     use super::*;
 
     fn arange(rows: usize, cols: usize, scale: f32) -> Tensor {
@@ -670,13 +391,9 @@ mod tests {
             let a = arange(m, k, 1.0);
             let b = arange(k, n, 0.5);
             let reference = Naive.matmul(&a, &b);
-            assert_close(&Blocked.matmul(&a, &b), &reference, 1e-4, "blocked");
-            assert_close(
-                &Parallel::with_threads(3).matmul(&a, &b),
-                &reference,
-                1e-4,
-                "parallel",
-            );
+            for kernels in [Kernels::GLOBAL, Kernels::with_threads(3)] {
+                assert_close(&kernels.matmul(&a, &b), &reference, 1e-4, "matmul");
+            }
         }
     }
 
@@ -685,13 +402,13 @@ mod tests {
         let a = arange(13, 7, 1.0);
         let b = arange(13, 5, 0.7);
         let reference = Naive.matmul(&a.transpose(), &b);
-        for backend in [&Blocked as &dyn Backend, &Parallel::with_threads(2)] {
-            assert_close(&backend.matmul_at_b(&a, &b), &reference, 1e-4, "at_b");
+        for kernels in [Kernels::GLOBAL, Kernels::with_threads(2)] {
+            assert_close(&kernels.matmul_at_b(&a, &b), &reference, 1e-4, "at_b");
         }
         let c = arange(11, 7, 0.9);
         let reference = Naive.matmul(&a, &c.transpose());
-        for backend in [&Blocked as &dyn Backend, &Parallel::with_threads(2)] {
-            assert_close(&backend.matmul_a_bt(&a, &c), &reference, 1e-4, "a_bt");
+        for kernels in [Kernels::GLOBAL, Kernels::with_threads(2)] {
+            assert_close(&kernels.matmul_a_bt(&a, &c), &reference, 1e-4, "a_bt");
         }
     }
 
@@ -701,9 +418,9 @@ mod tests {
         let a = arange(300, 80, 1.0);
         let b = arange(80, 70, 0.3);
         let wide = arange(3, 30_000, 0.1);
-        let t1 = Parallel::with_threads(1);
+        let t1 = Kernels::with_threads(1);
         for threads in [2, 4, 7] {
-            let tn = Parallel::with_threads(threads);
+            let tn = Kernels::with_threads(threads);
             assert_eq!(
                 t1.matmul(&a, &b).data(),
                 tn.matmul(&a, &b).data(),
@@ -716,8 +433,8 @@ mod tests {
             );
             assert_eq!(t1.sum(&wide), tn.sum(&wide), "sum at {threads} threads");
             assert_eq!(
-                t1.map(&wide, &|x| x * 1.5 + 0.1).data(),
-                tn.map(&wide, &|x| x * 1.5 + 0.1).data(),
+                t1.map(&wide, |x| x * 1.5 + 0.1).data(),
+                tn.map(&wide, |x| x * 1.5 + 0.1).data(),
                 "map at {threads} threads"
             );
         }
@@ -727,11 +444,11 @@ mod tests {
     fn reductions_match_reference() {
         let a = arange(130, 7, 1.0);
         let reference = Naive.col_sums(&a);
-        let par = Parallel::with_threads(4).col_sums(&a);
+        let par = Kernels::with_threads(4).col_sums(&a);
         for (r, p) in reference.iter().zip(&par) {
             assert!((r - p).abs() < 1e-4, "{r} vs {p}");
         }
-        assert!((Naive.sum(&a) - Parallel::with_threads(4).sum(&a)).abs() < 1e-3);
+        assert!((Naive.sum(&a) - Kernels::with_threads(4).sum(&a)).abs() < 1e-3);
     }
 
     #[test]
@@ -750,33 +467,31 @@ mod tests {
     fn empty_shapes_are_handled() {
         let a = Tensor::zeros(0, 5);
         let b = Tensor::zeros(5, 3);
-        for backend in [&Naive as &dyn Backend, &Blocked, &Parallel::new()] {
-            assert_eq!(backend.matmul(&a, &b).shape(), (0, 3), "{}", backend.name());
-            assert_eq!(backend.sum(&a), 0.0);
+        assert_eq!(Naive.matmul(&a, &b).shape(), (0, 3));
+        assert_eq!(Naive.sum(&a), 0.0);
+        for kernels in [Kernels::GLOBAL, Kernels::with_threads(2)] {
+            assert_eq!(kernels.matmul(&a, &b).shape(), (0, 3));
+            assert_eq!(kernels.matmul_at_b(&a, &a).shape(), (5, 5));
+            assert_eq!(kernels.col_sums(&a), vec![0.0; 5]);
+            assert_eq!(kernels.sum(&a), 0.0);
         }
     }
 
     #[test]
-    fn active_backend_resolves() {
-        // Whatever the env says, the process-global must resolve and work.
-        let b = active();
-        let x = Tensor::eye(3);
-        assert_eq!(b.matmul(&x, &x), x);
-        assert!(!b.name().is_empty());
-    }
-
-    #[test]
-    fn for_flops_dispatches_by_size_unless_pinned() {
-        if std::env::var("MOSS_BACKEND").is_ok() {
-            // A pinned backend must win at every size.
-            assert_eq!(for_flops(1).name(), active().name());
-            assert_eq!(for_flops(usize::MAX).name(), active().name());
-            return;
-        }
-        assert_eq!(for_flops(10).name(), "blocked");
-        assert_eq!(
-            for_flops(PAR_MATMUL_MIN_FLOPS).name(),
-            default_backend().name()
-        );
+    fn small_ops_run_inline_without_the_pool() {
+        // A thread count no other test pins, so its pool's counters only
+        // see this test's traffic.
+        let kernels = Kernels::with_threads(6);
+        let pool = pool::with_threads(6);
+        let small = arange(64, 64, 1.0);
+        let _ = kernels.matmul(&small, &small);
+        let _ = kernels.matmul_at_b(&small, &small);
+        let _ = kernels.map(&small, |x| x + 1.0);
+        let _ = kernels.col_sums(&small);
+        let _ = kernels.sum(&small);
+        assert_eq!(pool.stats().tasks_submitted, 0, "a small op used the pool");
+        let big = arange(300, 80, 1.0);
+        let _ = kernels.matmul(&big, &arange(80, 70, 1.0));
+        assert!(pool.stats().tasks_submitted > 0, "a big matmul ran inline");
     }
 }

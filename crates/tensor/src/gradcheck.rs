@@ -3,12 +3,10 @@
 //! Used by the tensor crate's own tests and by downstream model tests to
 //! verify that every op's backward matches its forward numerically.
 
-use crate::backend::{self, Backend};
 use crate::graph::{Gradients, Graph};
 use crate::params::{ParamId, ParamStore};
 
-/// Compares analytic gradients against central finite differences on the
-/// process-wide active backend.
+/// Compares analytic gradients against central finite differences.
 ///
 /// `build` must construct the full forward pass and return the scalar loss
 /// var; it is invoked many times with perturbed parameter values.
@@ -21,26 +19,10 @@ use crate::params::{ParamId, ParamStore};
 pub fn max_gradient_error(
     store: &mut ParamStore,
     params: &[ParamId],
-    build: impl FnMut(&mut Graph, &ParamStore) -> crate::graph::Var,
-) -> f32 {
-    max_gradient_error_with_backend(backend::active(), store, params, build)
-}
-
-/// [`max_gradient_error`] pinned to a specific compute backend — used by
-/// the backend-equivalence tests to verify backward passes kernel by
-/// kernel.
-///
-/// # Panics
-///
-/// Panics if `build` returns a non-scalar loss.
-pub fn max_gradient_error_with_backend(
-    be: &'static dyn Backend,
-    store: &mut ParamStore,
-    params: &[ParamId],
     mut build: impl FnMut(&mut Graph, &ParamStore) -> crate::graph::Var,
 ) -> f32 {
     let analytic: Gradients = {
-        let mut g = Graph::with_backend(be);
+        let mut g = Graph::new();
         let loss = build(&mut g, store);
         g.backward(loss)
     };
@@ -57,7 +39,7 @@ pub fn max_gradient_error_with_backend(
             plus.data_mut()[i] += eps;
             store.set(p, plus);
             let lp = {
-                let mut g = Graph::with_backend(be);
+                let mut g = Graph::new();
                 let loss = build(&mut g, store);
                 g.value(loss).get(0, 0)
             };
@@ -65,7 +47,7 @@ pub fn max_gradient_error_with_backend(
             minus.data_mut()[i] -= eps;
             store.set(p, minus);
             let lm = {
-                let mut g = Graph::with_backend(be);
+                let mut g = Graph::new();
                 let loss = build(&mut g, store);
                 g.value(loss).get(0, 0)
             };

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::backend::{self, Backend};
+use crate::backend::Kernels;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -61,9 +61,8 @@ impl Gradients {
 
     /// Scales all gradients in place (used for clipping).
     pub fn scale(&mut self, factor: f32) {
-        let be = backend::active();
         for g in self.by_param.values_mut() {
-            *g = be.map(g, &|x| x * factor);
+            *g = Kernels::GLOBAL.map(g, |x| x * factor);
         }
     }
 }
@@ -128,36 +127,15 @@ struct Node {
 /// // d(w·x)/dw = x = 3.
 /// assert_eq!(grads.get(w).unwrap().get(0, 0), 3.0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    backend: &'static dyn Backend,
-}
-
-impl Default for Graph {
-    fn default() -> Graph {
-        Graph::new()
-    }
 }
 
 impl Graph {
-    /// An empty tape on the process-wide [`backend::active`] backend.
+    /// An empty tape; its ops run on the global-pool [`Kernels`].
     pub fn new() -> Graph {
-        Graph::with_backend(backend::active())
-    }
-
-    /// An empty tape pinned to a specific compute backend (tests and
-    /// benchmarks; production code uses [`Graph::new`]).
-    pub fn with_backend(backend: &'static dyn Backend) -> Graph {
-        Graph {
-            nodes: Vec::new(),
-            backend,
-        }
-    }
-
-    /// The backend this tape dispatches its kernels to.
-    pub fn backend(&self) -> &'static dyn Backend {
-        self.backend
+        Graph { nodes: Vec::new() }
     }
 
     /// The forward value of a node.
@@ -193,37 +171,31 @@ impl Graph {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.backend.matmul(self.value(a), self.value(b));
+        let v = Kernels::GLOBAL.matmul(self.value(a), self.value(b));
         self.push(Op::MatMul(a, b), v)
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self
-            .backend
-            .zip_map(self.value(a), self.value(b), &|x, y| x + y);
+        let v = Kernels::GLOBAL.zip_map(self.value(a), self.value(b), |x, y| x + y);
         self.push(Op::Add(a, b), v)
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self
-            .backend
-            .zip_map(self.value(a), self.value(b), &|x, y| x - y);
+        let v = Kernels::GLOBAL.zip_map(self.value(a), self.value(b), |x, y| x - y);
         self.push(Op::Sub(a, b), v)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self
-            .backend
-            .zip_map(self.value(a), self.value(b), &|x, y| x * y);
+        let v = Kernels::GLOBAL.zip_map(self.value(a), self.value(b), |x, y| x * y);
         self.push(Op::Mul(a, b), v)
     }
 
     /// Multiplication by a compile-time constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.backend.map(self.value(a), &|x| x * c);
+        let v = Kernels::GLOBAL.map(self.value(a), |x| x * c);
         self.push(Op::Scale(a, c), v)
     }
 
@@ -257,7 +229,7 @@ impl Graph {
     pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
         assert_eq!(self.value(s).shape(), (1, 1), "scalar must be 1×1");
         let c = self.value(s).get(0, 0);
-        let v = self.backend.map(self.value(a), &|x| x * c);
+        let v = Kernels::GLOBAL.map(self.value(a), |x| x * c);
         self.push(Op::MulScalarVar(a, s), v)
     }
 
@@ -269,31 +241,31 @@ impl Graph {
 
     /// ReLU activation.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.backend.map(self.value(a), &|x| x.max(0.0));
+        let v = Kernels::GLOBAL.map(self.value(a), |x| x.max(0.0));
         self.push(Op::Relu(a), v)
     }
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        let v = self.backend.map(self.value(a), &gelu);
+        let v = Kernels::GLOBAL.map(self.value(a), gelu);
         self.push(Op::Gelu(a), v)
     }
 
     /// Tanh activation.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.backend.map(self.value(a), &f32::tanh);
+        let v = Kernels::GLOBAL.map(self.value(a), f32::tanh);
         self.push(Op::Tanh(a), v)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.backend.map(self.value(a), &sigmoid);
+        let v = Kernels::GLOBAL.map(self.value(a), sigmoid);
         self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.backend.map(self.value(a), &f32::exp);
+        let v = Kernels::GLOBAL.map(self.value(a), f32::exp);
         self.push(Op::Exp(a), v)
     }
 
@@ -307,14 +279,14 @@ impl Graph {
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let (n, d) = self.value(a).shape();
         let inv = 1.0 / n.max(1) as f32;
-        let sums = self.backend.col_sums(self.value(a));
+        let sums = Kernels::GLOBAL.col_sums(self.value(a));
         let out = Tensor::from_vec(sums.into_iter().map(|s| s * inv).collect(), 1, d);
         self.push(Op::MeanRows(a), out)
     }
 
     /// Sum of all elements → `1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::from_rows(&[&[self.backend.sum(self.value(a))]]);
+        let v = Tensor::from_rows(&[&[Kernels::GLOBAL.sum(self.value(a))]]);
         self.push(Op::SumAll(a), v)
     }
 
@@ -324,7 +296,7 @@ impl Graph {
         let mean = if len == 0 {
             0.0
         } else {
-            self.backend.sum(self.value(a)) / len as f32
+            Kernels::GLOBAL.sum(self.value(a)) / len as f32
         };
         self.push(Op::MeanAll(a), Tensor::from_rows(&[&[mean]]))
     }
@@ -467,7 +439,7 @@ impl Graph {
     ///
     /// Panics if the mask shape differs.
     pub fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = self.backend.zip_map(self.value(a), &mask, &|x, m| x * m);
+        let v = Kernels::GLOBAL.zip_map(self.value(a), &mask, |x, m| x * m);
         self.push(Op::Dropout(a, mask), v)
     }
 
@@ -590,8 +562,8 @@ impl Graph {
                     *entry = entry.zip_map(&grad, |a, b| a + b);
                 }
                 Op::MatMul(a, b) => {
-                    let da = self.backend.matmul_a_bt(&grad, &self.nodes[b.0].value);
-                    let db = self.backend.matmul_at_b(&self.nodes[a.0].value, &grad);
+                    let da = Kernels::GLOBAL.matmul_a_bt(&grad, &self.nodes[b.0].value);
+                    let db = Kernels::GLOBAL.matmul_at_b(&self.nodes[a.0].value, &grad);
                     accumulate(&mut grads, a.0, da);
                     accumulate(&mut grads, b.0, db);
                 }
@@ -601,19 +573,17 @@ impl Graph {
                 }
                 Op::Sub(a, b) => {
                     accumulate(&mut grads, a.0, grad.clone());
-                    accumulate(&mut grads, b.0, self.backend.map(&grad, &|x| -x));
+                    accumulate(&mut grads, b.0, Kernels::GLOBAL.map(&grad, |x| -x));
                 }
                 Op::Mul(a, b) => {
-                    let da = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[b.0].value, &|g, y| g * y);
-                    let db = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * x);
+                    let da = Kernels::GLOBAL.zip_map(&grad, &self.nodes[b.0].value, |g, y| g * y);
+                    let db = Kernels::GLOBAL.zip_map(&grad, &self.nodes[a.0].value, |g, x| g * x);
                     accumulate(&mut grads, a.0, da);
                     accumulate(&mut grads, b.0, db);
                 }
-                Op::Scale(a, c) => accumulate(&mut grads, a.0, self.backend.map(&grad, &|x| x * c)),
+                Op::Scale(a, c) => {
+                    accumulate(&mut grads, a.0, Kernels::GLOBAL.map(&grad, |x| x * c))
+                }
                 Op::AddRow(a, r) => {
                     accumulate(&mut grads, a.0, grad.clone());
                     let (gn, gd) = grad.shape();
@@ -627,48 +597,39 @@ impl Graph {
                 }
                 Op::MulScalarVar(a, s) => {
                     let c = self.nodes[s.0].value.get(0, 0);
-                    accumulate(&mut grads, a.0, self.backend.map(&grad, &|x| x * c));
-                    let prod = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * x);
-                    let ds = self.backend.sum(&prod);
+                    accumulate(&mut grads, a.0, Kernels::GLOBAL.map(&grad, |x| x * c));
+                    let prod = Kernels::GLOBAL.zip_map(&grad, &self.nodes[a.0].value, |g, x| g * x);
+                    let ds = Kernels::GLOBAL.sum(&prod);
                     accumulate(&mut grads, s.0, Tensor::from_rows(&[&[ds]]));
                 }
                 Op::Transpose(a) => accumulate(&mut grads, a.0, grad.transpose()),
                 Op::Relu(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| {
-                            if x > 0.0 {
-                                g
-                            } else {
-                                0.0
-                            }
-                        });
+                    let dx = Kernels::GLOBAL.zip_map(&grad, &self.nodes[a.0].value, |g, x| {
+                        if x > 0.0 {
+                            g
+                        } else {
+                            0.0
+                        }
+                    });
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Gelu(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * gelu_grad(x));
+                    let dx = Kernels::GLOBAL
+                        .zip_map(&grad, &self.nodes[a.0].value, |g, x| g * gelu_grad(x));
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Tanh(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * (1.0 - y * y));
+                    let dx = Kernels::GLOBAL
+                        .zip_map(&grad, &self.nodes[i].value, |g, y| g * (1.0 - y * y));
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Sigmoid(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * y * (1.0 - y));
+                    let dx = Kernels::GLOBAL
+                        .zip_map(&grad, &self.nodes[i].value, |g, y| g * y * (1.0 - y));
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Exp(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * y);
+                    let dx = Kernels::GLOBAL.zip_map(&grad, &self.nodes[i].value, |g, y| g * y);
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::SoftmaxRows(a) => {
@@ -827,27 +788,24 @@ impl Graph {
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Dropout(a, mask) => {
-                    let dx = self.backend.zip_map(&grad, &mask, &|g, m| g * m);
+                    let dx = Kernels::GLOBAL.zip_map(&grad, &mask, |g, m| g * m);
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::SmoothL1(pred, target) => {
                     let g = grad.get(0, 0);
-                    let diff = self
-                        .backend
-                        .zip_map(&self.nodes[pred.0].value, &target, &|p, t| p - t);
+                    let diff =
+                        Kernels::GLOBAL.zip_map(&self.nodes[pred.0].value, &target, |p, t| p - t);
                     let len = diff.data().len().max(1) as f32;
-                    let dx = self.backend.map(&diff, &|d| g * d.clamp(-1.0, 1.0) / len);
+                    let dx = Kernels::GLOBAL.map(&diff, |d| g * d.clamp(-1.0, 1.0) / len);
                     accumulate(&mut grads, pred.0, dx);
                 }
                 Op::SmoothL1Weighted(pred, target, weights) => {
                     let g = grad.get(0, 0);
-                    let diff = self
-                        .backend
-                        .zip_map(&self.nodes[pred.0].value, &target, &|p, t| p - t);
+                    let diff =
+                        Kernels::GLOBAL.zip_map(&self.nodes[pred.0].value, &target, |p, t| p - t);
                     let wsum: f32 = weights.data().iter().sum::<f32>().max(1e-12);
-                    let dx = self
-                        .backend
-                        .zip_map(&diff, &weights, &|d, w| g * w * d.clamp(-1.0, 1.0) / wsum);
+                    let dx = Kernels::GLOBAL
+                        .zip_map(&diff, &weights, |d, w| g * w * d.clamp(-1.0, 1.0) / wsum);
                     accumulate(&mut grads, pred.0, dx);
                 }
                 Op::CrossEntropyRows(logits, labels) => {

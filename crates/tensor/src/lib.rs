@@ -11,10 +11,10 @@
 //!   normalization, gather/concat/slice, dropout, and the paper's losses
 //!   (smooth-L1 for Etoggle/EAT/RrNdM/RNM; symmetric row/column
 //!   cross-entropy for the CLIP-style RNC loss of Fig. 6);
-//! - [`Backend`] ([`Naive`]/[`Blocked`]/[`Parallel`]): pluggable compute
-//!   backends every dense kernel dispatches through — see [`backend`].
-//!   The fast paths run runtime-dispatched SIMD microkernels ([`simd`])
-//!   over a persistent work-stealing thread pool ([`pool`]);
+//! - [`Kernels`]: the one set of dense kernels every op runs through — see
+//!   [`backend`]. They run runtime-dispatched SIMD microkernels ([`simd`])
+//!   and fan large problems out over a persistent work-stealing thread
+//!   pool ([`pool`]) sized by `MOSS_THREADS`;
 //! - [`ParamStore`]/[`Adam`]/[`Sgd`]: named parameters and optimizers;
 //! - [`max_gradient_error`]: finite-difference gradient checking;
 //! - [`save_params`]/[`load_params`]: binary checkpoints.
@@ -50,8 +50,8 @@ mod serialize;
 pub mod simd;
 mod tensor;
 
-pub use backend::{for_flops, par_map, Backend, Blocked, Naive, Parallel};
-pub use gradcheck::{max_gradient_error, max_gradient_error_with_backend};
+pub use backend::{par_map, Kernels};
+pub use gradcheck::max_gradient_error;
 pub use graph::{l2_normalize_rows, layer_norm_rows, softmax_rows, Gradients, Graph, Var};
 pub use optim::{Adam, Sgd};
 pub use params::{ParamId, ParamStore};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::backend;
+use crate::backend::Kernels;
 use crate::graph::Gradients;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -124,16 +124,16 @@ impl Adam {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (b1, b2) = (self.beta1, self.beta2);
         let (lr, eps) = (self.lr, self.eps);
-        let be = backend::active();
+        let k = Kernels::GLOBAL;
         for (id, grad) in grads.iter() {
-            let g = be.map(grad, &|x| x * scale);
+            let g = k.map(grad, |x| x * scale);
             let (r, c) = g.shape();
             let m = self.m.entry(id).or_insert_with(|| Tensor::zeros(r, c));
             let v = self.v.entry(id).or_insert_with(|| Tensor::zeros(r, c));
-            *m = be.zip_map(m, &g, &|mi, gi| b1 * mi + (1.0 - b1) * gi);
-            *v = be.zip_map(v, &g, &|vi, gi| b2 * vi + (1.0 - b2) * gi * gi);
-            let step = be.zip_map(m, v, &|mi, vi| lr * (mi / bc1) / ((vi / bc2).sqrt() + eps));
-            let new = be.zip_map(store.get(id), &step, &|w, s| w - s);
+            *m = k.zip_map(m, &g, |mi, gi| b1 * mi + (1.0 - b1) * gi);
+            *v = k.zip_map(v, &g, |vi, gi| b2 * vi + (1.0 - b2) * gi * gi);
+            let step = k.zip_map(m, v, |mi, vi| lr * (mi / bc1) / ((vi / bc2).sqrt() + eps));
+            let new = k.zip_map(store.get(id), &step, |w, s| w - s);
             store.set(id, new);
         }
     }
@@ -154,9 +154,8 @@ impl Sgd {
     /// Applies one update step.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
         let lr = self.lr;
-        let be = backend::active();
         for (id, grad) in grads.iter() {
-            let new = be.zip_map(store.get(id), grad, &|w, g| w - lr * g);
+            let new = Kernels::GLOBAL.zip_map(store.get(id), grad, |w, g| w - lr * g);
             store.set(id, new);
         }
     }

@@ -1,10 +1,8 @@
-//! A persistent work-stealing thread pool for the compute backends.
+//! A persistent work-stealing thread pool for the compute kernels.
 //!
-//! The original `Parallel` backend spawned fresh workers through
-//! `std::thread::scope` on every kernel call, which cost tens of
-//! microseconds per matmul — more than the multiply itself at small and
-//! medium sizes (`BENCH_kernels.json` showed the parallel backend *losing*
-//! to the sequential blocked kernel). This module replaces that with one
+//! Spawning fresh workers through `std::thread::scope` on every kernel
+//! call cost tens of microseconds per matmul — more than the multiply
+//! itself at small and medium sizes. This module replaces that with one
 //! lazily-initialized process-wide pool ([`global`]) whose workers are
 //! spawned once, park on a condvar when idle, and wake per submission.
 //!
@@ -195,15 +193,10 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// A pool sized for `threads` total compute threads: `threads - 1`
     /// dedicated workers (the submitting thread is the last). `threads`
-    /// of 0 or 1 — or a build without the `parallel` feature — gives a
-    /// pool with no workers; every submission then runs inline on the
-    /// caller.
+    /// of 0 or 1 gives a pool with no workers; every submission then runs
+    /// inline on the caller.
     pub fn new(threads: usize) -> ThreadPool {
-        let workers = if cfg!(feature = "parallel") {
-            threads.saturating_sub(1)
-        } else {
-            0
-        };
+        let workers = threads.saturating_sub(1);
         let shared = Arc::new(Shared {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             park_lock: Mutex::new(()),
@@ -263,8 +256,8 @@ impl ThreadPool {
         let workers = self.shared.queues.len();
         if workers == 0 || chunks == 1 {
             // Still counted as submitted work: on a zero-worker pool (one
-            // core, or the `parallel` feature off) the report should show
-            // how much traffic the pool *would* carry, not read as idle.
+            // core, or `MOSS_THREADS=1`) the report should show how much
+            // traffic the pool *would* carry, not read as idle.
             self.shared
                 .submitted
                 .fetch_add(chunks as u64, Ordering::Relaxed);
@@ -359,18 +352,33 @@ impl Drop for ThreadPool {
     }
 }
 
+/// The process-wide worker count: `MOSS_THREADS` if set to a positive
+/// integer, else `std::thread::available_parallelism`.
+pub fn configured_threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| {
+        std::env::var("MOSS_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
+}
+
 /// The process-wide pool, lazily spawned on first use and sized by
-/// `MOSS_THREADS` (else `available_parallelism`) via
-/// [`crate::backend::configured_threads`]. Never torn down; its workers
-/// park when idle.
+/// [`configured_threads`]. Never torn down; its workers park when idle.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| ThreadPool::new(crate::backend::configured_threads()))
+    GLOBAL.get_or_init(|| ThreadPool::new(configured_threads()))
 }
 
 /// A pool pinned to exactly `threads` compute threads. The process keeps
 /// one pool per distinct count (created on demand, leaked — this exists
-/// for `Parallel::with_threads` and the determinism tests, which compare a
+/// for `Kernels::with_threads` and the determinism tests, which compare a
 /// handful of fixed counts).
 pub fn with_threads(threads: usize) -> &'static ThreadPool {
     static PINNED: OnceLock<Mutex<Vec<(usize, &'static ThreadPool)>>> = OnceLock::new();
@@ -384,24 +392,10 @@ pub fn with_threads(threads: usize) -> &'static ThreadPool {
     pool
 }
 
-/// Forces lazy global state — the pool's worker threads and the SIMD
-/// feature detection — to initialize now. Benchmarks call this in setup
-/// so the first measured batch does not inherit one-time spawn cost.
-pub fn warm_up() {
-    crate::simd::level();
-    let pool = global();
-    // One trivial batch round-trips the submit/steal/park machinery.
-    let touched = AtomicUsize::new(0);
-    pool.run_indexed(pool.workers().max(1), &|_| {
-        touched.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn runs_every_chunk_exactly_once() {
         let pool = ThreadPool::new(4);
@@ -425,7 +419,6 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn nested_submissions_complete() {
         let pool = ThreadPool::new(3);
@@ -438,7 +431,6 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 64);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn drop_joins_all_workers() {
         let pool = ThreadPool::new(5);

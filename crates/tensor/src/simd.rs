@@ -1,8 +1,8 @@
-//! SIMD-lane matmul microkernels shared by the `Blocked` and `Parallel`
-//! backends.
+//! SIMD-lane matmul microkernels behind the matmul forms of
+//! [`crate::Kernels`].
 //!
 //! Three implementations of each kernel, selected once per process by
-//! [`level`]:
+//! [`level`] from CPU feature detection:
 //!
 //! - **Scalar** — explicit 8-wide `[f32; 8]` lane accumulators in
 //!   fixed-size register tiles (4 output rows × 2 lane chunks). Plain safe
@@ -13,9 +13,6 @@
 //! - **Avx512** — 16-lane `__m512` chunks; the fastest path on the
 //!   machines this repo benches on (~7× the scalar saxpy on the
 //!   2048×64×64 row of `BENCH_kernels.json`).
-//!
-//! `MOSS_SIMD=scalar|avx2|avx512` forces a level (panicking if the CPU
-//! lacks it); unset picks the best detected at runtime.
 //!
 //! ## Tile shapes
 //!
@@ -34,7 +31,7 @@
 //! exactly what the sequential loop computes. Results are therefore
 //! bit-identical for any `MOSS_THREADS`. Across *levels* the guarantee is
 //! weaker: the FMA paths skip the intermediate rounding of separate
-//! mul-then-add, so `Avx2`/`Avx512` agree with `Scalar` (and the `Naive`
+//! mul-then-add, so `Avx2`/`Avx512` agree with `Scalar` (and the naive
 //! oracle) to ~1e-6 relative, not bitwise. A level is fixed for the whole
 //! process, so seeded runs still reproduce exactly on the same machine.
 
@@ -62,16 +59,6 @@ pub enum Level {
     Avx512,
 }
 
-impl Level {
-    fn name(self) -> &'static str {
-        match self {
-            Level::Scalar => "scalar",
-            Level::Avx2 => "avx2",
-            Level::Avx512 => "avx512",
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 fn detect() -> Level {
     if is_x86_feature_detected!("avx512f") {
@@ -88,38 +75,11 @@ fn detect() -> Level {
     Level::Scalar
 }
 
-/// The process-wide kernel level: `MOSS_SIMD` if set, else the best the
-/// CPU supports.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `MOSS_SIMD` value, or one the CPU cannot run.
+/// The process-wide kernel level: the best the CPU supports, detected
+/// once.
 pub fn level() -> Level {
     static LEVEL: OnceLock<Level> = OnceLock::new();
-    *LEVEL.get_or_init(|| match std::env::var("MOSS_SIMD").as_deref() {
-        Ok("scalar") => check_available(Level::Scalar),
-        Ok("avx2") => check_available(Level::Avx2),
-        Ok("avx512") => check_available(Level::Avx512),
-        Ok(other) => panic!("unknown MOSS_SIMD {other:?}; expected scalar|avx2|avx512"),
-        Err(_) => detect(),
-    })
-}
-
-fn check_available(requested: Level) -> Level {
-    let best = detect();
-    let ok = matches!(
-        (requested, best),
-        (Level::Scalar, _)
-            | (Level::Avx2, Level::Avx2 | Level::Avx512)
-            | (Level::Avx512, Level::Avx512)
-    );
-    assert!(
-        ok,
-        "MOSS_SIMD={} requested but this CPU supports at most {}",
-        requested.name(),
-        best.name()
-    );
-    requested
+    *LEVEL.get_or_init(detect)
 }
 
 /// `out += nothing; out = a_block × b` for a block of output rows.
@@ -220,7 +180,7 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 // ---------------------------------------------------------------------
 
 /// 4 rows × 2 eight-lane chunks register tile; the per-element arithmetic
-/// (one accumulator, `k` ascending) is exactly the `Naive` oracle's, so
+/// (one accumulator, `k` ascending) is exactly the naive oracle's, so
 /// this path is bit-identical to it.
 fn matmul_scalar(a_block: &[f32], rows: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let mut i = 0;
@@ -975,11 +935,5 @@ mod tests {
             i0 = i1;
         }
         assert_eq!(full, split, "at_b row-block split drifted");
-    }
-
-    #[test]
-    fn check_available_accepts_supported_levels() {
-        assert_eq!(check_available(Level::Scalar), Level::Scalar);
-        assert!(!detect().name().is_empty());
     }
 }

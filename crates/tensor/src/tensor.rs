@@ -154,22 +154,14 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self × rhs`, dispatched through the process-wide
-    /// compute backend by problem size (see [`crate::backend::for_flops`];
-    /// an explicit `MOSS_BACKEND` pins the backend at every size).
+    /// Matrix product `self × rhs` on the global-pool kernels
+    /// ([`crate::Kernels::matmul`]).
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}×{} × {}×{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        // Size-based dispatch: small products skip the parallel backend's
-        // pool machinery entirely (see `backend::for_flops`).
-        crate::backend::for_flops(self.rows * self.cols * rhs.cols).matmul(self, rhs)
+        crate::Kernels::GLOBAL.matmul(self, rhs)
     }
 
     /// The transpose.

@@ -1,27 +1,26 @@
-//! Backend-equivalence properties: `Naive`, `Blocked`, and `Parallel`
-//! must agree within 1e-5 on random shapes, the `Parallel` backend must be
-//! bit-identical across thread counts, and gradcheck must pass through
-//! every backend.
+//! Kernel-equivalence properties: the kernels — on the global pool and on
+//! pinned pools of 1, 2 and 4 threads — must agree with the `Naive`
+//! reference loops within 1e-5 on random shapes, must be bit-identical
+//! across thread counts, and gradcheck must pass through them.
 //!
 //! Deterministic loop-based properties (this workspace builds offline, so
 //! no proptest).
 
+mod naive;
+
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
-use moss_tensor::backend::Backend;
-use moss_tensor::{max_gradient_error_with_backend, Blocked, Naive, Parallel, ParamStore, Tensor};
+use moss_tensor::{max_gradient_error, Graph, Kernels, ParamStore, Tensor};
+use naive::Naive;
 
 const CASES: u64 = 24;
 
-static PAR2: Parallel = Parallel::with_threads(2);
-static PAR4: Parallel = Parallel::with_threads(4);
-
-fn backends() -> [(&'static str, &'static dyn Backend); 4] {
+fn backends() -> [(&'static str, Kernels); 4] {
     [
-        ("naive", &Naive),
-        ("blocked", &Blocked),
-        ("parallel-2", &PAR2),
-        ("parallel-4", &PAR4),
+        ("global", Kernels::GLOBAL),
+        ("threads-1", Kernels::with_threads(1)),
+        ("threads-2", Kernels::with_threads(2)),
+        ("threads-4", Kernels::with_threads(4)),
     ]
 }
 
@@ -53,10 +52,10 @@ fn backends_agree_on_random_matmul_shapes() {
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
         let reference = Naive.matmul(&a, &b);
-        for (name, backend) in backends() {
+        for (name, kernels) in backends() {
             assert_agree(
                 &reference,
-                &backend.matmul(&a, &b),
+                &kernels.matmul(&a, &b),
                 &format!("matmul {name} {m}x{k}x{n}"),
             );
         }
@@ -76,15 +75,15 @@ fn backends_agree_on_backward_matmul_forms() {
         let grad = random_tensor(m, n, &mut rng);
         let db_ref = Naive.matmul_at_b(&a, &grad);
         let da_ref = Naive.matmul_a_bt(&grad, &b);
-        for (name, backend) in backends() {
+        for (name, kernels) in backends() {
             assert_agree(
                 &db_ref,
-                &backend.matmul_at_b(&a, &grad),
+                &kernels.matmul_at_b(&a, &grad),
                 &format!("matmul_at_b {name}"),
             );
             assert_agree(
                 &da_ref,
-                &backend.matmul_a_bt(&grad, &b),
+                &kernels.matmul_a_bt(&grad, &b),
                 &format!("matmul_a_bt {name}"),
             );
         }
@@ -93,25 +92,42 @@ fn backends_agree_on_backward_matmul_forms() {
 
 #[test]
 fn backends_agree_above_parallel_thresholds() {
-    // Shapes past PAR_MATMUL_MIN_FLOPS so the threaded paths really run.
+    // Shapes past every size threshold so the pooled paths really run.
     let mut rng = StdRng::seed_from_u64(7);
     let a = random_tensor(300, 80, &mut rng);
     let b = random_tensor(80, 70, &mut rng);
+    let grad = random_tensor(300, 70, &mut rng);
     let reference = Naive.matmul(&a, &b);
-    for (name, backend) in backends() {
+    let db_ref = Naive.matmul_at_b(&a, &grad);
+    let da_ref = Naive.matmul_a_bt(&grad, &b);
+    for (name, kernels) in backends() {
         assert_agree(
             &reference,
-            &backend.matmul(&a, &b),
+            &kernels.matmul(&a, &b),
             &format!("big matmul {name}"),
         );
+        assert_agree(
+            &db_ref,
+            &kernels.matmul_at_b(&a, &grad),
+            &format!("big matmul_at_b {name}"),
+        );
+        assert_agree(
+            &da_ref,
+            &kernels.matmul_a_bt(&grad, &b),
+            &format!("big matmul_a_bt {name}"),
+        );
     }
-    let ref_sums = Naive.col_sums(&a);
-    for (name, backend) in backends() {
-        let sums = backend.col_sums(&a);
-        for (r, s) in ref_sums.iter().zip(&sums) {
-            assert!((r - s).abs() < 1e-3, "col_sums {name}: {r} vs {s}");
+    let wide = random_tensor(3, 40_000, &mut rng);
+    for t in [&a, &wide] {
+        let ref_sums = Naive.col_sums(t);
+        for (name, kernels) in backends() {
+            let sums = kernels.col_sums(t);
+            for (r, s) in ref_sums.iter().zip(&sums) {
+                assert!((r - s).abs() < 1e-3, "col_sums {name}: {r} vs {s}");
+            }
+            let (r, s) = (Naive.sum(t), kernels.sum(t));
+            assert!((r - s).abs() < 1e-2, "sum {name}: {r} vs {s}");
         }
-        assert!((Naive.sum(&a) - backend.sum(&a)).abs() < 1e-2, "sum {name}");
     }
 }
 
@@ -120,9 +136,9 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(11);
     let a = random_tensor(257, 65, &mut rng); // odd sizes straddle blocks
     let b = random_tensor(65, 90, &mut rng);
-    let one = Parallel::with_threads(1);
+    let one = Kernels::with_threads(1);
     for threads in [2, 3, 4, 8] {
-        let many = Parallel::with_threads(threads);
+        let many = Kernels::with_threads(threads);
         assert_eq!(
             one.matmul(&a, &b).data(),
             many.matmul(&a, &b).data(),
@@ -143,44 +159,46 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn gradcheck_passes_through_every_backend() {
-    for (name, backend) in backends() {
-        let mut store = ParamStore::new();
-        let w1 = store.add("w1", Tensor::xavier(3, 4, 1));
-        let b1 = store.add("b1", Tensor::xavier(1, 4, 2));
-        let w2 = store.add("w2", Tensor::xavier(4, 2, 3));
-        let err = max_gradient_error_with_backend(backend, &mut store, &[w1, b1, w2], |g, s| {
-            let x = g.input(Tensor::xavier(5, 3, 9));
-            let w1v = g.param(w1, s);
-            let b1v = g.param(b1, s);
-            let w2v = g.param(w2, s);
-            let h = g.matmul(x, w1v);
-            let h = g.add_row(h, b1v);
-            let h = g.gelu(h);
-            let o = g.matmul(h, w2v);
-            let o = g.tanh(o);
-            g.smooth_l1(o, Tensor::xavier(5, 2, 11))
-        });
-        assert!(err < 2e-2, "gradcheck through {name}: max error {err}");
-    }
+    let mut store = ParamStore::new();
+    let w1 = store.add("w1", Tensor::xavier(3, 4, 1));
+    let b1 = store.add("b1", Tensor::xavier(1, 4, 2));
+    let w2 = store.add("w2", Tensor::xavier(4, 2, 3));
+    let err = max_gradient_error(&mut store, &[w1, b1, w2], |g, s| {
+        let x = g.input(Tensor::xavier(5, 3, 9));
+        let w1v = g.param(w1, s);
+        let b1v = g.param(b1, s);
+        let w2v = g.param(w2, s);
+        let h = g.matmul(x, w1v);
+        let h = g.add_row(h, b1v);
+        let h = g.gelu(h);
+        let o = g.matmul(h, w2v);
+        let o = g.tanh(o);
+        g.smooth_l1(o, Tensor::xavier(5, 2, 11))
+    });
+    assert!(err < 2e-2, "gradcheck through the kernels: max error {err}");
 }
 
 #[test]
 fn graphs_on_different_backends_produce_matching_losses() {
+    // The tape (kernels) and the naive oracle compute the same
+    // matmul → ReLU → row-mean → sum loss.
     let mut store = ParamStore::new();
     let w = store.add("w", Tensor::xavier(6, 6, 17));
-    let mut losses = Vec::new();
-    for (name, backend) in backends() {
-        let mut g = moss_tensor::Graph::with_backend(backend);
-        let x = g.input(Tensor::xavier(8, 6, 23));
-        let wv = g.param(w, &store);
-        let h = g.matmul(x, wv);
-        let h = g.relu(h);
-        let m = g.mean_rows(h);
-        let loss = g.sum_all(m);
-        losses.push((name, g.value(loss).get(0, 0)));
-    }
-    let (_, reference) = losses[0];
-    for (name, l) in &losses[1..] {
-        assert!((l - reference).abs() < 1e-4, "{name}: {l} vs {reference}");
-    }
+    let x = Tensor::xavier(8, 6, 23);
+    let mut g = Graph::new();
+    let xv = g.input(x.clone());
+    let wv = g.param(w, &store);
+    let h = g.matmul(xv, wv);
+    let h = g.relu(h);
+    let m = g.mean_rows(h);
+    let loss = g.sum_all(m);
+    let tape = g.value(loss).get(0, 0);
+
+    let h = Naive.matmul(&x, store.get(w)).map(|v| v.max(0.0));
+    let means: Vec<f32> = Naive.col_sums(&h).iter().map(|s| s / 8.0).collect();
+    let oracle: f32 = means.iter().sum();
+    assert!(
+        (tape - oracle).abs() < 1e-4,
+        "tape {tape} vs naive {oracle}"
+    );
 }

@@ -1,17 +1,16 @@
-//! The pool determinism matrix from ISSUE 6: every kernel the `Parallel`
-//! backend routes through the work-stealing pool must produce
-//! **bit-identical** outputs across `MOSS_THREADS` ∈ {1, 2, 4, 8}, because
-//! work decomposition is a function of shape alone and every output
-//! element has exactly one writer.
+//! The pool determinism matrix: every kernel routed through the
+//! work-stealing pool must produce **bit-identical** outputs across
+//! `MOSS_THREADS` ∈ {1, 2, 4, 8}, because work decomposition is a function
+//! of shape alone and every output element has exactly one writer.
 //!
 //! Also pins the teardown contract: dropping an owned pool leaves no
 //! lingering worker threads behind (checked against the kernel's own
-//! thread count via /proc, which this repo's CI runners all have).
+//! list of this process's threads via /proc, which this repo's CI runners
+//! all have).
 
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
-use moss_tensor::backend::Backend;
-use moss_tensor::{Parallel, Tensor, ThreadPool};
+use moss_tensor::{Kernels, Tensor, ThreadPool};
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
@@ -34,9 +33,9 @@ fn matmul_is_bit_identical_across_the_thread_matrix() {
     for (m, k, n) in shapes() {
         let a = random_tensor(m, k, 1);
         let b = random_tensor(k, n, 2);
-        let reference = Parallel::with_threads(THREAD_MATRIX[0]).matmul(&a, &b);
+        let reference = Kernels::with_threads(THREAD_MATRIX[0]).matmul(&a, &b);
         for &threads in &THREAD_MATRIX[1..] {
-            let got = Parallel::with_threads(threads).matmul(&a, &b);
+            let got = Kernels::with_threads(threads).matmul(&a, &b);
             assert!(
                 reference.data() == got.data(),
                 "matmul {m}x{k}x{n} drifted at {threads} threads"
@@ -51,10 +50,10 @@ fn backward_matmul_forms_are_bit_identical_across_the_thread_matrix() {
         let a = random_tensor(m, k, 3);
         let grad = random_tensor(m, n, 4);
         let bt = random_tensor(k, n, 5); // grad(m×n) × btᵀ → m×k
-        let ref_at_b = Parallel::with_threads(1).matmul_at_b(&a, &grad);
-        let ref_a_bt = Parallel::with_threads(1).matmul_a_bt(&grad, &bt);
+        let ref_at_b = Kernels::with_threads(1).matmul_at_b(&a, &grad);
+        let ref_a_bt = Kernels::with_threads(1).matmul_a_bt(&grad, &bt);
         for &threads in &THREAD_MATRIX[1..] {
-            let p = Parallel::with_threads(threads);
+            let p = Kernels::with_threads(threads);
             assert!(
                 ref_at_b.data() == p.matmul_at_b(&a, &grad).data(),
                 "matmul_at_b {m}x{k}x{n} drifted at {threads} threads"
@@ -71,9 +70,9 @@ fn backward_matmul_forms_are_bit_identical_across_the_thread_matrix() {
 fn reductions_and_elementwise_are_bit_identical_across_the_thread_matrix() {
     let wide = random_tensor(3, 40_000, 6); // past PAR_ELEMWISE_MIN / SUM_BLOCK
     let tall = random_tensor(700, 33, 7); // many ROW_BLOCK partials
-    let one = Parallel::with_threads(1);
+    let one = Kernels::with_threads(1);
     for &threads in &THREAD_MATRIX[1..] {
-        let p = Parallel::with_threads(threads);
+        let p = Kernels::with_threads(threads);
         assert_eq!(
             one.col_sums(&tall),
             p.col_sums(&tall),
@@ -85,43 +84,65 @@ fn reductions_and_elementwise_are_bit_identical_across_the_thread_matrix() {
             "sum drifted at {threads} threads"
         );
         assert!(
-            one.map(&wide, &|x| x.mul_add(1.5, 0.25)).data()
-                == p.map(&wide, &|x| x.mul_add(1.5, 0.25)).data(),
+            one.map(&wide, |x| x.mul_add(1.5, 0.25)).data()
+                == p.map(&wide, |x| x.mul_add(1.5, 0.25)).data(),
             "map drifted at {threads} threads"
         );
         assert!(
-            one.zip_map(&wide, &wide, &|x, y| x * y + 0.5).data()
-                == p.zip_map(&wide, &wide, &|x, y| x * y + 0.5).data(),
+            one.zip_map(&wide, &wide, |x, y| x * y + 0.5).data()
+                == p.zip_map(&wide, &wide, |x, y| x * y + 0.5).data(),
             "zip_map drifted at {threads} threads"
         );
     }
 }
 
-/// Counts this process's live threads (Linux /proc; skipped elsewhere).
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|n| n.parse().ok())
+/// Counts this process's live pool worker threads (named `moss-pool-*`)
+/// via Linux /proc; `None` elsewhere. Filtering by name keeps the count
+/// blind to the test harness's own threads, which come and go as the
+/// other tests in this binary run.
+fn live_pool_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("moss-pool-"))
+            .count(),
+    )
 }
 
-#[cfg(feature = "parallel")]
+/// Waits (up to 5 s) for the pool-thread count to read `want`: a worker
+/// takes its name only once it runs, shortly after its spawn returns.
+fn pool_threads_reach(want: usize) -> bool {
+    (0..500).any(|_| {
+        let reached = live_pool_threads() == Some(want);
+        if !reached {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        reached
+    })
+}
+
 #[test]
 fn dropping_a_pool_leaves_no_lingering_threads() {
-    let Some(before) = live_threads() else {
+    if live_pool_threads().is_none() {
         return; // no /proc on this platform
-    };
+    }
+    // Spawn the pinned pools the other tests in this binary use first, so
+    // none of their workers can appear mid-test.
+    for &threads in &THREAD_MATRIX {
+        moss_tensor::pool::with_threads(threads);
+    }
+    let before: usize = THREAD_MATRIX.iter().map(|t| t - 1).sum();
+    assert!(pool_threads_reach(before), "pinned pools never started");
     let pool = ThreadPool::new(6);
     assert_eq!(pool.workers(), 5);
     pool.run_indexed(64, &|_| {});
-    assert!(live_threads().unwrap() >= before + 5, "workers not started");
+    assert!(pool_threads_reach(before + 5), "workers not started");
     drop(pool);
     // Drop joins every worker, so the count is back immediately — no
     // polling loop needed.
     assert_eq!(
-        live_threads().unwrap(),
+        live_pool_threads().unwrap(),
         before,
         "pool teardown left threads behind"
     );

@@ -236,22 +236,6 @@ fn verilog_round_trip_preserves_behaviour() {
     }
 }
 
-/// The RTL optimizer preserves behaviour end-to-end: optimized RTL,
-/// synthesized, matches the *original* interpreter bit-for-bit.
-#[test]
-fn rtl_optimizer_preserves_synthesized_behaviour() {
-    let mut rng = StdRng::seed_from_u64(0x0b70);
-    for _ in 0..CASES {
-        let seed = rng.gen_range(0u64..4000);
-        let module = moss_datagen::random_module(seed, moss_datagen::SizeClass::Small);
-        let (optimized, _) = moss_rtl::optimize(&module);
-        let synth = synthesize(&optimized, &SynthOptions::default()).expect("synthesizes");
-        // Port names/order survive optimization, so the original module's
-        // interpreter can be compared against the optimized netlist.
-        assert_equivalent(&module, &synth, 20, seed ^ 0x0b7);
-    }
-}
-
 /// The compiled engine honours RTL semantics end-to-end: synthesized
 /// netlists driven through `CompiledSim` (lane 0) match the RTL interpreter
 /// bit-for-bit, with every node cross-checked against `GateSim` each cycle.

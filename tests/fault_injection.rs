@@ -4,8 +4,7 @@
 //! clean abort.
 //!
 //! The fault override is process-global, so every scenario runs inside one
-//! `#[test]` — the default test harness would race overrides across
-//! threads.
+//! `#[test]` of its own binary, one override guard at a time.
 
 use moss_bench::pipeline::{build_samples, build_world, ExperimentConfig};
 use moss_bench::run::{PipelineError, RunManifest};
@@ -31,7 +30,7 @@ fn faulted_pipeline_degrades_per_circuit_and_respects_the_budget() {
     // Everything fails: the budget (default 25%) must abort the run with
     // a structured error, never a panic, and the manifest must hold every
     // skip flagged as injected.
-    override_for_tests(Some("synth:1.0"));
+    let faults = override_for_tests(Some("synth:1.0"));
     let mut m = RunManifest::new("fault_injection");
     let err = build_samples(&world, &modules, &mut m).unwrap_err();
     let PipelineError::BudgetExceeded {
@@ -42,12 +41,13 @@ fn faulted_pipeline_degrades_per_circuit_and_respects_the_budget() {
     assert_eq!(m.skips().len(), modules.len());
     assert!(m.skips().iter().all(|s| s.error.is_fault_injected()));
     assert!(m.skips().iter().all(|s| s.stage == "build"));
+    drop(faults);
 
     // A partial rate skips exactly the circuits the fault oracle says it
     // will — `fire` is deterministic per (config, site, name) — and the
     // survivors keep flowing.
     let spec = "synth:0.3:11";
-    override_for_tests(Some(spec));
+    let faults = override_for_tests(Some(spec));
     let fired: Vec<String> = modules
         .iter()
         .map(|md| md.name().to_owned())
@@ -74,10 +74,11 @@ fn faulted_pipeline_degrades_per_circuit_and_respects_the_budget() {
     assert!(samples.iter().all(|s| s.labels.total_power_nw.is_finite()));
     let json = m.to_json();
     assert!(json.contains("\"fault_injected\": true"));
+    drop(faults);
 
     // The sim site fails circuits during ground-truth simulation; the skip
     // surfaces through the same per-circuit path.
-    override_for_tests(Some("sim:1.0"));
+    let faults = override_for_tests(Some("sim:1.0"));
     let mut m = RunManifest::new("fault_injection");
     let err = build_samples(&world, &modules[..2], &mut m).unwrap_err();
     assert!(err.to_string().contains("failure budget exceeded"), "{err}");
@@ -86,8 +87,9 @@ fn faulted_pipeline_degrades_per_circuit_and_respects_the_budget() {
         .iter()
         .all(|s| s.error.to_string().contains("sim")));
 
+    drop(faults);
+
     // Disarmed, the same inputs sail through with an empty manifest.
-    override_for_tests(None);
     let mut m = RunManifest::new("fault_injection");
     let samples = build_samples(&world, &modules, &mut m).unwrap();
     assert_eq!(samples.len(), modules.len());

@@ -1,7 +1,13 @@
-//! Benches for the learned components: encoder embedding, GNN forward,
-//! and a full training step (moss-benchkit harness).
+//! Benches for the learned components: encoder embedding, GNN forward on
+//! the tape (`gnn_forward/<circuit>`, the full `predict`) beside the
+//! tape-free pass on the same circuit (`gnn_infer/<circuit>`, the
+//! `netlist_align_batch` every served miss runs), and a full training step
+//! (moss-benchkit harness).
 //!
-//! Run with `cargo bench -p moss-bench --bench models`.
+//! Emits `BENCH_models.json` at the workspace root. Run with
+//! `cargo bench -p moss-bench --bench models`. `MOSS_BENCH_OUT=path`
+//! redirects the JSON report and `MOSS_BENCH_QUICK=1` shrinks the timing
+//! budgets (used by `cargo xtask bench-check`).
 
 use std::time::Duration;
 
@@ -58,6 +64,9 @@ fn bench_gnn_forward(suite: &mut Suite) {
         suite.bench(&format!("gnn_forward/{}", fx.prep.name), || {
             std::hint::black_box(fx.model.predict(&fx.store, &fx.prep));
         });
+        suite.bench(&format!("gnn_infer/{}", fx.prep.name), || {
+            std::hint::black_box(fx.model.netlist_align_batch(&fx.store, &[&fx.prep.circuit]));
+        });
     }
 }
 
@@ -78,7 +87,15 @@ fn bench_train_step(suite: &mut Suite) {
 fn main() {
     let mut suite =
         Suite::new("models").with_budget(Duration::from_millis(100), Duration::from_millis(500));
+    if std::env::var("MOSS_BENCH_QUICK").is_ok_and(|v| v == "1") {
+        suite = suite.with_budget(Duration::from_millis(50), Duration::from_millis(200));
+    }
     bench_encoder(&mut suite);
     bench_gnn_forward(&mut suite);
     bench_train_step(&mut suite);
+
+    let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_models.json").to_string()
+    });
+    suite.write_json(&out).expect("write models bench JSON");
 }

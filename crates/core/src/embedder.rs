@@ -9,8 +9,9 @@
 //! cell-kind description embeddings and the kind-vocabulary clustering
 //! (Fig. 5) depend only on the model, so the [`KindTable`] holding both is
 //! built once at construction, by the same code `MossModel::prepare` runs.
-//! Per-request work is then purely structural: features, schedule, one GNN
-//! forward, one alignment projection.
+//! Per-request work is then purely structural: features, schedule, one
+//! tape-free GNN pass ([`moss_gnn::CircuitGnn::infer`]), one alignment
+//! projection.
 
 use std::collections::HashMap;
 use std::io;
@@ -100,8 +101,9 @@ impl NetlistEmbedder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist cannot be levelized (a
-    /// combinational cycle).
+    /// Returns [`NetlistError::Empty`] for a netlist with no nodes (such as
+    /// `module m (); endmodule`), and an error if the netlist cannot be
+    /// levelized (a combinational cycle).
     pub fn prepare(&self, netlist: &Netlist) -> Result<CircuitGraph, NetlistError> {
         let _sp = moss_obs::span_items("serve.prepare", netlist.node_count() as u64);
         let config = self.model.config();
@@ -119,11 +121,12 @@ impl NetlistEmbedder {
         CircuitGraph::new(netlist, features, self.kinds.clustering(netlist))
     }
 
-    /// Embeds several prepared circuits in one fused forward pass (one
-    /// tape, parameters loaded once). Each returned vector is the
-    /// L2-normalized alignment-space embedding (`d_align` floats) and is
-    /// bit-identical to embedding that circuit alone — see
-    /// [`moss_gnn::CircuitGnn::forward_batch`] for the argument.
+    /// Embeds several prepared circuits in one call of the tape-free GNN
+    /// pass. Each returned vector is the L2-normalized alignment-space
+    /// embedding (`d_align` floats). The pass reproduces the tape forward
+    /// bit for bit and shares only scratch buffers between circuits, so
+    /// each vector is bit-identical to embedding that circuit alone — see
+    /// [`moss_gnn::CircuitGnn::infer`].
     pub fn embed_graphs(&self, circuits: &[&CircuitGraph]) -> Vec<Vec<f32>> {
         self.model.netlist_align_batch(&self.store, circuits)
     }
@@ -132,7 +135,7 @@ impl NetlistEmbedder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist cannot be levelized.
+    /// Returns an error if the netlist is empty or cannot be levelized.
     pub fn embed(&self, netlist: &Netlist) -> Result<Vec<f32>, NetlistError> {
         let circuit = self.prepare(netlist)?;
         let mut out = self.embed_graphs(&[&circuit]);
@@ -145,6 +148,8 @@ mod tests {
     use super::*;
     use crate::model::MossVariant;
     use moss_netlist::{parse_verilog, CellKind};
+    use moss_synth::{synthesize, SynthOptions};
+    use moss_tensor::{Graph, Tensor};
 
     fn demo_netlist() -> Netlist {
         parse_verilog(
@@ -197,6 +202,65 @@ mod tests {
         let a = embedder().embed(&demo_netlist()).unwrap();
         let b = embedder().embed(&demo_netlist()).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn empty_module_is_an_error_not_a_panic() {
+        let nl = parse_verilog("module m (); endmodule").unwrap();
+        assert_eq!(nl.node_count(), 0);
+        let e = embedder();
+        assert_eq!(e.prepare(&nl).unwrap_err(), NetlistError::Empty);
+        assert_eq!(e.embed(&nl).unwrap_err(), NetlistError::Empty);
+    }
+
+    /// The store `moss-serve`'s demo checkpoint carries: the 16-wide tiny
+    /// encoder (seed 1) and the small full model (seed 2).
+    fn demo_store(config: &MossConfig) -> ParamStore {
+        let mut store = ParamStore::new();
+        TextEncoder::new(encoder_config_for(config.d_llm), &mut store, 1);
+        MossModel::new(*config, &mut store, 2);
+        store
+    }
+
+    /// The tape path `embed_graphs` replaced: the tape forward, then the
+    /// alignment projection on the tape.
+    fn tape_embedding(e: &NetlistEmbedder, circuit: &CircuitGraph) -> Vec<f32> {
+        let mut g = Graph::new();
+        let out = e.model.gnn.forward(&mut g, &e.store, circuit);
+        let emb = g.value(out.graph_embedding).clone();
+        let aligned = e.model.netlist_align_frozen(&mut g, &e.store, &emb);
+        g.value(aligned).data().to_vec()
+    }
+
+    #[test]
+    fn embed_graphs_matches_the_tape_on_the_table1_circuits() {
+        let config = MossConfig::small(16, MossVariant::Full);
+        let netlists: Vec<Netlist> = moss_datagen::benchmark_suite()
+            .iter()
+            .map(|m| synthesize(m, &SynthOptions::default()).unwrap().netlist)
+            .collect();
+        let demo = NetlistEmbedder::new(config, demo_store(&config));
+        // The demo weights start every attention key at zero (a uniform
+        // softmax); nonzero keys and pin biases make the softmax real.
+        let mut keyed = demo_store(&config);
+        for a in 0..config.aggregators {
+            let wk = keyed.find(&format!("gnn.agg{a}.wk")).unwrap();
+            keyed.set(wk, Tensor::xavier(16, 16, 40 + a as u64));
+            let bias = keyed.find(&format!("gnn.agg{a}.pin_bias")).unwrap();
+            keyed.set(bias, Tensor::xavier(1, 3, 50 + a as u64));
+        }
+        let keyed = NetlistEmbedder::new(config, keyed);
+        for e in [&demo, &keyed] {
+            let circuits: Vec<CircuitGraph> =
+                netlists.iter().map(|nl| e.prepare(nl).unwrap()).collect();
+            let refs: Vec<&CircuitGraph> = circuits.iter().collect();
+            let served = e.embed_graphs(&refs);
+            for ((nl, circuit), emb) in netlists.iter().zip(&circuits).zip(&served) {
+                let tape = tape_embedding(e, circuit);
+                let bytes = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bytes(emb), bytes(&tape), "{}", nl.name());
+            }
+        }
     }
 
     #[test]

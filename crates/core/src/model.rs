@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use moss_gnn::{CircuitGnn, CircuitGraph, GnnConfig};
 use moss_llm::TextEncoder;
 use moss_netlist::{CellLibrary, NodeKind};
-use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
+use moss_tensor::{l2_normalize_rows, Graph, Kernels, ParamId, ParamStore, Tensor, Var};
 
 use crate::features::{build_node_features, FeatureOptions, STRUCT_DIM};
 use crate::kinds::KindTable;
@@ -171,7 +171,7 @@ pub struct Predictions {
 #[derive(Debug, Clone)]
 pub struct MossModel {
     config: MossConfig,
-    gnn: CircuitGnn,
+    pub(crate) gnn: CircuitGnn,
     w_toggle: ParamId,
     b_toggle: ParamId,
     w_prob: ParamId,
@@ -474,40 +474,44 @@ impl MossModel {
         g.l2_normalize_rows(proj)
     }
 
-    /// Runs the GNN once and returns the raw graph embedding and DFF hidden
-    /// states as plain tensors, for trunk-frozen alignment training.
+    /// Runs the GNN once, through the tape-free
+    /// [`moss_gnn::CircuitGnn::infer`], and returns the raw graph embedding
+    /// and DFF hidden states as plain tensors, for trunk-frozen alignment
+    /// training. The values are the tape forward's, bit for bit.
     pub fn frozen_embeddings(&self, store: &ParamStore, prep: &Prepared) -> (Tensor, Tensor) {
-        let mut g = Graph::new();
-        let out = self.gnn.forward(&mut g, store, &prep.circuit);
-        let graph_emb = g.value(out.graph_embedding).clone();
-        let dff_states = if prep.dff_nodes.is_empty() {
-            Tensor::zeros(0, self.config.d_hidden)
-        } else {
-            let dffs = g.gather_rows(out.states, &prep.dff_nodes);
-            g.value(dffs).clone()
-        };
-        (graph_emb, dff_states)
+        let out = self
+            .gnn
+            .infer(store, &[&prep.circuit])
+            .pop()
+            .expect("one circuit in, one output out");
+        let d = self.config.d_hidden;
+        let mut dff_states = Vec::with_capacity(prep.dff_nodes.len() * d);
+        for &node in &prep.dff_nodes {
+            dff_states.extend_from_slice(out.states.row_slice(node));
+        }
+        let dff_states = Tensor::from_vec(dff_states, prep.dff_nodes.len(), d);
+        (out.graph_embedding, dff_states)
     }
 
-    /// Fused batched inference: runs the GNN over several circuits on one
-    /// tape (parameters loaded once) and returns each circuit's
-    /// L2-normalized alignment-space embedding (`d_align` floats) — the
-    /// exact values [`MossModel::predict`] reports as `netlist_align`,
-    /// bit-for-bit, regardless of batch composition (see
-    /// [`moss_gnn::CircuitGnn::forward_batch`]).
+    /// Batched inference: runs the tape-free GNN pass
+    /// ([`moss_gnn::CircuitGnn::infer`]) over several circuits and returns
+    /// each circuit's L2-normalized alignment-space embedding (`d_align`
+    /// floats). The pass computes the tape forward's values bit for bit and
+    /// shares nothing numeric between circuits, so these are exactly the
+    /// values [`MossModel::predict`] reports as `netlist_align`, whatever
+    /// the batch composition.
     pub fn netlist_align_batch(
         &self,
         store: &ParamStore,
         circuits: &[&CircuitGraph],
     ) -> Vec<Vec<f32>> {
-        let mut g = Graph::new();
-        let outs = self.gnn.forward_batch(&mut g, store, circuits);
-        let wn = g.param(self.w_n, store);
-        outs.into_iter()
+        let wn = store.get(self.w_n);
+        self.gnn
+            .infer(store, circuits)
+            .into_iter()
             .map(|out| {
-                let proj = g.matmul(out.graph_embedding, wn);
-                let aligned = g.l2_normalize_rows(proj);
-                g.value(aligned).data().to_vec()
+                let proj = Kernels::GLOBAL.matmul(&out.graph_embedding, wn);
+                l2_normalize_rows(&proj).data().to_vec()
             })
             .collect()
     }

@@ -48,7 +48,8 @@ impl CircuitGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist is invalid or combinationally cyclic.
+    /// Returns [`NetlistError::Empty`] for a netlist with no nodes, and an
+    /// error if the netlist is invalid or combinationally cyclic.
     ///
     /// # Panics
     ///
@@ -59,6 +60,9 @@ impl CircuitGraph {
         clusters: Clustering,
     ) -> Result<CircuitGraph, NetlistError> {
         let n = netlist.node_count();
+        if n == 0 {
+            return Err(NetlistError::Empty);
+        }
         assert_eq!(features.rows(), n, "one feature row per node");
         assert_eq!(clusters.assignment.len(), n, "one cluster per node");
         let levels = Levelization::of(netlist)?;

@@ -12,7 +12,10 @@
 //!   encoding, *two-phase asynchronous temporal propagation* (forward
 //!   PI→DFF, then turnaround feedback; Fig. 4b), and mean-pooling readout
 //!   (Fig. 4c). Ablation switches reproduce the paper's "w/o adaptive
-//!   aggregator" and single-phase variants.
+//!   aggregator" and single-phase variants. [`CircuitGnn::forward`] builds
+//!   the pass on the autograd tape for training; [`CircuitGnn::infer`]
+//!   computes the same values bit for bit without one, for serving and
+//!   frozen-trunk embeddings.
 //!
 //! ## Example
 //!
@@ -42,10 +45,12 @@
 
 mod circuit;
 mod clustering;
+mod infer;
 mod model;
 mod state_table;
 
 pub use circuit::{CircuitGraph, Group};
 pub use clustering::{cluster_nodes, ClusterConfig, Clustering};
+pub use infer::Inference;
 pub use model::{CircuitGnn, GnnConfig, GnnOutput};
 pub use state_table::StateTable;

@@ -45,39 +45,39 @@ impl GnnConfig {
 
 /// Per-aggregator attention parameters.
 #[derive(Debug, Clone)]
-struct AggParams {
-    wq: ParamId,
-    wk: ParamId,
-    wv: ParamId,
-    pin_bias: ParamId,
+pub(crate) struct AggParams {
+    pub(crate) wq: ParamId,
+    pub(crate) wk: ParamId,
+    pub(crate) wv: ParamId,
+    pub(crate) pin_bias: ParamId,
 }
 
 /// The circuit GNN model: parameter handles + forward pass builder.
 #[derive(Debug, Clone)]
 pub struct CircuitGnn {
-    config: GnnConfig,
-    w_in: ParamId,
-    b_in: ParamId,
-    aggs: Vec<AggParams>,
+    pub(crate) config: GnnConfig,
+    pub(crate) w_in: ParamId,
+    pub(crate) b_in: ParamId,
+    pub(crate) aggs: Vec<AggParams>,
     // Gated (GRU-style) combinational update: z = σ(hWz + mUz + h0Vz + bz),
     // h' = (1−z)∘h + z∘tanh(hWh + mUh + h0Vh + bh).
-    wz: ParamId,
-    uz: ParamId,
-    vz: ParamId,
-    bz: ParamId,
-    wh: ParamId,
-    uh: ParamId,
-    vh: ParamId,
-    bh: ParamId,
+    pub(crate) wz: ParamId,
+    pub(crate) uz: ParamId,
+    pub(crate) vz: ParamId,
+    pub(crate) bz: ParamId,
+    pub(crate) wh: ParamId,
+    pub(crate) uh: ParamId,
+    pub(crate) vh: ParamId,
+    pub(crate) bh: ParamId,
     // Gated turnaround (DFF) update.
-    wdz: ParamId,
-    udz: ParamId,
-    bdz: ParamId,
-    wdh: ParamId,
-    udh: ParamId,
-    bdh: ParamId,
-    w_ro: ParamId,
-    b_ro: ParamId,
+    pub(crate) wdz: ParamId,
+    pub(crate) udz: ParamId,
+    pub(crate) bdz: ParamId,
+    pub(crate) wdh: ParamId,
+    pub(crate) udh: ParamId,
+    pub(crate) bdh: ParamId,
+    pub(crate) w_ro: ParamId,
+    pub(crate) b_ro: ParamId,
 }
 
 /// Forward-pass outputs.
@@ -157,39 +157,21 @@ impl CircuitGnn {
         out
     }
 
-    /// Builds the full two-phase propagation forward pass.
+    /// Builds the full two-phase propagation forward pass on the tape.
+    ///
+    /// This is the training path, and the oracle for the tape-free
+    /// [`CircuitGnn::infer`], which must reproduce its values bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if the circuit's feature width differs from `d_in` or a
     /// cluster id exceeds the aggregator count.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> GnnOutput {
-        let mut out = self.forward_batch(g, store, &[circuit]);
-        out.pop().expect("one circuit in, one output out")
-    }
-
-    /// Builds the forward pass for several circuits on one shared tape,
-    /// loading every parameter exactly once.
-    ///
-    /// Every tensor op in the pass is row-independent with respect to the
-    /// circuit it serves (matmul row `i` depends only on input row `i` and
-    /// the full weight with a fixed k-summation order; gates, softmax, and
-    /// gathers are row-wise), so each circuit's outputs here are
-    /// bit-identical to a standalone [`CircuitGnn::forward`] call — the
-    /// batching a serving layer does never changes an answer. The win is
-    /// amortization: one tape, and one load per parameter instead of one
-    /// per circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any circuit's feature width differs from `d_in` or a
-    /// cluster id exceeds the aggregator count.
-    pub fn forward_batch(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        circuits: &[&CircuitGraph],
-    ) -> Vec<GnnOutput> {
+        assert_eq!(
+            circuit.features.cols(),
+            self.config.d_in,
+            "feature width mismatch"
+        );
         let w_in = g.param(self.w_in, store);
         let b_in = g.param(self.b_in, store);
 
@@ -231,51 +213,39 @@ impl CircuitGnn {
         let w_ro = g.param(self.w_ro, store);
         let b_ro = g.param(self.b_ro, store);
 
-        circuits
-            .iter()
-            .map(|circuit| {
-                assert_eq!(
-                    circuit.features.cols(),
-                    self.config.d_in,
-                    "feature width mismatch"
-                );
-                let x = g.input(circuit.features.clone());
-                let proj = g.matmul(x, w_in);
-                let proj = g.add_row(proj, b_in);
-                let h0 = g.tanh(proj);
+        let x = g.input(circuit.features.clone());
+        let proj = g.matmul(x, w_in);
+        let proj = g.add_row(proj, b_in);
+        let h0 = g.tanh(proj);
 
-                let mut table = StateTable::new(h0, circuit.node_count);
-                for _ in 0..self.config.iterations {
-                    // Phase 1: forward propagation PI → DFF inputs, level
-                    // by level.
-                    for group in &circuit.comb_schedule {
-                        self.update_group(g, group, &mut table, h0, &aggs, &up);
-                    }
-                    // Phase 2: turnaround — DFF outputs capture their
-                    // D-side state.
-                    if self.config.two_phase {
-                        for group in &circuit.dff_schedule {
-                            let h_v = table.gather(g, &group.nodes);
-                            let h_d = table.gather(g, &group.fanins[0]);
-                            let new = gated_update(g, h_v, h_d, None, &dff_up);
-                            table.update(new, &group.nodes);
-                        }
-                    }
+        let mut table = StateTable::new(h0, circuit.node_count);
+        for _ in 0..self.config.iterations {
+            // Phase 1: forward propagation PI → DFF inputs, level by level.
+            for group in &circuit.comb_schedule {
+                self.update_group(g, group, &mut table, h0, &aggs, &up);
+            }
+            // Phase 2: turnaround — DFF outputs capture their D-side state.
+            if self.config.two_phase {
+                for group in &circuit.dff_schedule {
+                    let h_v = table.gather(g, &group.nodes);
+                    let h_d = table.gather(g, &group.fanins[0]);
+                    let new = gated_update(g, h_v, h_d, None, &dff_up);
+                    table.update(new, &group.nodes);
                 }
+            }
+        }
 
-                let states = table.assemble(g);
-                let pooled = g.mean_rows(states);
-                let ro = g.matmul(pooled, w_ro);
-                let ro = g.add_row(ro, b_ro);
-                let graph_embedding = g.tanh(ro);
+        let states = table.assemble(g);
+        let pooled = g.mean_rows(states);
+        let ro = g.matmul(pooled, w_ro);
+        let ro = g.add_row(ro, b_ro);
+        let graph_embedding = g.tanh(ro);
 
-                GnnOutput {
-                    states,
-                    graph_embedding,
-                    h0,
-                }
-            })
-            .collect()
+        GnnOutput {
+            states,
+            graph_embedding,
+            h0,
+        }
     }
 
     fn update_group(
@@ -542,37 +512,6 @@ mod tests {
         }
         let first = first.unwrap();
         assert!(last < first * 0.5, "loss {first} → {last}");
-    }
-
-    #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        let nl1 = ring_counter();
-        let mut nl2 = Netlist::new("chain");
-        let a = nl2.add_input("a");
-        let b = nl2.add_input("b");
-        let g1 = nl2.add_cell(CellKind::Nand2, "u1", &[a, b]).unwrap();
-        let f = nl2.add_cell(CellKind::Dff, "r1", &[g1]).unwrap();
-        let g2 = nl2.add_cell(CellKind::Xor2, "u2", &[f, b]).unwrap();
-        nl2.add_output("y", g2);
-        let c1 = graph_for(&nl1, 8);
-        let c2 = graph_for(&nl2, 8);
-
-        let mut store = ParamStore::new();
-        let gnn = CircuitGnn::new(GnnConfig::small(8), &mut store, 21);
-
-        let mut gb = Graph::new();
-        let batched = gnn.forward_batch(&mut gb, &store, &[&c1, &c2]);
-        assert_eq!(batched.len(), 2);
-
-        for (circuit, out) in [(&c1, &batched[0]), (&c2, &batched[1])] {
-            let mut gs = Graph::new();
-            let single = gnn.forward(&mut gs, &store, circuit);
-            assert_eq!(gb.value(out.states), gs.value(single.states));
-            assert_eq!(
-                gb.value(out.graph_embedding),
-                gs.value(single.graph_embedding)
-            );
-        }
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub enum NetlistError {
         /// A node on the cycle.
         node: usize,
     },
+    /// The netlist has no nodes at all (e.g. `module m (); endmodule`), so
+    /// there is nothing to propagate over or pool.
+    Empty,
     /// Structural Verilog failed to parse. Carries the position and typed
     /// kind of the failure.
     Verilog(ParseError),
@@ -91,6 +94,7 @@ impl fmt::Display for NetlistError {
                 f,
                 "combinational cycle through node {node} (missing a flip-flop on a feedback path)"
             ),
+            NetlistError::Empty => write!(f, "netlist has no nodes"),
             NetlistError::Verilog(e) => {
                 write!(f, "verilog parse error: {e}")
             }

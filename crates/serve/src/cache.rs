@@ -9,7 +9,7 @@
 //! Recency is a monotonic tick stamped on insert and on every hit;
 //! eviction is an O(n) scan for the minimum tick. With caps in the
 //! thousands and a scan that is pointer-chasing-free (flat `HashMap`
-//! iteration), that is far cheaper than the fused GNN forward each
+//! iteration), that is far cheaper than the GNN forward each
 //! eviction amortizes, and it needs no intrusive list — the map stays
 //! the single source of truth.
 //!

@@ -6,8 +6,8 @@
 //! [`moss::NetlistEmbedder`]), listens on a plain `std::net` socket, and
 //! answers length-prefixed requests carrying structural Verilog with
 //! alignment-space embeddings. Concurrent requests are micro-batched:
-//! the scheduler collects jobs for a short window, runs one fused GNN
-//! forward over the whole batch, and fans the results back — with the
+//! the scheduler collects jobs for a short window, runs one tape-free GNN
+//! pass over the whole batch, and fans the results back — with the
 //! guarantee (pinned by the integration tests) that batched, cached,
 //! and direct-forward embeddings are **bit-identical**.
 //!

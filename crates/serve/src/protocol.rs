@@ -135,21 +135,34 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameReadError> {
     Ok(Some(Frame { op: op[0], payload }))
 }
 
-/// Writes one frame and flushes.
+/// Encodes one whole frame, header and payload, into one buffer.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; rejects payloads over [`MAX_FRAME`].
-pub fn write_frame<W: Write>(w: &mut W, op: u8, payload: &[u8]) -> io::Result<()> {
+/// Rejects payloads over [`MAX_FRAME`].
+pub(crate) fn encode_frame(op: u8, payload: &[u8]) -> io::Result<Vec<u8>> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             ErrorKind::InvalidInput,
             "frame payload exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[op])?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.push(op);
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Writes one frame as a single write (on a `TCP_NODELAY` socket, separate
+/// header and payload writes would each go out as their own segment) and
+/// flushes.
+///
+/// # Errors
+///
+/// Propagates transport errors; rejects payloads over [`MAX_FRAME`].
+pub fn write_frame<W: Write>(w: &mut W, op: u8, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(op, payload)?)?;
     w.flush()
 }
 
@@ -222,6 +235,39 @@ mod tests {
         let f = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
         assert_eq!(f.op, OP_EMBED);
         assert_eq!(f.payload, b"module m (); endmodule");
+    }
+
+    /// A sink that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"x", &[7u8; 4096]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, OP_EMBED, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(w.bytes, encode_frame(OP_EMBED, payload).unwrap());
+        }
+        let oversized = vec![0u8; MAX_FRAME + 1];
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, OP_EMBED, &oversized).is_err());
+        assert_eq!(w.writes, 0, "an oversized frame writes nothing");
     }
 
     #[test]

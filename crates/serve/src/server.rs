@@ -5,15 +5,16 @@
 //! feature/schedule preparation), answer cache hits immediately, and
 //! enqueue misses. The scheduler collects jobs for up to
 //! [`ServeConfig::batch_window`] (or until [`ServeConfig::max_batch`]
-//! jobs are waiting), dedups them by canonical hash, runs **one** fused
-//! GNN forward over the unique circuits, and fans the resulting bytes
-//! back to every waiter.
+//! jobs are waiting), dedups them by canonical hash, runs **one** call of
+//! the tape-free GNN pass over the unique circuits, and fans the
+//! resulting bytes back to every waiter.
 //!
-//! Determinism: every tensor op on the forward path is row-independent
-//! (see `CircuitGnn::forward_batch`), so the bytes a client receives do
-//! not depend on who else happened to share its batch. That is what
-//! makes the embedding cache sound — a cached reply is bit-identical to
-//! a recomputed one — and it is pinned by `tests/serve_integration.rs`.
+//! Determinism: the pass (`CircuitGnn::infer`) computes the tape
+//! forward's values bit for bit and shares nothing numeric between the
+//! circuits of a batch, so the bytes a client receives do not depend on
+//! who else happened to share its batch. That is what makes the embedding
+//! cache sound — a cached reply is bit-identical to a recomputed one — and
+//! it is pinned by `tests/serve_integration.rs`.
 //!
 //! # Self-healing
 //!
@@ -62,9 +63,9 @@ use moss_netlist::{canonical_hash, parse_verilog, Netlist};
 
 use crate::cache::LruCache;
 use crate::protocol::{
-    error_payload, read_frame, reload_payload, write_frame, ErrorCode, FrameReadError, OP_EMBED,
-    OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY, OP_RELOAD, OP_RELOAD_REPLY, OP_STATS,
-    OP_STATS_REPLY,
+    encode_frame, error_payload, read_frame, reload_payload, write_frame, ErrorCode,
+    FrameReadError, OP_EMBED, OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY, OP_RELOAD,
+    OP_RELOAD_REPLY, OP_STATS, OP_STATS_REPLY,
 };
 
 /// Tuning knobs, each overridable from the environment.
@@ -73,7 +74,7 @@ pub struct ServeConfig {
     /// How long the scheduler waits for more jobs after the first one
     /// arrives (`MOSS_SERVE_BATCH_MS`, default 2 ms).
     pub batch_window: Duration,
-    /// Jobs per fused forward (`MOSS_SERVE_MAX_BATCH`, default 16).
+    /// Jobs per batched forward (`MOSS_SERVE_MAX_BATCH`, default 16).
     pub max_batch: usize,
     /// Embedding-cache entries before LRU eviction kicks in
     /// (`MOSS_SERVE_CACHE_CAP`, default 4096; 0 disables caching).
@@ -177,9 +178,9 @@ pub struct ServeStats {
     pub errors: AtomicU64,
     /// Requests rejected because the queue was full.
     pub rejected: AtomicU64,
-    /// Fused forward passes run.
+    /// Batched forward passes run.
     pub batches: AtomicU64,
-    /// Jobs across all fused forward passes.
+    /// Jobs across all batched forward passes.
     pub batched_requests: AtomicU64,
     /// Largest batch observed.
     pub max_batch_occupancy: AtomicU64,
@@ -564,10 +565,7 @@ fn write_reply(stream: &mut TcpStream, op: u8, payload: &[u8], net_key: u64) -> 
                 // Partial write then hard close. The prefix is strictly
                 // shorter than the frame its length header promises, so
                 // the client's read fails — it cannot decode a reply.
-                let mut frame = Vec::with_capacity(5 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.push(op);
-                frame.extend_from_slice(payload);
+                let frame = encode_frame(op, payload)?;
                 let half = frame.len().div_ceil(2);
                 let _ = stream.write_all(&frame[..half]);
                 let _ = stream.flush();
@@ -856,7 +854,7 @@ fn scheduler_loop(shared: &Arc<Shared>, rx: &Receiver<Job>) {
     }
 }
 
-/// Runs the fused forwards for a batch of jobs: fault-gates each job,
+/// Runs the batched forwards for a batch of jobs: fault-gates each job,
 /// groups survivors by the generation they were prepared on (a batch
 /// straddling a hot-reload completes each group on its own embedder),
 /// dedups within each group by canonical hash, embeds the unique

@@ -233,6 +233,43 @@ fn parse_and_graph_errors_come_back_typed() {
     }
 }
 
+#[test]
+fn empty_module_is_rejected_alone_and_its_batchmate_is_served() {
+    let ckpt = demo_checkpoint();
+    let config = ServeConfig {
+        batch_window: Duration::from_millis(300),
+        max_batch: 8,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), config).expect("start server");
+    let addr = server.addr();
+    let text = circuits(1).remove(0);
+
+    // The valid request opens a 300 ms batch window; the empty module
+    // arrives while it is still open.
+    let valid = {
+        let text = text.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.embed_raw(&text)
+        })
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let mut client = Client::connect(addr).expect("connect");
+    match client.embed("module m (); endmodule").expect("reply") {
+        Reply::Error { code, message } => {
+            assert_eq!(code, 3, "expected a Graph error, got: {message}");
+            assert!(message.contains("no nodes"), "{message}");
+        }
+        other => panic!("expected a Graph error for the empty module, got {other:?}"),
+    }
+
+    let bytes = valid.join().unwrap().expect("the batchmate is served");
+    let netlist = parse_verilog(&text).expect("reparse");
+    let emb = embedder_from(&ckpt).embed(&netlist).expect("direct embed");
+    assert_eq!(bytes, embedding_payload(&emb), "batchmate got wrong bytes");
+}
+
 /// The committed b01-class benchmark netlist, exactly as a user would
 /// bring it: comments, non-ANSI port declarations, DFF control pins.
 const B01_NET: &str = include_str!("../../netlist/tests/fixtures/b01_net.v");

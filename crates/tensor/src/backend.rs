@@ -145,15 +145,30 @@ impl Kernels {
         let (m, k) = a.shape();
         let n = b.cols();
         let mut out = vec![0.0f32; m * n];
-        if m * k * n > 0 {
-            let parallel = m * k * n >= PAR_MATMUL_MIN_FLOPS && m > ROW_BLOCK;
-            self.fill(&mut out, n, ROW_BLOCK, parallel, |r0, block| {
-                let rows = block.len() / n;
-                let a_rows = &a.data()[r0 * k..(r0 + rows) * k];
-                simd::matmul_block(a_rows, rows, k, b.data(), n, block);
-            });
-        }
+        self.matmul_into(a.data(), m, k, b.data(), n, &mut out);
         Tensor::from_vec(out, m, n)
+    }
+
+    /// `out = a × b` on row-major slices: `a` is `m×k`, `b` is `k×n`, and
+    /// `out` (`m×n`) is overwritten. [`Kernels::matmul`] is this plus the
+    /// allocation; tape-free callers reuse their own buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with its shape.
+    pub fn matmul_into(self, a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        assert_eq!(a.len(), m * k, "matmul_into: lhs is not {m}×{k}");
+        assert_eq!(b.len(), k * n, "matmul_into: rhs is not {k}×{n}");
+        assert_eq!(out.len(), m * n, "matmul_into: out is not {m}×{n}");
+        if m * k * n == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let parallel = m * k * n >= PAR_MATMUL_MIN_FLOPS && m > ROW_BLOCK;
+        self.fill(out, n, ROW_BLOCK, parallel, |r0, block| {
+            let rows = block.len() / n;
+            simd::matmul_block(&a[r0 * k..(r0 + rows) * k], rows, k, b, n, block);
+        });
     }
 
     /// `aᵀ × b` — the backward-pass form for weight gradients

@@ -873,7 +873,9 @@ fn accumulate_rows(
     }
 }
 
-fn sigmoid(x: f32) -> f32 {
+/// The logistic sigmoid `1 / (1 + e^(−x))` that [`Graph::sigmoid`] applies
+/// elementwise (public so tape-free passes compute the same bits).
+pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -892,18 +894,24 @@ fn gelu_grad(x: f32) -> f32 {
 
 /// Row-wise softmax (shared by forward and loss backward).
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (n, c) = x.shape();
-    let mut out = Tensor::zeros(n, c);
-    for r in 0..n {
-        let row = x.row_slice(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f32 = exps.iter().sum::<f32>().max(1e-12);
-        for (j, e) in exps.iter().enumerate() {
-            out.set(r, j, e / sum);
-        }
+    let mut out = x.clone();
+    let c = out.cols();
+    if c > 0 {
+        out.data_mut().chunks_exact_mut(c).for_each(softmax_row);
     }
     out
+}
+
+/// Softmax of one row, in place: the per-row step of [`softmax_rows`].
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f32 = row.iter().sum::<f32>().max(1e-12);
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Row-wise L2 normalization.

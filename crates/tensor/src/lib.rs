@@ -52,7 +52,9 @@ mod tensor;
 
 pub use backend::{par_map, Kernels};
 pub use gradcheck::max_gradient_error;
-pub use graph::{l2_normalize_rows, layer_norm_rows, softmax_rows, Gradients, Graph, Var};
+pub use graph::{
+    l2_normalize_rows, layer_norm_rows, sigmoid, softmax_row, softmax_rows, Gradients, Graph, Var,
+};
 pub use optim::{Adam, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use pool::{PoolStats, ThreadPool};

@@ -1,10 +1,11 @@
 //! Workspace tasks. `cargo xtask bench-check` is the perf-regression gate:
-//! it runs the kernels and sim bench suites plus the serve load generator
-//! with quick budgets (`MOSS_BENCH_QUICK=1`), redirects their reports
-//! under `target/` via `MOSS_BENCH_OUT`, and compares each benchmark's
-//! `mean_ns` against the committed `BENCH_kernels.json` / `BENCH_sim.json`
-//! / `BENCH_serve.json` baselines, failing if any benchmark slowed beyond
-//! the tolerance.
+//! it runs the kernels, sim and models bench suites plus the serve load
+//! generator and the labelgen cold/warm bench with quick budgets
+//! (`MOSS_BENCH_QUICK=1`), redirects their reports under `target/` via
+//! `MOSS_BENCH_OUT`, and compares each benchmark's `mean_ns` against the
+//! committed `BENCH_kernels.json` / `BENCH_sim.json` / `BENCH_models.json`
+//! / `BENCH_serve.json` / `BENCH_labels.json` baselines, failing if any
+//! benchmark slowed beyond the tolerance.
 //!
 //! Tolerance is a fraction of the baseline: `--tolerance 0.5` (or
 //! `MOSS_BENCH_TOLERANCE=0.5`; default 0.5) fails a benchmark that is
@@ -16,10 +17,10 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-// `kernels` and `sim` run through `cargo bench`; `serve` runs the
-// loadgen binary from `moss-serve` and `labels` the labelgen binary from
-// moss-bench (their reports have the same shape).
-const SUITES: &[&str] = &["kernels", "sim", "serve", "labels"];
+// `kernels`, `sim` and `models` run through `cargo bench`; `serve` runs
+// the loadgen binary from `moss-serve` and `labels` the labelgen binary
+// from moss-bench (their reports have the same shape).
+const SUITES: &[&str] = &["kernels", "sim", "models", "serve", "labels"];
 // Quick-budget runs are noisy (the naive large matmul swings ±30% on a
 // busy host); the default tolerance is wide enough to absorb that while
 // still catching a regression back to the pre-pool / pre-SIMD kernels

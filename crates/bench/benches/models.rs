@@ -1,7 +1,7 @@
 //! Benches for the learned components: encoder embedding, GNN forward on
 //! the tape (`gnn_forward/<circuit>`, the full `predict`) beside the
 //! tape-free pass on the same circuit (`gnn_infer/<circuit>`, the
-//! `netlist_align_batch` every served miss runs), and a full training step
+//! `netlist_align` every served miss runs), and a full training step
 //! (moss-benchkit harness).
 //!
 //! Emits `BENCH_models.json` at the workspace root. Run with
@@ -65,7 +65,7 @@ fn bench_gnn_forward(suite: &mut Suite) {
             std::hint::black_box(fx.model.predict(&fx.store, &fx.prep));
         });
         suite.bench(&format!("gnn_infer/{}", fx.prep.name), || {
-            std::hint::black_box(fx.model.netlist_align_batch(&fx.store, &[&fx.prep.circuit]));
+            std::hint::black_box(fx.model.netlist_align(&fx.store, &fx.prep.circuit));
         });
     }
 }

@@ -187,7 +187,6 @@ impl DeepSeq2 {
             true_power_nw: sample.labels.total_power_nw,
             reg_embs: Tensor::zeros(1, self.config.d_llm),
             dff_reg_index: vec![0; dff_nodes.len()],
-            rtl_emb: Tensor::zeros(1, self.config.d_llm),
             rtl_windows: Vec::new(),
             circuit,
             cell_nodes,

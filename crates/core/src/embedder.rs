@@ -121,25 +121,21 @@ impl NetlistEmbedder {
         CircuitGraph::new(netlist, features, self.kinds.clustering(netlist))
     }
 
-    /// Embeds several prepared circuits in one call of the tape-free GNN
-    /// pass. Each returned vector is the L2-normalized alignment-space
-    /// embedding (`d_align` floats). The pass reproduces the tape forward
-    /// bit for bit and shares only scratch buffers between circuits, so
-    /// each vector is bit-identical to embedding that circuit alone — see
+    /// Embeds one prepared circuit with the tape-free GNN pass: the
+    /// L2-normalized alignment-space embedding (`d_align` floats),
+    /// bit-identical to the tape forward — see
     /// [`moss_gnn::CircuitGnn::infer`].
-    pub fn embed_graphs(&self, circuits: &[&CircuitGraph]) -> Vec<Vec<f32>> {
-        self.model.netlist_align_batch(&self.store, circuits)
+    pub fn embed_graph(&self, circuit: &CircuitGraph) -> Vec<f32> {
+        self.model.netlist_align(&self.store, circuit)
     }
 
-    /// Prepares and embeds one netlist (the unbatched convenience path).
+    /// Prepares and embeds one netlist.
     ///
     /// # Errors
     ///
     /// Returns an error if the netlist is empty or cannot be levelized.
     pub fn embed(&self, netlist: &Netlist) -> Result<Vec<f32>, NetlistError> {
-        let circuit = self.prepare(netlist)?;
-        let mut out = self.embed_graphs(&[&circuit]);
-        Ok(out.pop().expect("one circuit in, one embedding out"))
+        Ok(self.embed_graph(&self.prepare(netlist)?))
     }
 }
 
@@ -179,25 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_bit_for_bit() {
-        let e = embedder();
-        let nl1 = demo_netlist();
-        let nl2 = parse_verilog(
-            "module u (input a, output y);
-               wire n_u1;
-               INV_X1 u1 (.A(a), .Y(n_u1));
-               assign y = n_u1;
-             endmodule",
-        )
-        .unwrap();
-        let c1 = e.prepare(&nl1).unwrap();
-        let c2 = e.prepare(&nl2).unwrap();
-        let batched = e.embed_graphs(&[&c1, &c2]);
-        assert_eq!(batched[0], e.embed(&nl1).unwrap());
-        assert_eq!(batched[1], e.embed(&nl2).unwrap());
-    }
-
-    #[test]
     fn deterministic_across_instances() {
         let a = embedder().embed(&demo_netlist()).unwrap();
         let b = embedder().embed(&demo_netlist()).unwrap();
@@ -222,7 +199,7 @@ mod tests {
         store
     }
 
-    /// The tape path `embed_graphs` replaced: the tape forward, then the
+    /// The tape oracle for `embed_graph`: the tape forward, then the
     /// alignment projection on the tape.
     fn tape_embedding(e: &NetlistEmbedder, circuit: &CircuitGraph) -> Vec<f32> {
         let mut g = Graph::new();
@@ -233,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn embed_graphs_matches_the_tape_on_the_table1_circuits() {
+    fn embed_graph_matches_the_tape_on_the_table1_circuits() {
         let config = MossConfig::small(16, MossVariant::Full);
         let netlists: Vec<Netlist> = moss_datagen::benchmark_suite()
             .iter()
@@ -251,14 +228,12 @@ mod tests {
         }
         let keyed = NetlistEmbedder::new(config, keyed);
         for e in [&demo, &keyed] {
-            let circuits: Vec<CircuitGraph> =
-                netlists.iter().map(|nl| e.prepare(nl).unwrap()).collect();
-            let refs: Vec<&CircuitGraph> = circuits.iter().collect();
-            let served = e.embed_graphs(&refs);
-            for ((nl, circuit), emb) in netlists.iter().zip(&circuits).zip(&served) {
-                let tape = tape_embedding(e, circuit);
+            for nl in &netlists {
+                let circuit = e.prepare(nl).unwrap();
+                let served = e.embed_graph(&circuit);
+                let tape = tape_embedding(e, &circuit);
                 let bytes = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bytes(emb), bytes(&tape), "{}", nl.name());
+                assert_eq!(bytes(&served), bytes(&tape), "{}", nl.name());
             }
         }
     }

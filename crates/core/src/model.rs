@@ -129,8 +129,6 @@ pub struct Prepared {
     pub reg_embs: Tensor,
     /// Per-DFF register row index (RrNdM ground truth).
     pub dff_reg_index: Vec<usize>,
-    /// Whole-RTL embedding (`1 × d_llm`).
-    pub rtl_emb: Tensor,
     /// Tokenized windows of the whole-RTL text (for alignment training,
     /// where the text tower trains through its LoRA adapters).
     pub rtl_windows: Vec<Vec<usize>>,
@@ -348,10 +346,9 @@ impl MossModel {
             .map(|i| binding_reg.get(i).copied().unwrap_or(0))
             .collect();
 
-        // Whole-RTL embedding: summary first (distinctive dataflow), then
-        // the full source, embedded with windowing so nothing is truncated.
+        // Whole-RTL text: summary first (distinctive dataflow), then the
+        // full source, as at most 8 encoder windows spread over the text.
         let text = format!("{}\n{}", sample.summary, sample.rtl_text);
-        let rtl_emb = encoder.embed_long(store, &text);
         let rtl_windows = text_windows(encoder, &text, 8);
 
         Ok(Prepared {
@@ -367,7 +364,6 @@ impl MossModel {
             true_power_nw: sample.labels.total_power_nw,
             reg_embs,
             dff_reg_index,
-            rtl_emb,
             rtl_windows,
         })
     }
@@ -416,24 +412,8 @@ impl MossModel {
         let power = g.smooth_l1(total_ratio, Tensor::from_rows(&[&[1.0]]));
 
         // RrNdM: match netlist DFF states to RTL register embeddings.
-        let rrndm = if self.config.variant.alignment() && !prep.dff_nodes.is_empty() {
-            let wd = g.param(self.w_dff_align, store);
-            let wr = g.param(self.w_reg_align, store);
-            let dproj = g.matmul(dffs, wd);
-            let dproj = g.l2_normalize_rows(dproj);
-            let regs = g.input(prep.reg_embs.clone());
-            let rproj = g.matmul(regs, wr);
-            let rproj = g.l2_normalize_rows(rproj);
-            let rt = g.transpose(rproj);
-            let logits = g.matmul(dproj, rt);
-            let mut target = Tensor::zeros(prep.dff_nodes.len(), prep.reg_embs.rows());
-            for (i, &r) in prep.dff_reg_index.iter().enumerate() {
-                target.set(i, r, 1.0);
-            }
-            Some(g.smooth_l1(logits, target))
-        } else {
-            None
-        };
+        let rrndm = (self.config.variant.alignment() && !prep.dff_nodes.is_empty())
+            .then(|| self.rrndm(g, store, dffs, prep));
 
         // Alignment-space netlist embedding (Fig. 6: N_e = l2(N_f · W_n)).
         let wn = g.param(self.w_n, store);
@@ -479,11 +459,7 @@ impl MossModel {
     /// and DFF hidden states as plain tensors, for trunk-frozen alignment
     /// training. The values are the tape forward's, bit for bit.
     pub fn frozen_embeddings(&self, store: &ParamStore, prep: &Prepared) -> (Tensor, Tensor) {
-        let out = self
-            .gnn
-            .infer(store, &[&prep.circuit])
-            .pop()
-            .expect("one circuit in, one output out");
+        let out = self.gnn.infer(store, &prep.circuit);
         let d = self.config.d_hidden;
         let mut dff_states = Vec::with_capacity(prep.dff_nodes.len() * d);
         for &node in &prep.dff_nodes {
@@ -493,27 +469,15 @@ impl MossModel {
         (out.graph_embedding, dff_states)
     }
 
-    /// Batched inference: runs the tape-free GNN pass
-    /// ([`moss_gnn::CircuitGnn::infer`]) over several circuits and returns
-    /// each circuit's L2-normalized alignment-space embedding (`d_align`
-    /// floats). The pass computes the tape forward's values bit for bit and
-    /// shares nothing numeric between circuits, so these are exactly the
-    /// values [`MossModel::predict`] reports as `netlist_align`, whatever
-    /// the batch composition.
-    pub fn netlist_align_batch(
-        &self,
-        store: &ParamStore,
-        circuits: &[&CircuitGraph],
-    ) -> Vec<Vec<f32>> {
-        let wn = store.get(self.w_n);
-        self.gnn
-            .infer(store, circuits)
-            .into_iter()
-            .map(|out| {
-                let proj = Kernels::GLOBAL.matmul(&out.graph_embedding, wn);
-                l2_normalize_rows(&proj).data().to_vec()
-            })
-            .collect()
+    /// Runs the tape-free GNN pass ([`moss_gnn::CircuitGnn::infer`]) on
+    /// `circuit` and returns its L2-normalized alignment-space embedding
+    /// (`d_align` floats). The pass computes the tape forward's values bit
+    /// for bit, so these are exactly the values [`MossModel::predict`]
+    /// reports as `netlist_align`.
+    pub fn netlist_align(&self, store: &ParamStore, circuit: &CircuitGraph) -> Vec<f32> {
+        let out = self.gnn.infer(store, circuit);
+        let proj = Kernels::GLOBAL.matmul(&out.graph_embedding, store.get(self.w_n));
+        l2_normalize_rows(&proj).data().to_vec()
     }
 
     /// Alignment-space netlist embedding from a frozen graph embedding.
@@ -537,6 +501,13 @@ impl MossModel {
             return None;
         }
         let dffs = g.input(dff_states.clone());
+        Some(self.rrndm(g, store, dffs, prep))
+    }
+
+    /// The RrNdM loss on DFF states `dffs` (`dffs × d_hidden`): projected,
+    /// L2-normalized DFF and register embeddings, their similarity logits,
+    /// smooth-L1 against the one-hot DFF → register binding.
+    fn rrndm(&self, g: &mut Graph, store: &ParamStore, dffs: Var, prep: &Prepared) -> Var {
         let wd = g.param(self.w_dff_align, store);
         let wr = g.param(self.w_reg_align, store);
         let dproj = g.matmul(dffs, wd);
@@ -550,17 +521,7 @@ impl MossModel {
         for (i, &r) in prep.dff_reg_index.iter().enumerate() {
             target.set(i, r, 1.0);
         }
-        Some(g.smooth_l1(logits, target))
-    }
-
-    /// Projects a whole-RTL embedding into the shared alignment space
-    /// (Fig. 6: `R_e = l2(R_f)` — we include a learned projection so the
-    /// text width may differ from `d_align`).
-    pub fn rtl_align(&self, g: &mut Graph, store: &ParamStore, rtl_emb: &Tensor) -> Var {
-        let r = g.input(rtl_emb.clone());
-        let wr = g.param(self.w_r, store);
-        let proj = g.matmul(r, wr);
-        g.l2_normalize_rows(proj)
+        g.smooth_l1(logits, target)
     }
 
     /// The symmetric RTL-netlist contrastive loss over a batch (Fig. 6).
@@ -827,12 +788,12 @@ mod tests {
 
     #[test]
     fn rnc_and_rnm_losses_train_alignment() {
-        let (model, _enc, store, prep) = setup();
+        let (model, enc, store, prep) = setup();
         let mut g = Graph::new();
         let l1 = model.local_losses(&mut g, &store, &prep);
         let l2 = model.local_losses(&mut g, &store, &prep);
-        let r1 = model.rtl_align(&mut g, &store, &prep.rtl_emb);
-        let r2 = model.rtl_align(&mut g, &store, &prep.rtl_emb);
+        let r1 = model.rtl_align_trainable(&mut g, &store, &enc, &prep.rtl_windows);
+        let r2 = model.rtl_align_trainable(&mut g, &store, &enc, &prep.rtl_windows);
         let rnc = model.rnc_loss(
             &mut g,
             &store,

@@ -295,8 +295,8 @@ impl Trainer {
     }
 
     /// Phase 2 — multimodal alignment: RNC + RNM + RrNdM over circuit
-    /// batches, with the local tasks kept in the objective at reduced
-    /// weight. Returns per-epoch losses (the Fig. 8 curves).
+    /// batches, on a frozen GNN trunk; the local tasks are not in the
+    /// objective. Returns per-epoch losses (the Fig. 8 curves).
     ///
     /// No-ops (returns empty history) if the model variant disables
     /// alignment.

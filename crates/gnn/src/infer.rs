@@ -122,24 +122,15 @@ fn add_row(acc: &mut [f32], row: &[f32]) {
 }
 
 impl CircuitGnn {
-    /// Runs the two-phase propagation forward pass on each circuit without
-    /// a tape. Every value is bit-identical to [`CircuitGnn::forward`] on
-    /// that circuit alone (see the module docs): the circuits share only
-    /// the scratch buffers, so a batch never changes an answer.
+    /// Runs the two-phase propagation forward pass on `circuit` without a
+    /// tape. Every value is bit-identical to [`CircuitGnn::forward`] (see
+    /// the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if a circuit's feature width differs from `d_in` or a
+    /// Panics if the circuit's feature width differs from `d_in` or a
     /// cluster id exceeds the aggregator count.
-    pub fn infer(&self, store: &ParamStore, circuits: &[&CircuitGraph]) -> Vec<Inference> {
-        let mut scratch = Scratch::default();
-        circuits
-            .iter()
-            .map(|circuit| self.infer_one(store, circuit, &mut scratch))
-            .collect()
-    }
-
-    fn infer_one(&self, store: &ParamStore, circuit: &CircuitGraph, s: &mut Scratch) -> Inference {
+    pub fn infer(&self, store: &ParamStore, circuit: &CircuitGraph) -> Inference {
         assert_eq!(
             circuit.features.cols(),
             self.config.d_in,
@@ -175,6 +166,7 @@ impl CircuitGnn {
             Kernels::GLOBAL.map(&proj, f32::tanh)
         };
 
+        let s = &mut Scratch::default();
         let mut states = h0.clone();
         for _ in 0..self.config.iterations {
             {

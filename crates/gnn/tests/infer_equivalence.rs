@@ -139,7 +139,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 fn assert_matches_tape(gnn: &CircuitGnn, store: &ParamStore, circuit: &CircuitGraph, what: &str) {
     let mut g = Graph::new();
     let tape = gnn.forward(&mut g, store, circuit);
-    let pass = gnn.infer(store, &[circuit]).pop().unwrap();
+    let pass = gnn.infer(store, circuit);
     assert_eq!(g.value(tape.states).shape(), pass.states.shape(), "{what}");
     assert_eq!(
         bits(g.value(tape.states)),
@@ -173,32 +173,6 @@ fn random_sequential_netlists_match_the_tape_bitwise() {
         let circuit = circuit_for(&mut rng, &nl, &chains, d_in, clusters);
         let (gnn, store) = model(config, case);
         assert_matches_tape(&gnn, &store, &circuit, &format!("case {case} ({config:?})"));
-    }
-}
-
-#[test]
-fn batch_equals_its_circuits_run_singly() {
-    let mut rng = StdRng::seed_from_u64(0xba7c);
-    let config = GnnConfig::small(6);
-    let (gnn, store) = model(config, 21);
-    let circuits: Vec<CircuitGraph> = (0..5)
-        .map(|i| {
-            let (nl, chains) = random_netlist(&mut rng, &format!("b{i}"));
-            circuit_for(&mut rng, &nl, &chains, 6, config.aggregators)
-        })
-        .collect();
-    let refs: Vec<&CircuitGraph> = circuits.iter().collect();
-    let batched = gnn.infer(&store, &refs);
-    assert_eq!(batched.len(), circuits.len());
-    for (i, (circuit, out)) in circuits.iter().zip(&batched).enumerate() {
-        let single = gnn.infer(&store, &[circuit]).pop().unwrap();
-        assert_eq!(bits(&out.states), bits(&single.states), "circuit {i}");
-        assert_eq!(
-            bits(&out.graph_embedding),
-            bits(&single.graph_embedding),
-            "circuit {i}"
-        );
-        assert_matches_tape(&gnn, &store, circuit, &format!("batch member {i}"));
     }
 }
 

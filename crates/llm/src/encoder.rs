@@ -334,43 +334,6 @@ impl TextEncoder {
         g.value(pooled).clone()
     }
 
-    /// Embeds text of arbitrary length by windowing: the token stream is
-    /// split into `max_len` chunks (each re-prefixed with `[CLS]`), every
-    /// chunk is encoded, and the pooled vectors are averaged.
-    ///
-    /// Whole-RTL sources exceed `max_len`, and their *prefixes* are
-    /// boilerplate (ports, declarations) shared across designs — truncating
-    /// would make every design embed alike. Windowing keeps the
-    /// distinguishing body logic in view.
-    pub fn embed_long(&self, store: &ParamStore, text: &str) -> Tensor {
-        let all = self.tokenizer.encode(text, usize::MAX);
-        let _obs = moss_obs::span_items("embed_long", all.len() as u64);
-        let body = &all[1..]; // drop the leading [CLS]; windows get their own
-        let window = self.config.max_len - 1;
-        if body.len() <= window {
-            return self.embed_text(store, text);
-        }
-        // Each window forwards independently; `par_map` fans them out over
-        // the persistent moss-tensor pool, keeps chunk order, and the fold
-        // below stays sequential, so the result is identical to the
-        // single-threaded loop at any thread count.
-        let chunks: Vec<&[usize]> = body.chunks(window).collect();
-        let pooled = moss_tensor::par_map(&chunks, |_, chunk| {
-            let mut tokens = Vec::with_capacity(chunk.len() + 1);
-            tokens.push(crate::tokenizer::special::CLS);
-            tokens.extend_from_slice(chunk);
-            let mut g = Graph::new();
-            let p = self.pooled(&mut g, store, &tokens, TrainMode::LoraOnly);
-            g.value(p).clone()
-        });
-        let count = pooled.len() as f32;
-        let mut acc = Tensor::zeros(1, self.config.d_model);
-        for p in &pooled {
-            acc = acc.zip_map(p, |a, b| a + b);
-        }
-        acc.map(|x| x / count)
-    }
-
     /// Embeds a batch of texts, fanning the independent forwards out over
     /// the persistent work-stealing pool (`moss_tensor::pool`). Results are
     /// in input order and bit-identical to sequential

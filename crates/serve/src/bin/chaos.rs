@@ -243,7 +243,6 @@ fn main() -> ExitCode {
     let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let success = Arc::new(AtomicU64::new(0));
     let injected = Arc::new(AtomicU64::new(0));
-    let shed_exhausted = Arc::new(AtomicU64::new(0));
     let transport_exhausted = Arc::new(AtomicU64::new(0));
     let other_errors = Arc::new(AtomicU64::new(0));
 
@@ -260,7 +259,6 @@ fn main() -> ExitCode {
         let violations = Arc::clone(&violations);
         let success = Arc::clone(&success);
         let injected = Arc::clone(&injected);
-        let shed_exhausted = Arc::clone(&shed_exhausted);
         let transport_exhausted = Arc::clone(&transport_exhausted);
         let other_errors = Arc::clone(&other_errors);
         let requests = opt.requests;
@@ -286,9 +284,6 @@ fn main() -> ExitCode {
                         // Deterministic serve-site injection: fails
                         // typed, by design; excluded from the budget.
                         injected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(Reply::Error { code: 5, .. }) => {
-                        shed_exhausted.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(Reply::Error { code, message }) => {
                         eprintln!("chaos: client {c} unexpected error {code}: {message}");
@@ -425,15 +420,14 @@ fn main() -> ExitCode {
     // ---- Verdict. ----
     let success = success.load(Ordering::Relaxed);
     let injected = injected.load(Ordering::Relaxed);
-    let sheds = shed_exhausted.load(Ordering::Relaxed);
     let transport = transport_exhausted.load(Ordering::Relaxed);
     let other = other_errors.load(Ordering::Relaxed);
     let attempts = (opt.clients * opt.requests) as u64;
-    let budgeted = sheds + transport + other;
+    let budgeted = transport + other;
     let rate = budgeted as f64 / attempts.max(1) as f64;
     eprintln!(
         "chaos: {attempts} requests → {success} verified, {injected} injected faults (typed), \
-         {sheds} shed-exhausted, {transport} transport-exhausted, {other} unexpected errors \
+         {transport} transport-exhausted, {other} unexpected errors \
          (budgeted rate {rate:.3} ≤ {:.3})",
         opt.error_budget
     );

@@ -14,9 +14,8 @@
 //! protocol error or the run records zero throughput.
 //!
 //! Clients run through [`RetryingClient`]: connects are bounded, reads
-//! have deadlines, and `Overload` sheds are retried with jittered
-//! backoff instead of failing the bench — the shed count and rate are
-//! reported as extra columns on the `serve/ns_per_request` row.
+//! have deadlines, and transport failures are retried with jittered
+//! backoff instead of failing the bench; the reconnect count is logged.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +105,7 @@ fn main() -> ExitCode {
         return usage();
     };
     // MOSS_OBS=1 surfaces the in-process server's serve.* spans and
-    // cache/batch counters at exit.
+    // cache counters at exit.
     let _obs = moss_obs::session();
 
     // Either connect to a live server or spin one up in-process on demo
@@ -153,7 +152,6 @@ fn main() -> ExitCode {
     let corpus = Arc::new(corpus);
 
     let errors = Arc::new(AtomicU64::new(0));
-    let sheds = Arc::new(AtomicU64::new(0));
     let retries = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
     let mut handles = Vec::new();
@@ -161,7 +159,6 @@ fn main() -> ExitCode {
         let addr = addr.clone();
         let corpus = Arc::clone(&corpus);
         let errors = Arc::clone(&errors);
-        let sheds = Arc::clone(&sheds);
         let retries = Arc::clone(&retries);
         let requests = opt.requests;
         handles.push(std::thread::spawn(move || -> Vec<u64> {
@@ -182,9 +179,7 @@ fn main() -> ExitCode {
                         lat.push(t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
                     }
                     Ok(Reply::Error { code, message }) => {
-                        // Retries exhausted (an Overload that never
-                        // cleared) or a genuine typed error — both fail
-                        // the bench.
+                        // Any typed error fails the bench.
                         eprintln!("loadgen: client {c} got error {code}: {message}");
                         errors.fetch_add(1, Ordering::Relaxed);
                     }
@@ -194,7 +189,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            sheds.fetch_add(client.sheds(), Ordering::Relaxed);
             retries.fetch_add(client.retries(), Ordering::Relaxed);
             lat
         }));
@@ -206,7 +200,6 @@ fn main() -> ExitCode {
     let wall = start.elapsed();
 
     let errors = errors.load(Ordering::Relaxed);
-    let sheds = sheds.load(Ordering::Relaxed);
     let retries = retries.load(Ordering::Relaxed);
     if latencies.is_empty() {
         eprintln!("loadgen: no successful requests");
@@ -218,16 +211,13 @@ fn main() -> ExitCode {
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
     let qps = total as f64 / wall.as_secs_f64();
-    // Sheds per *attempted* request: each shed was one extra server
-    // round-trip absorbed by backoff.
-    let shed_rate = sheds as f64 / (total + sheds).max(1) as f64;
 
     if let Some(server) = &local {
         eprintln!("loadgen: server stats {}", server.stats_json());
     }
     eprintln!(
         "loadgen: {total} requests, {} clients, mean {:.1} us, p50 {:.1} us, p99 {:.1} us, \
-         {qps:.1} QPS, {errors} errors, {sheds} sheds (rate {shed_rate:.4}), {retries} reconnects",
+         {qps:.1} QPS, {errors} errors, {retries} reconnects",
         opt.clients,
         mean_ns / 1000.0,
         p50 as f64 / 1000.0,
@@ -247,7 +237,7 @@ fn main() -> ExitCode {
         "serve/ns_per_request",
         total,
         1e9 / qps,
-        &format!(", \"qps\": {qps:.1}, \"sheds\": {sheds}, \"shed_rate\": {shed_rate:.4}"),
+        &format!(", \"qps\": {qps:.1}"),
     ));
     json.push_str("\n  ]\n}\n");
     if let Err(e) = std::fs::write(&opt.out, json) {

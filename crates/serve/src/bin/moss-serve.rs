@@ -24,8 +24,7 @@ fn usage() -> ExitCode {
          checkpoint hot-swap; empty payload reloads MOSS_SERVE_CKPT, which\n\
          defaults to the --checkpoint path)\n\
          \n\
-         tuning (environment): MOSS_SERVE_BATCH_MS, MOSS_SERVE_MAX_BATCH,\n\
-         MOSS_SERVE_CACHE_CAP, MOSS_SERVE_QUEUE_CAP, MOSS_SERVE_READ_TIMEOUT_MS,\n\
+         tuning (environment): MOSS_SERVE_CACHE_CAP, MOSS_SERVE_READ_TIMEOUT_MS,\n\
          MOSS_SERVE_CKPT, MOSS_SERVE_WATCH_MS (mtime-poll hot-reload, 0 = off),\n\
          MOSS_SERVE_RESPAWN_BUDGET"
     );
@@ -101,8 +100,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("moss-serve: listening on {}", server.addr());
-    // Serve until killed; the accept/scheduler threads do all the work
-    // and `server` must stay alive (its Drop shuts them down).
+    // Serve until killed; the accept and connection threads do all the
+    // work and `server` must stay alive (its Drop shuts them down).
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

@@ -16,7 +16,7 @@
 //! The cache is also **generation-stamped** for checkpoint hot-reload:
 //! [`LruCache::invalidate`] clears every entry and advances the stamp,
 //! and [`LruCache::insert`] refuses payloads from any other generation.
-//! That closes the reload race where a batch that started on the old
+//! That closes the reload race where a miss that started on the old
 //! embedder finishes after the swap — its (stale) bytes can never land
 //! in the new generation's cache.
 
@@ -79,7 +79,7 @@ impl LruCache {
     /// Inserts (or refreshes) `hash`, evicting the least-recently-used
     /// entry when at capacity. A zero-capacity cache never stores, and a
     /// payload computed under any other `generation` is refused (the
-    /// batch that produced it straddled a hot-reload).
+    /// miss that produced it straddled a hot-reload).
     pub fn insert(&mut self, hash: u64, bytes: Arc<Vec<u8>>, generation: u64) {
         if self.cap == 0 || generation != self.generation {
             return;
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn stale_generation_inserts_are_refused() {
         let mut c = LruCache::new(4, 2);
-        // A batch that started on generation 1 finishes after the swap.
+        // A miss that started on generation 1 finishes after the swap.
         c.insert(1, payload(1), 1);
         assert_eq!(c.len(), 0, "stale-generation payload must not land");
         // Future generations are refused too (cannot happen in practice,

@@ -3,12 +3,12 @@
 //!
 //! [`Client`] is one connection: serial requests, no policy. For
 //! anything long-running, wrap the endpoint in a [`RetryingClient`],
-//! which reconnects on transport failure and backs off on `Overload`
-//! sheds under a [`RetryPolicy`]. The policy is deliberately narrow
-//! about what it retries: connect failures, resets/EOF mid-exchange,
-//! deadline expiries, and `Overload` — **never** `Parse`/`Graph` (the
-//! request itself is bad; resending it cannot help) and never other
-//! typed server errors (they are answers, not outages).
+//! which reconnects and backs off on transport failure under a
+//! [`RetryPolicy`]. The policy is deliberately narrow about what it
+//! retries: connect failures, resets/EOF mid-exchange, and deadline
+//! expiries — **never** `Parse`/`Graph` (the request itself is bad;
+//! resending it cannot help) and never other typed server errors (they
+//! are answers, not outages).
 
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,9 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::protocol::{
-    decode_embedding, decode_error, decode_reload, read_frame, write_frame, ErrorCode,
-    FrameReadError, OP_EMBED, OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY, OP_RELOAD,
-    OP_RELOAD_REPLY, OP_STATS, OP_STATS_REPLY,
+    decode_embedding, decode_error, decode_reload, read_frame, write_frame, FrameReadError,
+    OP_EMBED, OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY, OP_RELOAD, OP_RELOAD_REPLY,
+    OP_STATS, OP_STATS_REPLY,
 };
 
 /// What the server said about one request.
@@ -196,7 +196,7 @@ impl Client {
     }
 
     /// Fetches the server's health JSON (uptime, generation,
-    /// reload/respawn counters, queue depth).
+    /// reload/respawn counters).
     ///
     /// # Errors
     ///
@@ -229,7 +229,6 @@ impl Client {
 /// |--------------------------------------|-----------------------------|
 /// | connect refused / reset / EOF        | reconnect + retry (backoff) |
 /// | read deadline expired                | reconnect + retry (backoff) |
-/// | `Overload` (5) error frame           | keep conn, retry (backoff)  |
 /// | `Parse` (2) / `Graph` (3)            | returned — request is bad   |
 /// | `Fault` (4) / `Internal` (6) / `Reload` (7) | returned — an answer |
 #[derive(Debug, Clone)]
@@ -309,9 +308,8 @@ static CLIENT_SALT: AtomicU64 = AtomicU64::new(0x5EED);
 /// A self-reconnecting client that applies a [`RetryPolicy`].
 ///
 /// Lazily connects (with the policy's connect timeout and read
-/// deadline), reconnects after any retryable transport failure, and
-/// backs off on `Overload` sheds. Non-retryable outcomes — `Parse`,
-/// `Graph`, `Fault`, `Internal`, `Reload` errors, and malformed-reply
+/// deadline) and reconnects after any retryable transport failure.
+/// Non-retryable outcomes — every typed error frame, and malformed-reply
 /// transport errors — are returned immediately.
 #[derive(Debug)]
 pub struct RetryingClient {
@@ -320,7 +318,6 @@ pub struct RetryingClient {
     conn: Option<Client>,
     rng: u64,
     retries: u64,
-    sheds: u64,
 }
 
 impl RetryingClient {
@@ -335,18 +332,12 @@ impl RetryingClient {
             conn: None,
             rng,
             retries: 0,
-            sheds: 0,
         }
     }
 
     /// Transport-level retries performed so far (reconnects).
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// `Overload` sheds absorbed (each retried after backoff).
-    pub fn sheds(&self) -> u64 {
-        self.sheds
     }
 
     fn sleep_backoff(&mut self, attempt: u32) {
@@ -363,65 +354,21 @@ impl RetryingClient {
         Ok(self.conn.as_mut().expect("connection just established"))
     }
 
-    /// Sends one netlist, retrying per the policy. Returns the first
-    /// conclusive outcome: an embedding, a non-retryable error frame, a
-    /// non-retryable transport error, or — after the attempt budget is
-    /// spent — the last retryable outcome observed.
-    ///
-    /// # Errors
-    ///
-    /// Non-retryable transport errors immediately; the final transport
-    /// error once attempts are exhausted.
-    pub fn embed(&mut self, verilog: &str) -> io::Result<Reply> {
-        let mut last: Option<io::Result<Reply>> = None;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.sleep_backoff(attempt - 1);
-            }
-            let outcome = match self.conn() {
-                Ok(c) => c.embed(verilog),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(Reply::Error { code, message }) if code == ErrorCode::Overload.as_u16() => {
-                    // A shed is connection-healthy backpressure: keep
-                    // the connection, back off, try again.
-                    self.sheds += 1;
-                    last = Some(Ok(Reply::Error { code, message }));
-                }
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    self.conn = None;
-                    if !self.policy.retryable(&e) {
-                        return Err(e);
-                    }
-                    self.retries += 1;
-                    last = Some(Err(e));
-                }
-            }
-        }
-        last.unwrap_or_else(|| Err(io::Error::other("retry budget was zero attempts")))
-    }
-
-    /// Fetches health JSON through the same retry machinery (transport
-    /// retries only; health has no `Overload` path).
-    ///
-    /// # Errors
-    ///
-    /// Non-retryable transport errors immediately; the final transport
-    /// error once attempts are exhausted.
-    pub fn health(&mut self) -> io::Result<String> {
+    /// Runs `op` on the connection, retrying per the policy: a retryable
+    /// transport error drops the connection, backs off, and reconnects.
+    /// Returns the first success or non-retryable error, or the last
+    /// transport error once the attempt budget is spent.
+    fn with_retries<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Client) -> io::Result<T>,
+    ) -> io::Result<T> {
         let mut last: Option<io::Error> = None;
         for attempt in 0..self.policy.max_attempts.max(1) {
             if attempt > 0 {
                 self.sleep_backoff(attempt - 1);
             }
-            let outcome = match self.conn() {
-                Ok(c) => c.health(),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(s) => return Ok(s),
+            match self.conn().and_then(&mut op) {
+                Ok(v) => return Ok(v),
                 Err(e) => {
                     self.conn = None;
                     if !self.policy.retryable(&e) {
@@ -433,6 +380,27 @@ impl RetryingClient {
             }
         }
         Err(last.unwrap_or_else(|| io::Error::other("retry budget was zero attempts")))
+    }
+
+    /// Sends one netlist, retrying transport failures per the policy.
+    /// Every reply frame — an embedding or a typed error — is conclusive.
+    ///
+    /// # Errors
+    ///
+    /// Non-retryable transport errors immediately; the final transport
+    /// error once attempts are exhausted.
+    pub fn embed(&mut self, verilog: &str) -> io::Result<Reply> {
+        self.with_retries(|c| c.embed(verilog))
+    }
+
+    /// Fetches health JSON through the same retry machinery.
+    ///
+    /// # Errors
+    ///
+    /// Non-retryable transport errors immediately; the final transport
+    /// error once attempts are exhausted.
+    pub fn health(&mut self) -> io::Result<String> {
+        self.with_retries(Client::health)
     }
 }
 

@@ -1,27 +1,27 @@
 //! # moss-serve
 //!
-//! A micro-batching TCP embedding server over MOSS checkpoints.
+//! A TCP embedding server over MOSS checkpoints.
 //!
 //! A [`Server`] loads a MOSSCKP2 checkpoint once (as a
 //! [`moss::NetlistEmbedder`]), listens on a plain `std::net` socket, and
 //! answers length-prefixed requests carrying structural Verilog with
-//! alignment-space embeddings. Concurrent requests are micro-batched:
-//! the scheduler collects jobs for a short window, runs one tape-free GNN
-//! pass over the whole batch, and fans the results back — with the
-//! guarantee (pinned by the integration tests) that batched, cached,
+//! alignment-space embeddings. Each connection thread serves its own
+//! requests; a cache miss runs the tape-free GNN pass right there — with
+//! the guarantee (pinned by the integration tests) that served, cached,
 //! and direct-forward embeddings are **bit-identical**.
 //!
 //! The server is **self-healing**: checkpoints hot-reload through a
 //! validated `RELOAD` op (or an `MOSS_SERVE_CKPT` mtime watcher) with
-//! atomic generation swap and rollback-on-rejection, panicked core
-//! threads are respawned under a bounded budget, and a `HEALTH` op
-//! exposes uptime/generation/respawn/queue-depth. On the client side,
+//! atomic generation swap and rollback-on-rejection, a panicking forward
+//! fails only its own request, the accept and watcher threads are
+//! respawned under a bounded budget, and a `HEALTH` op exposes
+//! uptime/generation/reload/respawn counters. On the client side,
 //! [`RetryingClient`] + [`RetryPolicy`] add bounded connects, read
-//! deadlines, and jittered-backoff retries for connect failures, EOF,
-//! and `Overload` sheds — never for `Parse`/`Graph` rejections. The
-//! whole stack is soak-tested by `cargo xtask chaos-check` under
-//! randomized `MOSS_FAULTS` schedules (including the `net` site's
-//! partial writes, disconnects, and stalls).
+//! deadlines, and jittered-backoff retries for connect failures and EOF —
+//! never for typed rejections such as `Parse`/`Graph`. The whole stack is
+//! soak-tested by `cargo xtask chaos-check` under randomized
+//! `MOSS_FAULTS` schedules (including the `net` site's partial writes,
+//! disconnects, and stalls).
 //!
 //! ```no_run
 //! use moss_serve::{Client, Reply, ServeConfig, Server};

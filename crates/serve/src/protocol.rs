@@ -50,7 +50,7 @@ pub const OP_STATS_REPLY: u8 = 0x83;
 /// Server→client: reload succeeded (`u64 LE` new generation number).
 pub const OP_RELOAD_REPLY: u8 = 0x84;
 /// Server→client: health snapshot as UTF-8 JSON (uptime, generation,
-/// reload and respawn counters, queue depth).
+/// reload and respawn counters).
 pub const OP_HEALTH_REPLY: u8 = 0x85;
 
 /// Typed error categories carried in [`OP_ERROR`] frames.
@@ -68,8 +68,8 @@ pub enum ErrorCode {
     /// A deterministic `moss-faults` injection (`MOSS_FAULTS=serve:…`)
     /// poisoned this request — a rehearsed failure, not an organic one.
     Fault = 4,
-    /// The scheduler queue is full; retry later.
-    Overload = 5,
+    // Wire code 5 was `Overload` (a full request queue); it is retired
+    // and never reused.
     /// The server failed internally (e.g. a forward pass panicked).
     Internal = 6,
     /// A checkpoint hot-reload was rejected (corrupt, truncated,

@@ -1,20 +1,15 @@
-//! The micro-batching embedding server.
+//! The embedding server.
 //!
-//! One accept loop, one connection thread per client, one scheduler
-//! thread. Connection threads decode requests (parse → canonical hash →
-//! feature/schedule preparation), answer cache hits immediately, and
-//! enqueue misses. The scheduler collects jobs for up to
-//! [`ServeConfig::batch_window`] (or until [`ServeConfig::max_batch`]
-//! jobs are waiting), dedups them by canonical hash, runs **one** call of
-//! the tape-free GNN pass over the unique circuits, and fans the
-//! resulting bytes back to every waiter.
+//! One accept loop and one thread per connection. A connection thread
+//! serves its requests one at a time, start to finish: decode (parse →
+//! canonical hash), answer a cache hit at once, and on a miss prepare the
+//! circuit, run the tape-free GNN pass, cache the bytes and reply. There
+//! is no queue, so concurrent forwards are bounded by open connections.
 //!
 //! Determinism: the pass (`CircuitGnn::infer`) computes the tape
-//! forward's values bit for bit and shares nothing numeric between the
-//! circuits of a batch, so the bytes a client receives do not depend on
-//! who else happened to share its batch. That is what makes the embedding
-//! cache sound — a cached reply is bit-identical to a recomputed one — and
-//! it is pinned by `tests/serve_integration.rs`.
+//! forward's values bit for bit, so a served reply, a cached one and a
+//! direct in-process forward are the same bytes. That is what makes the
+//! embedding cache sound, and it is pinned by `tests/serve_integration.rs`.
 //!
 //! # Self-healing
 //!
@@ -25,18 +20,18 @@
 //!   [`Generation`] that a validated hot-reload (see `reload.rs`)
 //!   atomically swaps. Every request pins the generation it was prepared
 //!   on and completes there; the cache is generation-stamped so bytes
-//!   from a batch that straddled a swap can never be served afterwards.
-//! - **Supervision.** The scheduler, accept, and watcher threads run
-//!   under [`spawn_supervised`]: a panic is caught and the thread body
+//!   from a miss that straddled a swap can never be served afterwards.
+//! - **Panic isolation.** The forward runs under `catch_unwind`: a panic
+//!   fails that one request with a typed `Internal` error, and its
+//!   connection keeps serving.
+//! - **Supervision.** The accept and watcher threads run under
+//!   [`spawn_supervised`]: a panic is caught and the thread body
 //!   restarted, up to [`ServeConfig::respawn_budget`] times per thread
-//!   (counted in [`ServeStats::respawns`] and `serve.respawn`). A
-//!   scheduler that exhausts its budget stays down, but its queue
-//!   disconnects — waiting clients get a typed `Internal` error instead
-//!   of a wedge, and STATS/HEALTH keep answering.
-//! - **Health.** The `HEALTH` op reports uptime, the serving generation,
-//!   reload/respawn counters, and the live queue depth, so an operator
-//!   (or the chaos harness) can tell a healthy server from a limping one
-//!   without scraping logs.
+//!   (counted in [`ServeStats::respawns`] and `serve.respawn`).
+//! - **Health.** The `HEALTH` op reports uptime, the serving generation
+//!   and the reload/respawn counters, so an operator (or the chaos
+//!   harness) can tell a healthy server from a limping one without
+//!   scraping logs.
 //! - **Net faults.** Every reply routes through [`write_reply`], which
 //!   consults the `net` fault site (`MOSS_FAULTS=net:…`) and — when
 //!   armed — sabotages the transport (mid-frame disconnect, partial
@@ -46,13 +41,11 @@
 //!   bytes than arrive, so clients see a transport error, never bad
 //!   embedding bytes.
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -63,25 +56,17 @@ use moss_netlist::{canonical_hash, parse_verilog, Netlist};
 
 use crate::cache::LruCache;
 use crate::protocol::{
-    encode_frame, error_payload, read_frame, reload_payload, write_frame, ErrorCode,
-    FrameReadError, OP_EMBED, OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY, OP_RELOAD,
-    OP_RELOAD_REPLY, OP_STATS, OP_STATS_REPLY,
+    embedding_payload, encode_frame, error_payload, read_frame, reload_payload, write_frame,
+    ErrorCode, FrameReadError, OP_EMBED, OP_EMBEDDING, OP_ERROR, OP_HEALTH, OP_HEALTH_REPLY,
+    OP_RELOAD, OP_RELOAD_REPLY, OP_STATS, OP_STATS_REPLY,
 };
 
 /// Tuning knobs, each overridable from the environment.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// How long the scheduler waits for more jobs after the first one
-    /// arrives (`MOSS_SERVE_BATCH_MS`, default 2 ms).
-    pub batch_window: Duration,
-    /// Jobs per batched forward (`MOSS_SERVE_MAX_BATCH`, default 16).
-    pub max_batch: usize,
     /// Embedding-cache entries before LRU eviction kicks in
     /// (`MOSS_SERVE_CACHE_CAP`, default 4096; 0 disables caching).
     pub cache_cap: usize,
-    /// Bounded scheduler queue; a full queue rejects with `Overload`
-    /// (`MOSS_SERVE_QUEUE_CAP`, default 256).
-    pub queue_cap: usize,
     /// Per-connection read timeout so a stalled client cannot pin a
     /// thread forever (`MOSS_SERVE_READ_TIMEOUT_MS`, default 10 s).
     pub read_timeout: Duration,
@@ -92,14 +77,14 @@ pub struct ServeConfig {
     /// mtime change and hot-reloads it (`MOSS_SERVE_WATCH_MS`, default
     /// off; 0 disables).
     pub watch_interval: Option<Duration>,
-    /// Maximum times each supervised thread (scheduler, accept, watcher)
-    /// is respawned after a panic before it is left down
+    /// Maximum times each supervised thread (accept, watcher) is
+    /// respawned after a panic before it is left down
     /// (`MOSS_SERVE_RESPAWN_BUDGET`, default 8).
     pub respawn_budget: u64,
     /// Test hook: when set, an `EMBED` whose payload equals
-    /// [`PANIC_MARKER`] poisons its batch so the scheduler panics —
-    /// exercising supervision without a debug backdoor in production
-    /// (never settable from the environment).
+    /// [`PANIC_MARKER`] panics inside its forward — exercising panic
+    /// isolation without a debug backdoor in production (never settable
+    /// from the environment).
     #[doc(hidden)]
     pub panic_marker: bool,
 }
@@ -107,10 +92,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            batch_window: Duration::from_millis(2),
-            max_batch: 16,
             cache_cap: 4096,
-            queue_cap: 256,
             read_timeout: Duration::from_secs(10),
             ckpt_path: None,
             watch_interval: None,
@@ -128,17 +110,8 @@ impl ServeConfig {
     /// Defaults overridden by `MOSS_SERVE_*` environment variables.
     pub fn from_env() -> ServeConfig {
         let mut c = ServeConfig::default();
-        if let Some(ms) = env_u64("MOSS_SERVE_BATCH_MS") {
-            c.batch_window = Duration::from_millis(ms);
-        }
-        if let Some(n) = env_u64("MOSS_SERVE_MAX_BATCH") {
-            c.max_batch = (n as usize).max(1);
-        }
         if let Some(n) = env_u64("MOSS_SERVE_CACHE_CAP") {
             c.cache_cap = n as usize;
-        }
-        if let Some(n) = env_u64("MOSS_SERVE_QUEUE_CAP") {
-            c.queue_cap = (n as usize).max(1);
         }
         if let Some(ms) = env_u64("MOSS_SERVE_READ_TIMEOUT_MS") {
             c.read_timeout = Duration::from_millis(ms.max(1));
@@ -158,8 +131,8 @@ impl ServeConfig {
     }
 }
 
-/// Payload that triggers a deliberate scheduler panic when
-/// [`ServeConfig::panic_marker`] is set (test hook for supervision).
+/// Payload that triggers a deliberate forward panic when
+/// [`ServeConfig::panic_marker`] is set (test hook for panic isolation).
 #[doc(hidden)]
 pub const PANIC_MARKER: &[u8] = b"__moss_serve_panic__";
 
@@ -176,14 +149,6 @@ pub struct ServeStats {
     pub evicted: AtomicU64,
     /// Requests answered with an error frame.
     pub errors: AtomicU64,
-    /// Requests rejected because the queue was full.
-    pub rejected: AtomicU64,
-    /// Batched forward passes run.
-    pub batches: AtomicU64,
-    /// Jobs across all batched forward passes.
-    pub batched_requests: AtomicU64,
-    /// Largest batch observed.
-    pub max_batch_occupancy: AtomicU64,
     /// Checkpoint hot-reloads that validated and swapped in.
     pub reloads: AtomicU64,
     /// Checkpoint hot-reloads rejected by validation (the previous
@@ -198,8 +163,7 @@ impl ServeStats {
         format!(
             concat!(
                 "{{\"requests\": {}, \"embedded\": {}, \"cache_hits\": {}, ",
-                "\"evicted\": {}, \"errors\": {}, \"rejected\": {}, \"batches\": {}, ",
-                "\"batched_requests\": {}, \"max_batch_occupancy\": {}, ",
+                "\"evicted\": {}, \"errors\": {}, ",
                 "\"reloads\": {}, \"reload_failures\": {}, \"respawns\": {}}}"
             ),
             self.requests.load(Ordering::Relaxed),
@@ -207,29 +171,11 @@ impl ServeStats {
             self.cache_hits.load(Ordering::Relaxed),
             self.evicted.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.batches.load(Ordering::Relaxed),
-            self.batched_requests.load(Ordering::Relaxed),
-            self.max_batch_occupancy.load(Ordering::Relaxed),
             self.reloads.load(Ordering::Relaxed),
             self.reload_failures.load(Ordering::Relaxed),
             self.respawns.load(Ordering::Relaxed),
         )
     }
-}
-
-type ReplyBytes = Result<Arc<Vec<u8>>, (ErrorCode, String)>;
-
-/// One queued miss: the prepared circuit, the channel its embedding
-/// bytes go back on, and the generation it was prepared on (it completes
-/// there even if a reload lands mid-flight).
-struct Job {
-    hash: u64,
-    circuit: CircuitGraph,
-    resp: mpsc::Sender<ReplyBytes>,
-    generation: Arc<Generation>,
-    /// Test hook: a poisoned job panics the scheduler (supervision test).
-    poison: bool,
 }
 
 /// One serving checkpoint: the embedder plus its monotonic generation
@@ -255,12 +201,29 @@ pub(crate) struct Shared {
     pub stats: ServeStats,
     pub shutdown: AtomicBool,
     started: Instant,
-    queue_depth: AtomicU64,
     conn_seq: AtomicU64,
     sock_opt_logged: AtomicBool,
 }
 
 impl Shared {
+    fn new(embedder: NetlistEmbedder, config: ServeConfig) -> Shared {
+        let cache = Mutex::new(LruCache::new(config.cache_cap, 1));
+        Shared {
+            config,
+            current: RwLock::new(Arc::new(Generation {
+                embedder,
+                generation: 1,
+            })),
+            reload_lock: Mutex::new(()),
+            cache,
+            stats: ServeStats::default(),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            conn_seq: AtomicU64::new(1),
+            sock_opt_logged: AtomicBool::new(false),
+        }
+    }
+
     /// The serving generation, pinned. Poison-tolerant: a panicking
     /// writer cannot take the read path down with it.
     pub(crate) fn generation(&self) -> Arc<Generation> {
@@ -276,8 +239,7 @@ impl Shared {
         format!(
             concat!(
                 "{{\"uptime_ms\": {}, \"generation\": {}, \"reloads\": {}, ",
-                "\"reload_failures\": {}, \"respawns\": {}, \"respawn_budget\": {}, ",
-                "\"queue_depth\": {}}}"
+                "\"reload_failures\": {}, \"respawns\": {}, \"respawn_budget\": {}}}"
             ),
             self.started.elapsed().as_millis(),
             self.generation().generation,
@@ -285,20 +247,18 @@ impl Shared {
             self.stats.reload_failures.load(Ordering::Relaxed),
             self.stats.respawns.load(Ordering::Relaxed),
             self.config.respawn_budget,
-            self.queue_depth.load(Ordering::Relaxed),
         )
     }
 }
 
-/// A running server: owns the listener address and the accept,
-/// scheduler, and (optional) checkpoint-watcher threads. Dropping it
-/// shuts the server down.
+/// A running server: owns the listener address and the accept and
+/// (optional) checkpoint-watcher threads. Dropping it shuts the server
+/// down.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    sched: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
 }
 
@@ -316,43 +276,15 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            config: config.clone(),
-            current: RwLock::new(Arc::new(Generation {
-                embedder,
-                generation: 1,
-            })),
-            reload_lock: Mutex::new(()),
-            cache: Mutex::new(LruCache::new(config.cache_cap, 1)),
-            stats: ServeStats::default(),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            queue_depth: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(1),
-            sock_opt_logged: AtomicBool::new(false),
-        });
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_cap);
-
-        // The supervisor closure *owns* the receiver: if the scheduler
-        // exhausts its respawn budget and stays down, the closure (and
-        // `rx` with it) drops, the channel disconnects, and waiting
-        // connection threads get a typed `Internal` error instead of
-        // blocking forever.
-        let sched = {
-            let shared = Arc::clone(&shared);
-            let body_shared = Arc::clone(&shared);
-            spawn_supervised("moss-serve-sched", shared, move || {
-                scheduler_loop(&body_shared, &rx)
-            })
-        };
+        let shared = Arc::new(Shared::new(embedder, config));
         let accept = {
             let shared = Arc::clone(&shared);
             let body_shared = Arc::clone(&shared);
-            let tx = tx.clone();
             spawn_supervised("moss-serve-accept", shared, move || {
-                accept_loop(&listener, &body_shared, &tx)
+                accept_loop(&listener, &body_shared)
             })
         };
+        let config = &shared.config;
         let watcher = match (&config.ckpt_path, config.watch_interval) {
             (Some(path), Some(interval)) => {
                 let shared = Arc::clone(&shared);
@@ -368,7 +300,6 @@ impl Server {
             addr,
             shared,
             accept: Some(accept),
-            sched: Some(sched),
             watcher,
         })
     }
@@ -383,8 +314,8 @@ impl Server {
         self.shared.stats.json()
     }
 
-    /// A health snapshot (uptime, generation, reload/respawn counters,
-    /// queue depth) — the same JSON the `HEALTH` op returns.
+    /// A health snapshot (uptime, generation, reload/respawn counters) —
+    /// the same JSON the `HEALTH` op returns.
     pub fn health_json(&self) -> String {
         self.shared.health_json()
     }
@@ -406,16 +337,15 @@ impl Server {
         crate::reload::reload(&self.shared, path.as_ref()).map_err(|(_, msg)| msg)
     }
 
-    /// Stops accepting, drains the scheduler, and joins all threads.
-    /// Idempotent; also run by `Drop`.
+    /// Stops accepting and joins the accept and watcher threads.
+    /// Connection threads are not joined: each exits when its client
+    /// closes, its read times out, or it sees the shutdown flag before its
+    /// next request. Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sched.take() {
             let _ = h.join();
         }
         if let Some(h) = self.watcher.take() {
@@ -432,9 +362,7 @@ impl Drop for Server {
 
 /// Runs `body` in a named thread, restarting it after a panic up to
 /// [`ServeConfig::respawn_budget`] times. A clean return (shutdown)
-/// ends the thread; exceeding the budget leaves it down for good, with
-/// everything the closure owns (e.g. the scheduler's queue receiver)
-/// dropped so waiters fail typed instead of wedging.
+/// ends the thread; exceeding the budget leaves it down for good.
 fn spawn_supervised(
     name: &'static str,
     shared: Arc<Shared>,
@@ -468,7 +396,7 @@ fn spawn_supervised(
         .expect("spawn supervised thread")
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -485,10 +413,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: &SyncSender<Job
         let _sp = moss_obs::span("serve.accept");
         let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(shared);
-        let tx = tx.clone();
         let _ = std::thread::Builder::new()
             .name("moss-serve-conn".into())
-            .spawn(move || connection_loop(stream, conn_id, &shared, &tx));
+            .spawn(move || connection_loop(stream, conn_id, &shared));
     }
 }
 
@@ -620,7 +547,7 @@ fn reload_target(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (ErrorCode
     crate::reload::reload(shared, &path)
 }
 
-fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
+fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
     if let Err(e) = stream.set_read_timeout(Some(shared.config.read_timeout)) {
         // A platform where this fails leaves stalled clients able to pin
         // connection threads — make that visible, once on stderr and on
@@ -694,7 +621,7 @@ fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>, tx: &S
             },
             OP_EMBED => {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                handle_embed(&mut writer, shared, tx, &frame.payload, net_key)
+                handle_embed(&mut writer, shared, &frame.payload, net_key)
             }
             other => send_error(
                 &mut writer,
@@ -714,8 +641,7 @@ fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>, tx: &S
 
 fn handle_embed(
     writer: &mut TcpStream,
-    shared: &Arc<Shared>,
-    tx: &SyncSender<Job>,
+    shared: &Shared,
     payload: &[u8],
     net_key: u64,
 ) -> io::Result<()> {
@@ -725,8 +651,8 @@ fn handle_embed(
     let generation = shared.generation();
 
     let (hash, circuit, poison) = if shared.config.panic_marker && payload == PANIC_MARKER {
-        // Supervision test hook: a well-formed job whose only purpose is
-        // to panic the scheduler.
+        // Panic-isolation test hook: a well-formed miss whose only purpose
+        // is to panic inside the forward.
         let netlist = match parse_verilog(crate::reload::GOLDEN_NETLIST) {
             Ok(n) => n,
             Err(_) => {
@@ -744,8 +670,7 @@ fn handle_embed(
             Ok(v) => v,
             Err((code, msg)) => return send_error(writer, shared, code, &msg, net_key),
         };
-        // Cache hit: reply without preparing features or touching the
-        // scheduler at all.
+        // Cache hit: reply without preparing features.
         let cached = shared.lock_cache().get(hash);
         if let Some(bytes) = cached {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -768,185 +693,171 @@ fn handle_embed(
         }
     };
 
-    let (resp_tx, resp_rx) = mpsc::channel::<ReplyBytes>();
-    let job = Job {
-        hash,
-        circuit,
-        resp: resp_tx,
-        generation,
-        poison,
-    };
-    let enqueued = Instant::now();
-    // Count the job in the queue depth before it is visible to the
-    // scheduler so HEALTH never under-reports.
-    shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-    if let Err(e) = tx.try_send(job) {
-        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let code = match e {
-            TrySendError::Full(_) => {
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                moss_obs::counter("serve.rejected", 1);
-                ErrorCode::Overload
-            }
-            TrySendError::Disconnected(_) => ErrorCode::Internal,
-        };
-        return send_error(writer, shared, code, "scheduler queue unavailable", net_key);
-    }
-    let reply = {
-        let _sp = moss_obs::span("serve.queue_wait");
-        resp_rx.recv()
-    };
-    moss_obs::counter(
-        "serve.queue_wait_ns",
-        enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-    );
-    match reply {
-        Ok(Ok(bytes)) => {
+    match embed_miss(shared, &generation, hash, &circuit, poison) {
+        Ok(bytes) => {
             shared.stats.embedded.fetch_add(1, Ordering::Relaxed);
             let _sp = moss_obs::span("serve.respond");
             write_reply(writer, OP_EMBEDDING, &bytes, net_key)
         }
-        Ok(Err((code, msg))) => send_error(writer, shared, code, &msg, net_key),
-        Err(_) => send_error(
-            writer,
-            shared,
-            ErrorCode::Internal,
-            "scheduler dropped the request",
-            net_key,
-        ),
+        Err((code, msg)) => send_error(writer, shared, code, &msg, net_key),
     }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>, rx: &Receiver<Job>) {
-    loop {
-        // Poll for the batch opener so shutdown is observed even when
-        // the server is idle.
-        let first = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => {
-                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                job
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + shared.config.batch_window;
-        while batch.len() < shared.config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    batch.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        run_batch(shared, batch);
+/// Finishes one cache miss on the generation it pinned: the `serve` fault
+/// gate, the forward under `catch_unwind` (a panic fails this request
+/// alone), and a generation-stamped cache insert — refused if a reload
+/// landed after `generation`, so stale bytes are never cached.
+fn embed_miss(
+    shared: &Shared,
+    generation: &Generation,
+    hash: u64,
+    circuit: &CircuitGraph,
+    poison: bool,
+) -> Result<Arc<Vec<u8>>, (ErrorCode, String)> {
+    if moss_faults::fire(moss_faults::Site::Serve, hash) {
+        return Err((
+            ErrorCode::Fault,
+            "injected fault at site 'serve'".to_string(),
+        ));
     }
+    let embedded = {
+        let _sp = moss_obs::span_items("serve.forward", 1);
+        catch_unwind(AssertUnwindSafe(|| {
+            if poison {
+                panic!("injected forward panic (ServeConfig::panic_marker test hook)");
+            }
+            generation.embedder.embed_graph(circuit)
+        }))
+    };
+    let embedding = embedded.map_err(|_| (ErrorCode::Internal, "forward panicked".to_string()))?;
+    let bytes = Arc::new(embedding_payload(&embedding));
+    let evicted = {
+        let mut cache = shared.lock_cache();
+        let before = cache.evictions();
+        cache.insert(hash, Arc::clone(&bytes), generation.generation);
+        moss_obs::gauge_max("serve.cache.size", cache.len() as u64);
+        cache.evictions() - before
+    };
+    if evicted > 0 {
+        shared.stats.evicted.fetch_add(evicted, Ordering::Relaxed);
+        moss_obs::counter("serve.cache.evict", evicted);
+    }
+    Ok(bytes)
 }
 
-/// Runs the batched forwards for a batch of jobs: fault-gates each job,
-/// groups survivors by the generation they were prepared on (a batch
-/// straddling a hot-reload completes each group on its own embedder),
-/// dedups within each group by canonical hash, embeds the unique
-/// circuits together, caches (generation-stamped), and fans the bytes
-/// back.
-fn run_batch(shared: &Shared, batch: Vec<Job>) {
-    if batch.iter().any(|j| j.poison) {
-        // Deliberate, test-only: exercises the supervisor. Waiters get a
-        // typed Internal error when their response senders drop during
-        // unwinding.
-        panic!("injected scheduler panic (ServeConfig::panic_marker test hook)");
-    }
-    let n = batch.len() as u64;
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .batched_requests
-        .fetch_add(n, Ordering::Relaxed);
-    shared
-        .stats
-        .max_batch_occupancy
-        .fetch_max(n, Ordering::Relaxed);
-    moss_obs::gauge_max("serve.batch.occupancy", n);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU32;
 
-    // Fault gate + generation grouping. A poisoned request errors alone;
-    // the rest of the batch proceeds (pinned by tests/serve_faults.rs).
-    let mut groups: HashMap<u64, (Arc<Generation>, Vec<Job>)> = HashMap::new();
-    for job in batch {
-        if moss_faults::fire(moss_faults::Site::Serve, job.hash) {
-            let _ = job.resp.send(Err((
-                ErrorCode::Fault,
-                "injected fault at site 'serve'".to_string(),
-            )));
-            continue;
-        }
-        groups
-            .entry(job.generation.generation)
-            .or_insert_with(|| (Arc::clone(&job.generation), Vec::new()))
-            .1
-            .push(job);
+    static NEXT_CKPT: AtomicU32 = AtomicU32::new(0);
+
+    fn temp_path(tag: &str) -> PathBuf {
+        let n = NEXT_CKPT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!(
+            "moss-server-unit-{}-{n}-{tag}.mossckp",
+            std::process::id()
+        ))
     }
 
-    for (generation_no, (generation, jobs)) in groups {
-        let mut unique: Vec<(u64, CircuitGraph)> = Vec::new();
-        let mut members: HashMap<u64, Vec<mpsc::Sender<ReplyBytes>>> = HashMap::new();
-        for job in jobs {
-            if !members.contains_key(&job.hash) {
-                unique.push((job.hash, job.circuit));
-            }
-            members.entry(job.hash).or_default().push(job.resp);
+    /// The demo checkpoint (A) and a valid one whose every parameter is
+    /// shifted by +0.05 (B), so the two embed every circuit differently.
+    fn checkpoints() -> (PathBuf, PathBuf) {
+        let a = temp_path("a");
+        crate::write_demo_checkpoint(&a).expect("write checkpoint A");
+        let (config, mut store) = moss::load_checkpoint_file(&a).expect("load A");
+        let shifted: Vec<_> = store
+            .iter()
+            .map(|(id, _, t)| {
+                let data = t.data().iter().map(|v| v + 0.05).collect();
+                (id, moss_tensor::Tensor::from_vec(data, t.rows(), t.cols()))
+            })
+            .collect();
+        for (id, t) in shifted {
+            store.set(id, t);
         }
-        if unique.is_empty() {
-            continue;
-        }
+        let b = temp_path("b");
+        moss::save_checkpoint_file(&b, &config, &store).expect("write checkpoint B");
+        (a, b)
+    }
 
-        let refs: Vec<&CircuitGraph> = unique.iter().map(|(_, c)| c).collect();
-        let embedded = {
-            let _sp = moss_obs::span_items("serve.forward", refs.len() as u64);
-            catch_unwind(AssertUnwindSafe(|| generation.embedder.embed_graphs(&refs)))
+    fn shared_with(embedder: NetlistEmbedder, respawn_budget: u64) -> Arc<Shared> {
+        let config = ServeConfig {
+            respawn_budget,
+            ..ServeConfig::default()
         };
-        match embedded {
-            Ok(embeddings) => {
-                let mut cache = shared.lock_cache();
-                let before = cache.evictions();
-                for ((hash, _), emb) in unique.iter().zip(embeddings) {
-                    let bytes = Arc::new(crate::protocol::embedding_payload(&emb));
-                    // The cache refuses the insert if a reload landed
-                    // after this group's generation — stale bytes can
-                    // never be served from cache.
-                    cache.insert(*hash, Arc::clone(&bytes), generation_no);
-                    for resp in members.remove(hash).unwrap_or_default() {
-                        let _ = resp.send(Ok(Arc::clone(&bytes)));
-                    }
+        Arc::new(Shared::new(embedder, config))
+    }
+
+    #[test]
+    fn a_miss_completes_on_its_pinned_generation_across_a_reload() {
+        let (a, b) = checkpoints();
+        let embedder_a = NetlistEmbedder::from_checkpoint_file(&a).expect("load A");
+        let text = crate::reload::GOLDEN_NETLIST;
+        let (hash, netlist) = decode_request(text.as_bytes()).expect("golden decodes");
+        let exp_a = embedding_payload(&embedder_a.embed(&netlist).expect("direct A"));
+        let shared = shared_with(embedder_a, 0);
+
+        // The request pins generation 1 (A) and prepares on it ...
+        let pinned = shared.generation();
+        let circuit = pinned.embedder.prepare(&netlist).expect("prepare");
+        // ... a reload to B lands before its forward runs ...
+        assert_eq!(crate::reload::reload(&shared, &b), Ok(2));
+        // ... and the miss still completes on A, bit for bit.
+        let bytes = embed_miss(&shared, &pinned, hash, &circuit, false).expect("miss");
+        assert_eq!(*bytes, exp_a);
+        // The cache now serves B: A's late bytes must not have landed.
+        assert!(shared.lock_cache().get(hash).is_none());
+
+        let exp_b = NetlistEmbedder::from_checkpoint_file(&b)
+            .expect("load B")
+            .embed(&netlist)
+            .expect("direct B");
+        assert_ne!(exp_a, embedding_payload(&exp_b), "A and B must disagree");
+    }
+
+    /// The `serve.respawn` counter in the moss-obs report (0 if absent).
+    fn respawn_counter() -> u64 {
+        let report = moss_obs::report_json();
+        report
+            .split("\"name\": \"serve.respawn\", \"value\": ")
+            .nth(1)
+            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .map_or(0, |v| v.parse().expect("counter value"))
+    }
+
+    #[test]
+    fn supervised_bodies_respawn_within_the_budget_then_stay_down() {
+        moss_obs::set_enabled(true);
+        let (a, _) = checkpoints();
+        let embedder = || NetlistEmbedder::from_checkpoint_file(&a).expect("load checkpoint");
+        const BUDGET: u64 = 3;
+        // A body that panics `panics` times, then returns cleanly (unless
+        // the supervisor gives up first). `panics == 0` is a clean return
+        // with no respawn.
+        for panics in 0..=BUDGET + 1 {
+            let shared = shared_with(embedder(), BUDGET);
+            let runs = Arc::new(AtomicU64::new(0));
+            let before = respawn_counter();
+            let body_runs = Arc::clone(&runs);
+            let handle = spawn_supervised("moss-serve-test", Arc::clone(&shared), move || {
+                if body_runs.fetch_add(1, Ordering::SeqCst) < panics {
+                    panic!("injected supervised-body panic");
                 }
-                let evicted = cache.evictions() - before;
-                moss_obs::gauge_max("serve.cache.size", cache.len() as u64);
-                drop(cache);
-                if evicted > 0 {
-                    shared.stats.evicted.fetch_add(evicted, Ordering::Relaxed);
-                    moss_obs::counter("serve.cache.evict", evicted);
-                }
-            }
-            Err(_) => {
-                for resps in members.into_values() {
-                    for resp in resps {
-                        let _ = resp.send(Err((
-                            ErrorCode::Internal,
-                            "batch forward panicked".to_string(),
-                        )));
-                    }
-                }
-            }
+            });
+            handle.join().expect("the supervisor itself never panics");
+            let respawned = panics.min(BUDGET);
+            assert_eq!(
+                runs.load(Ordering::SeqCst),
+                respawned + 1,
+                "{panics} panics"
+            );
+            assert_eq!(
+                shared.stats.respawns.load(Ordering::Relaxed),
+                respawned,
+                "{panics} panics"
+            );
+            assert_eq!(respawn_counter() - before, respawned, "{panics} panics");
         }
     }
 }

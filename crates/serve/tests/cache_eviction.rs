@@ -5,7 +5,6 @@
 //! and re-requesting a resident circuit still hits.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use moss::NetlistEmbedder;
 use moss_netlist::parse_verilog;
@@ -44,8 +43,7 @@ fn full_cache_still_serves_new_circuits_bit_identically() {
         .iter()
         .map(|t| {
             let nl = parse_verilog(t).expect("parse");
-            let graph = embedder.prepare(&nl).expect("prepare");
-            embedding_payload(&embedder.embed_graphs(&[&graph]).remove(0))
+            embedding_payload(&embedder.embed(&nl).expect("direct forward"))
         })
         .collect();
 
@@ -55,8 +53,6 @@ fn full_cache_still_serves_new_circuits_bit_identically() {
         NetlistEmbedder::from_checkpoint_file(&ckpt).expect("load checkpoint"),
         ServeConfig {
             cache_cap: 2,
-            batch_window: Duration::from_millis(0),
-            max_batch: 1,
             ..ServeConfig::default()
         },
     )

@@ -1,13 +1,17 @@
 //! Fault injection at the `serve` site: a poisoned request must come
-//! back as a typed `Fault` error while the rest of its batch succeeds.
+//! back as a typed `Fault` error while a request in flight beside it (its
+//! "batchmate", in the test's name) succeeds with its exact bytes.
 //!
 //! This test lives in its own binary because the fault override it arms
 //! is process-global: any other test in the same process would see it.
 
-use std::time::Duration;
+use std::net::TcpStream;
 
 use moss_netlist::{canonical_hash, parse_verilog, write_verilog};
-use moss_serve::{write_demo_checkpoint, Client, Reply, ServeConfig, Server};
+use moss_serve::protocol::{
+    decode_error, embedding_payload, read_frame, write_frame, OP_EMBED, OP_EMBEDDING, OP_ERROR,
+};
+use moss_serve::{write_demo_checkpoint, ServeConfig, Server};
 
 #[test]
 fn poisoned_request_fails_alone_while_its_batchmates_succeed() {
@@ -39,38 +43,42 @@ fn poisoned_request_fails_alone_while_its_batchmates_succeed() {
     write_demo_checkpoint(&ckpt).expect("write demo checkpoint");
     let embedder =
         moss::NetlistEmbedder::from_checkpoint_file(&ckpt).expect("load demo checkpoint");
-    // A wide window so both requests share one batch.
-    let config = ServeConfig {
-        batch_window: Duration::from_millis(100),
-        max_batch: 8,
-        ..ServeConfig::default()
+    let want = embedding_payload(
+        &embedder
+            .embed(&parse_verilog(&clean).expect("reparse"))
+            .expect("direct embed"),
+    );
+    let server =
+        Server::start("127.0.0.1:0", embedder, ServeConfig::default()).expect("start server");
+
+    // Both requests are sent, each on its own connection, before either
+    // reply is read.
+    let mut conns: Vec<TcpStream> = [&poisoned, &clean]
+        .into_iter()
+        .map(|text| {
+            let mut conn = TcpStream::connect(server.addr()).expect("connect");
+            write_frame(&mut conn, OP_EMBED, text.as_bytes()).expect("send");
+            conn
+        })
+        .collect();
+    let mut reply = |i: usize| {
+        read_frame(&mut conns[i])
+            .expect("read")
+            .expect("a reply frame")
     };
-    let server = Server::start("127.0.0.1:0", embedder, config).expect("start server");
-    let addr = server.addr();
 
-    let h_poisoned = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        c.embed(&poisoned).expect("reply")
-    });
-    let h_clean = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        c.embed(&clean).expect("reply")
-    });
-
-    match h_poisoned.join().unwrap() {
-        Reply::Error { code, message } => {
-            assert_eq!(code, 4, "expected the Fault error code, got: {message}");
-            assert!(
-                message.contains("injected fault"),
-                "unexpected message: {message}"
-            );
-        }
-        Reply::Embedding(_) => panic!("poisoned request embedded successfully"),
-    }
-    match h_clean.join().unwrap() {
-        Reply::Embedding(e) => assert!(!e.is_empty()),
-        Reply::Error { code, message } => {
-            panic!("clean batchmate failed too: code {code}, {message}")
-        }
-    }
+    let poisoned_reply = reply(0);
+    assert_eq!(poisoned_reply.op, OP_ERROR, "poisoned request embedded");
+    let (code, message) = decode_error(&poisoned_reply.payload).expect("error payload");
+    assert_eq!(code, 4, "expected the Fault error code, got: {message}");
+    assert!(
+        message.contains("injected fault"),
+        "unexpected message: {message}"
+    );
+    let clean_reply = reply(1);
+    assert_eq!(
+        (clean_reply.op, clean_reply.payload),
+        (OP_EMBEDDING, want),
+        "the concurrent clean request must get its exact bytes"
+    );
 }

@@ -1,14 +1,16 @@
-//! End-to-end serving tests over real sockets: the micro-batching
-//! scheduler, the embedding cache, and concurrent clients must all
-//! return bytes **bit-identical** to a direct in-process forward pass.
+//! End-to-end serving tests over real sockets: served misses, the
+//! embedding cache, and concurrent clients must all return bytes
+//! **bit-identical** to a direct in-process forward pass.
 
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 use moss::NetlistEmbedder;
 use moss_netlist::{parse_verilog, write_verilog};
-use moss_serve::protocol::embedding_payload;
+use moss_serve::protocol::{
+    decode_error, embedding_payload, read_frame, write_frame, OP_EMBED, OP_EMBEDDING, OP_ERROR,
+};
 use moss_serve::{write_demo_checkpoint, Client, Reply, ServeConfig, Server};
 
 static NEXT_CKPT: AtomicU32 = AtomicU32::new(0);
@@ -45,83 +47,38 @@ fn circuits(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// A config that forces every concurrent request into one batch.
-fn batching_config() -> ServeConfig {
-    ServeConfig {
-        batch_window: Duration::from_millis(100),
-        max_batch: 8,
-        ..ServeConfig::default()
-    }
-}
-
-/// A config that forbids batching entirely.
-fn unbatched_config() -> ServeConfig {
-    ServeConfig {
-        batch_window: Duration::from_millis(0),
-        max_batch: 1,
-        ..ServeConfig::default()
-    }
-}
-
-#[test]
-fn batched_replies_are_bit_identical_to_unbatched_and_direct() {
-    let ckpt = demo_checkpoint();
-    let texts = circuits(4);
-
-    // Batched: concurrent clients against a wide-window server.
-    let batched = {
-        let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), batching_config())
-            .expect("start batching server");
-        let addr = server.addr();
-        let handles: Vec<_> = texts
-            .iter()
-            .cloned()
-            .map(|text| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    client.embed_raw(&text).expect("embed")
-                })
-            })
-            .collect();
-        let replies: Vec<Vec<u8>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let stats = server.stats_json();
-        // The wide window must actually have fused something; otherwise
-        // this test degenerates into comparing the single path to itself.
-        assert!(
-            stat_u64(&stats, "max_batch_occupancy") >= 2,
-            "expected a fused batch, got {stats}"
-        );
-        replies
-    };
-
-    // Unbatched: the same requests, one per forward pass.
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), unbatched_config())
-        .expect("start unbatched server");
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let direct = embedder_from(&ckpt);
-    for (text, batched_bytes) in texts.iter().zip(&batched) {
-        let single_bytes = client.embed_raw(text).expect("embed");
-        assert_eq!(
-            &single_bytes, batched_bytes,
-            "batched and unbatched replies differ"
-        );
-        // And both must equal a direct in-process forward pass on the
-        // same checkpoint (wire bytes are exactly embedding_payload).
-        let netlist = parse_verilog(text).expect("reparse");
-        let emb = direct.embed(&netlist).expect("direct embed");
-        assert_eq!(
-            batched_bytes,
-            &embedding_payload(&emb),
-            "served bytes differ from the direct forward pass"
-        );
-    }
+/// Sends each payload as an EMBED on a connection of its own, all of them
+/// before any reply is read, and returns each reply: the embedding bytes or
+/// the typed error.
+fn embed_concurrently(addr: SocketAddr, texts: &[&str]) -> Vec<Result<Vec<u8>, (u16, String)>> {
+    let mut conns: Vec<TcpStream> = texts
+        .iter()
+        .map(|text| {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            write_frame(&mut conn, OP_EMBED, text.as_bytes()).expect("send");
+            conn
+        })
+        .collect();
+    conns
+        .iter_mut()
+        .map(|conn| {
+            let frame = read_frame(conn)
+                .expect("read reply")
+                .expect("a reply frame");
+            match frame.op {
+                OP_EMBEDDING => Ok(frame.payload),
+                OP_ERROR => Err(decode_error(&frame.payload).expect("error payload")),
+                op => panic!("unexpected reply opcode 0x{op:02x}"),
+            }
+        })
+        .collect()
 }
 
 #[test]
 fn cache_hits_return_identical_bytes() {
     let ckpt = demo_checkpoint();
     let text = &circuits(1)[0];
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), unbatched_config())
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
         .expect("start server");
     let mut client = Client::connect(server.addr()).expect("connect");
 
@@ -164,7 +121,7 @@ fn cache_hits_return_identical_bytes() {
 fn concurrent_clients_get_their_own_embeddings() {
     let ckpt = demo_checkpoint();
     let texts = circuits(4);
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), batching_config())
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
         .expect("start server");
     let addr = server.addr();
 
@@ -198,7 +155,7 @@ fn concurrent_clients_get_their_own_embeddings() {
 #[test]
 fn parse_and_graph_errors_come_back_typed() {
     let ckpt = demo_checkpoint();
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), unbatched_config())
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
         .expect("start server");
     let mut client = Client::connect(server.addr()).expect("connect");
 
@@ -233,41 +190,33 @@ fn parse_and_graph_errors_come_back_typed() {
     }
 }
 
+/// The empty module and a valid request (its "batchmate") are in flight at
+/// once, on two connections: the empty module fails alone with a typed
+/// `Graph` error, and the valid request gets its exact bytes.
 #[test]
 fn empty_module_is_rejected_alone_and_its_batchmate_is_served() {
     let ckpt = demo_checkpoint();
-    let config = ServeConfig {
-        batch_window: Duration::from_millis(300),
-        max_batch: 8,
-        ..ServeConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), config).expect("start server");
-    let addr = server.addr();
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
+        .expect("start server");
     let text = circuits(1).remove(0);
 
-    // The valid request opens a 300 ms batch window; the empty module
-    // arrives while it is still open.
-    let valid = {
-        let text = text.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("connect");
-            client.embed_raw(&text)
-        })
-    };
-    std::thread::sleep(Duration::from_millis(50));
-    let mut client = Client::connect(addr).expect("connect");
-    match client.embed("module m (); endmodule").expect("reply") {
-        Reply::Error { code, message } => {
+    let mut replies = embed_concurrently(server.addr(), &["module m (); endmodule", &text]);
+    let valid = replies.pop().expect("two replies");
+    match replies.pop().expect("two replies") {
+        Err((code, message)) => {
             assert_eq!(code, 3, "expected a Graph error, got: {message}");
             assert!(message.contains("no nodes"), "{message}");
         }
-        other => panic!("expected a Graph error for the empty module, got {other:?}"),
+        Ok(_) => panic!("the empty module must not embed"),
     }
 
-    let bytes = valid.join().unwrap().expect("the batchmate is served");
     let netlist = parse_verilog(&text).expect("reparse");
     let emb = embedder_from(&ckpt).embed(&netlist).expect("direct embed");
-    assert_eq!(bytes, embedding_payload(&emb), "batchmate got wrong bytes");
+    assert_eq!(
+        valid.expect("the concurrent request is served"),
+        embedding_payload(&emb),
+        "the concurrent request got wrong bytes"
+    );
 }
 
 /// The committed b01-class benchmark netlist, exactly as a user would
@@ -281,7 +230,7 @@ fn benchmark_fixture_embeds_bit_identically_across_servers() {
     // Two fully independent server processes-worth of state (separate
     // embedder instances, separate caches) over the same checkpoint.
     let run = || {
-        let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), unbatched_config())
+        let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
             .expect("start server");
         let mut client = Client::connect(server.addr()).expect("connect");
         client.embed_raw(B01_NET).expect("embed fixture")
@@ -307,7 +256,7 @@ fn parsed_and_programmatic_circuits_embed_identically() {
     // its programmatically-built twin fed straight to the embedder: text
     // ingestion is not a second, subtly different pipeline.
     let ckpt = demo_checkpoint();
-    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), unbatched_config())
+    let server = Server::start("127.0.0.1:0", embedder_from(&ckpt), ServeConfig::default())
         .expect("start server");
     let mut client = Client::connect(server.addr()).expect("connect");
     let direct = embedder_from(&ckpt);

@@ -1,21 +1,23 @@
-//! Supervision tests: a panicking scheduler must be respawned (within
-//! its budget) with service restored, and once the budget is spent the
-//! server must degrade to typed errors — never a wedge.
+//! Panic isolation: a forward that panics must fail its own request with
+//! a typed `Internal` error and nothing else — a request in flight beside
+//! it gets its exact bytes, the panicking request's connection keeps
+//! serving, and no supervised thread is respawned. (The supervisor of the
+//! accept and watcher threads is unit-tested in `server.rs`.)
 
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 use moss::NetlistEmbedder;
-use moss_netlist::write_verilog;
-use moss_serve::{write_demo_checkpoint, Client, Reply, ServeConfig, Server, PANIC_MARKER};
-
-static NEXT_CKPT: AtomicU32 = AtomicU32::new(0);
+use moss_netlist::{parse_verilog, write_verilog};
+use moss_serve::protocol::{
+    decode_error, embedding_payload, read_frame, write_frame, ErrorCode, OP_EMBED, OP_EMBEDDING,
+    OP_ERROR,
+};
+use moss_serve::{write_demo_checkpoint, Client, ServeConfig, Server, PANIC_MARKER};
 
 fn demo_checkpoint() -> PathBuf {
-    let n = NEXT_CKPT.fetch_add(1, Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!(
-        "moss-supervision-test-{}-{n}.mossckp",
+        "moss-supervision-test-{}.mossckp",
         std::process::id()
     ));
     write_demo_checkpoint(&path).expect("write demo checkpoint");
@@ -30,94 +32,65 @@ fn field_u64(json: &str, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("field {field} missing from: {json}"))
 }
 
-/// Sends the raw panic-marker payload as an EMBED and returns the typed
-/// reply (the marker is not valid Verilog, so it can only ever reach the
-/// scheduler through the test hook).
-fn send_marker(client: &mut Client) -> Reply {
-    let text = std::str::from_utf8(PANIC_MARKER).expect("marker is ASCII");
-    client.embed(text).expect("marker roundtrip")
+/// Reads one reply: the embedding bytes or the typed error.
+fn reply(conn: &mut TcpStream) -> Result<Vec<u8>, (u16, String)> {
+    let frame = read_frame(conn)
+        .expect("read reply")
+        .expect("a reply frame");
+    match frame.op {
+        OP_EMBEDDING => Ok(frame.payload),
+        OP_ERROR => Err(decode_error(&frame.payload).expect("error payload")),
+        op => panic!("unexpected reply opcode 0x{op:02x}"),
+    }
 }
 
 #[test]
-fn scheduler_panics_are_respawned_then_budget_exhaustion_degrades_typed() {
+fn a_panicking_forward_fails_alone_and_its_connection_keeps_serving() {
     let ckpt = demo_checkpoint();
-    let embedder = NetlistEmbedder::from_checkpoint_file(&ckpt).expect("load checkpoint");
+    let embedder = || NetlistEmbedder::from_checkpoint_file(&ckpt).expect("load checkpoint");
     let config = ServeConfig {
-        batch_window: Duration::from_millis(0),
-        max_batch: 1,
-        // No cache: every embed must traverse the scheduler, so success
-        // genuinely proves the thread is alive (a cache hit would not).
+        // No cache: every valid request must run a forward.
         cache_cap: 0,
-        respawn_budget: 1,
         panic_marker: true,
         ..ServeConfig::default()
     };
-    let server = Server::start("127.0.0.1:0", embedder, config).expect("start server");
-    let mut client = Client::connect(server.addr()).expect("connect");
+    let server = Server::start("127.0.0.1:0", embedder(), config).expect("start server");
     let text = write_verilog(&moss_datagen::random_netlist(42, 25));
-
-    // Baseline: the server works.
-    match client.embed(&text).expect("baseline embed") {
-        Reply::Embedding(_) => {}
-        Reply::Error { code, message } => panic!("baseline failed {code}: {message}"),
-    }
-
-    // First panic: the in-flight request fails typed, the supervisor
-    // respawns the scheduler, and service resumes.
-    match send_marker(&mut client) {
-        Reply::Error { code, message } => {
-            assert_eq!(code, 6, "a dropped request is ErrorCode::Internal");
-            assert!(message.contains("scheduler dropped"), "{message}");
-        }
-        Reply::Embedding(_) => panic!("the marker must never embed"),
-    }
-    // The respawn may race the next request; poll briefly.
-    let mut recovered = false;
-    for _ in 0..100 {
-        match client.embed(&text).expect("post-panic embed") {
-            Reply::Embedding(_) => {
-                recovered = true;
-                break;
-            }
-            Reply::Error { .. } => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    assert!(recovered, "scheduler was not respawned within its budget");
-    let health = client.health().expect("health");
-    assert_eq!(field_u64(&health, "respawns"), 1);
-    assert_eq!(field_u64(&health, "respawn_budget"), 1);
-
-    // Second panic exhausts the budget: the scheduler stays down, its
-    // queue disconnects, and embeds fail *typed* — Internal, not a hang,
-    // not a dropped connection.
-    match send_marker(&mut client) {
-        Reply::Error { code, .. } => assert_eq!(code, 6),
-        Reply::Embedding(_) => panic!("the marker must never embed"),
-    }
-    // Give the supervisor a moment to observe the second panic and give
-    // up (dropping the queue receiver).
-    let mut degraded = None;
-    for _ in 0..100 {
-        match client.embed(&text).expect("post-budget embed") {
-            Reply::Error { code, message } => {
-                degraded = Some((code, message));
-                break;
-            }
-            // A respawn beyond the budget would keep serving — that is
-            // the bug this test exists to catch.
-            Reply::Embedding(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    let (code, message) = degraded.expect("scheduler kept serving past its respawn budget");
-    assert_eq!(code, 6, "degraded mode must be ErrorCode::Internal");
-    assert!(
-        message.contains("scheduler"),
-        "the error should name the dead component: {message}"
+    let want = embedding_payload(
+        &embedder()
+            .embed(&parse_verilog(&text).expect("reparse"))
+            .expect("direct embed"),
     );
 
-    // Control-plane ops survive the dead scheduler.
-    let health = client.health().expect("health with dead scheduler");
-    assert_eq!(field_u64(&health, "respawns"), 1, "budget respawns only");
-    let stats = client.stats().expect("stats with dead scheduler");
-    assert!(field_u64(&stats, "errors") >= 2);
+    // The marker and a valid request, each on its own connection, both
+    // sent before either reply is read.
+    let mut marked = TcpStream::connect(server.addr()).expect("connect");
+    let mut valid = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut marked, OP_EMBED, PANIC_MARKER).expect("send marker");
+    write_frame(&mut valid, OP_EMBED, text.as_bytes()).expect("send valid request");
+
+    match reply(&mut marked) {
+        Err((code, message)) => {
+            assert_eq!(code, ErrorCode::Internal.as_u16(), "{message}");
+            assert!(message.contains("panicked"), "{message}");
+        }
+        Ok(_) => panic!("the marker must never embed"),
+    }
+    assert_eq!(
+        reply(&mut valid),
+        Ok(want.clone()),
+        "the concurrent request must get its exact bytes"
+    );
+
+    // The panicking request's connection keeps serving, bit for bit.
+    write_frame(&mut marked, OP_EMBED, text.as_bytes()).expect("send next request");
+    assert_eq!(reply(&mut marked), Ok(want));
+
+    // Nothing supervised went down.
+    let health = Client::connect(server.addr())
+        .expect("connect")
+        .health()
+        .expect("health");
+    assert_eq!(field_u64(&health, "respawns"), 0, "{health}");
+    let _ = std::fs::remove_file(ckpt);
 }

@@ -252,9 +252,7 @@ fn fault_check() -> ExitCode {
 
 /// The chaos gate: build the soak harness once, then run it under a
 /// battery of randomized-but-reproducible `MOSS_FAULTS` schedules
-/// (serve/io/net/store sites at varied rates and seeds) crossed with
-/// varied server tuning (tiny and large queues, batching on and off).
-/// The harness checks the hard invariants itself (bit-identical
+/// (serve/io/net/store sites at varied rates and seeds). The harness checks the hard invariants itself (bit-identical
 /// successes, corrupt checkpoints rejected, clean drain, error budget);
 /// this gate additionally treats *any* "panicked" in the output as
 /// failure — a respawned thread during a soak means an organic panic
@@ -356,25 +354,21 @@ fn chaos_check(args: &[String]) -> ExitCode {
             spec.push(format!("net:0.100:{}", next() % 10_000));
         }
         let faults = spec.join(",");
-        let queue_cap = ["2", "4", "64", "256"][(next() % 4) as usize];
-        let batch_ms = ["0", "1", "2", "8"][(next() % 4) as usize];
-        let max_batch = ["1", "4", "16"][(next() % 3) as usize];
+        // Three draws per schedule once picked server tuning that no
+        // longer exists; they are still taken so that every --seed keeps
+        // drawing the fault schedules it always drew.
+        for _ in 0..3 {
+            next();
+        }
         eprintln!(
-            "# chaos-check: schedule {}/{schedules}: MOSS_FAULTS={faults} \
-             queue_cap={queue_cap} batch_ms={batch_ms} max_batch={max_batch}",
+            "# chaos-check: schedule {}/{schedules}: MOSS_FAULTS={faults}",
             i + 1
         );
         let mut cmd = Command::new(&chaos_bin);
         if quick {
             cmd.arg("--quick");
         }
-        let output = cmd
-            .current_dir(&root)
-            .env("MOSS_FAULTS", &faults)
-            .env("MOSS_SERVE_QUEUE_CAP", queue_cap)
-            .env("MOSS_SERVE_BATCH_MS", batch_ms)
-            .env("MOSS_SERVE_MAX_BATCH", max_batch)
-            .output();
+        let output = cmd.current_dir(&root).env("MOSS_FAULTS", &faults).output();
         let output = match output {
             Ok(o) => o,
             Err(e) => {

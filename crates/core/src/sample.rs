@@ -156,10 +156,11 @@ fn compute_labels(
 
 /// Canonical rank table: `rank[id.index()]` is the position of node `id`'s
 /// name in the lexicographic sort of all node names. Node names are unique
-/// within a netlist, so this is a permutation — the same one
-/// `canonical_form` (and therefore `canonical_hash`) sorts by, which makes
-/// rank-indexed label records exactly as declaration-order-invariant as
-/// the store key.
+/// within a netlist, so this is a permutation of the nodes by name alone.
+/// It is not the order `canonical_form` writes (that sorts whole lines in
+/// three groups, so cells by cell kind first), but like it, it depends on
+/// names and not on declaration order, which makes rank-indexed label
+/// records exactly as declaration-order-invariant as the store key.
 fn canonical_ranks(netlist: &Netlist) -> Vec<u32> {
     let mut order: Vec<NodeId> = netlist.node_ids().collect();
     order.sort_by(|&a, &b| netlist.node(a).name().cmp(netlist.node(b).name()));

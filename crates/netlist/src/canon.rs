@@ -4,22 +4,72 @@
 //! the same circuit must produce the same key even when their nodes were
 //! declared in a different order (a Verilog writer is free to emit
 //! instances in any order, and parsers assign node indices by appearance).
-//! The canonical form therefore orders everything by *name* — names are
-//! unique within a netlist and survive reordering — and records structure
-//! through name references only, never through node indices.
+//! The canonical form therefore records structure through name references
+//! only, never through node indices, and sorts its lines as text — names
+//! are unique within a netlist and survive reordering, so the sorted lines
+//! do too.
 //!
 //! The module name is deliberately excluded: renaming a design does not
 //! change the circuit, and the embedding server's cache should hit on it.
 
+use std::ops::Range;
+
 use crate::graph::{Netlist, NodeId, NodeKind};
+
+/// Writes every canonical line of `netlist` into `text`, without
+/// newlines, and returns the lines in output order: inputs, then cells,
+/// then outputs, each group sorted as whole lines.
+fn sorted_lines<'t>(netlist: &Netlist, text: &'t mut String) -> Vec<&'t str> {
+    let name_of = |id: NodeId| netlist.node(id).name();
+    let mut groups: [Vec<Range<usize>>; 3] = Default::default();
+    for id in netlist.node_ids() {
+        let start = text.len();
+        let group = match netlist.kind(id) {
+            NodeKind::PrimaryInput => {
+                text.push_str("i ");
+                text.push_str(name_of(id));
+                0
+            }
+            NodeKind::Cell(kind) => {
+                text.push_str("c ");
+                text.push_str(kind.lib_name());
+                text.push(' ');
+                text.push_str(name_of(id));
+                for &f in netlist.fanins(id) {
+                    text.push(' ');
+                    text.push_str(name_of(f));
+                }
+                1
+            }
+            NodeKind::PrimaryOutput => {
+                text.push_str("o ");
+                text.push_str(name_of(id));
+                text.push(' ');
+                text.push_str(name_of(netlist.fanins(id)[0]));
+                2
+            }
+        };
+        groups[group].push(start..text.len());
+    }
+    let text: &'t str = text;
+    let mut lines = Vec::with_capacity(netlist.node_count());
+    for group in groups {
+        let start = lines.len();
+        lines.extend(group.into_iter().map(|r| &text[r]));
+        lines[start..].sort_unstable();
+    }
+    lines
+}
 
 /// Renders the netlist in a declaration-order-independent canonical form.
 ///
 /// Lines are `i <name>` (primary inputs), `c <lib_cell> <name> <fanin
 /// names…>` (cells, pin order preserved), and `o <name> <driver name>`
-/// (primary outputs), each group sorted lexicographically by name. Node
-/// indices never appear, so any permutation of declarations yields the
-/// same text.
+/// (primary outputs): all input lines, then all cell lines, then all
+/// output lines, each group sorted lexicographically as whole lines. So
+/// inputs and outputs end up in name order, and cells in cell-kind order
+/// first and name order within a kind. Node indices never appear, so any
+/// permutation of declarations yields the same text.
 ///
 /// # Examples
 ///
@@ -40,41 +90,10 @@ use crate::graph::{Netlist, NodeId, NodeKind};
 /// # Ok::<(), moss_netlist::NetlistError>(())
 /// ```
 pub fn canonical_form(netlist: &Netlist) -> String {
-    let name_of = |id: NodeId| netlist.node(id).name();
-
-    let mut inputs: Vec<&str> = netlist.primary_inputs().into_iter().map(name_of).collect();
-    inputs.sort_unstable();
-
-    let mut cells: Vec<String> = netlist
-        .node_ids()
-        .filter_map(|id| match netlist.kind(id) {
-            NodeKind::Cell(kind) => {
-                let mut line = format!("c {} {}", kind.lib_name(), name_of(id));
-                for &f in netlist.fanins(id) {
-                    line.push(' ');
-                    line.push_str(name_of(f));
-                }
-                Some(line)
-            }
-            _ => None,
-        })
-        .collect();
-    cells.sort_unstable();
-
-    let mut outputs: Vec<String> = netlist
-        .primary_outputs()
-        .into_iter()
-        .map(|id| format!("o {} {}", name_of(id), name_of(netlist.fanins(id)[0])))
-        .collect();
-    outputs.sort_unstable();
-
-    let mut out = String::new();
-    for name in inputs {
-        out.push_str("i ");
-        out.push_str(name);
-        out.push('\n');
-    }
-    for line in cells.iter().chain(outputs.iter()) {
+    let mut text = String::new();
+    let lines = sorted_lines(netlist, &mut text);
+    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
         out.push_str(line);
         out.push('\n');
     }
@@ -82,7 +101,7 @@ pub fn canonical_form(netlist: &Netlist) -> String {
 }
 
 /// Content hash of the canonicalized netlist (FNV-1a over
-/// [`canonical_form`]).
+/// [`canonical_form`], folded line by line without building the string).
 ///
 /// Invariant to node declaration order and to the module name; sensitive
 /// to every cell kind, instance name, pin connection, and port. This is
@@ -91,9 +110,14 @@ pub fn canonical_form(netlist: &Netlist) -> String {
 /// every deployed cache (a regression test pins one value).
 pub fn canonical_hash(netlist: &Netlist) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in canonical_form(netlist).as_bytes() {
-        h ^= u64::from(*b);
+    let mut eat = |b: u8| {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let mut text = String::new();
+    for line in sorted_lines(netlist, &mut text) {
+        line.bytes().for_each(&mut eat);
+        eat(b'\n');
     }
     h
 }

@@ -6,7 +6,6 @@
 //! different electrical and logical roles (the paper encodes this with edge
 //! positional encoding, §IV-B).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::cell::CellKind;
@@ -111,7 +110,6 @@ pub struct Netlist {
     nodes: Vec<Node>,
     fanins: Vec<Vec<NodeId>>,
     fanouts: Vec<Vec<NodeId>>,
-    name_index: HashMap<String, NodeId>,
 }
 
 impl Netlist {
@@ -122,7 +120,6 @@ impl Netlist {
             nodes: Vec::new(),
             fanins: Vec::new(),
             fanouts: Vec::new(),
-            name_index: HashMap::new(),
         }
     }
 
@@ -133,7 +130,6 @@ impl Netlist {
 
     fn push_node(&mut self, kind: NodeKind, name: String) -> NodeId {
         let id = NodeId::new(self.nodes.len());
-        self.name_index.entry(name.clone()).or_insert(id);
         self.nodes.push(Node { kind, name });
         self.fanins.push(Vec::new());
         self.fanouts.push(Vec::new());
@@ -313,8 +309,14 @@ impl Netlist {
     }
 
     /// Looks a node up by name (first node added under that name wins).
+    ///
+    /// A linear scan: the netlist keeps no name index, so building one
+    /// costs nothing for callers that never look names up.
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.nodes
+            .iter()
+            .position(|n| n.name == name)
+            .map(NodeId::new)
     }
 
     /// Rewires pin `pin` of `node` to be driven by `new_src`.
@@ -489,6 +491,15 @@ mod tests {
         let (nl, a, ..) = tiny();
         assert_eq!(nl.find("a"), Some(a));
         assert_eq!(nl.find("nope"), None);
+    }
+
+    #[test]
+    fn find_returns_the_first_node_with_a_duplicated_name() {
+        let mut nl = Netlist::new("t");
+        let first = nl.add_input("x");
+        let second = nl.add_cell(CellKind::Inv, "x", &[first]).unwrap();
+        nl.add_output("x", second);
+        assert_eq!(nl.find("x"), Some(first));
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! connected exactly once. Failures are typed [`ParseError`]s carrying the
 //! 1-based line/column and expected-vs-found.
 //!
+//! Parsing costs bytes, not allocations: tokens and the AST borrow every
+//! name from the source and carry byte offsets (lines and columns are
+//! computed only for an error), and the elaborator resolves each name
+//! occurrence with one lookup in a single namespace table. The netlist's
+//! node names are the only strings it copies.
+//!
 //! Accepted surface (DESIGN.md §14 has the full grammar):
 //!
 //! - `//` and `/* */` comments;
@@ -28,12 +34,14 @@ mod token;
 pub use error::{ParseError, ParseErrorKind};
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph::{Netlist, NodeId, NodeKind};
 
 use parser::{parse_source, Ast, Dir, Item, Name, NetRef};
+use token::error_at;
 
 /// Pin names per cell kind, in the same order as the netlist's fanins.
 fn pin_names(kind: CellKind) -> &'static [&'static str] {
@@ -59,6 +67,32 @@ fn output_pin(kind: CellKind) -> &'static str {
 
 /// Optional control pins accepted (and recorded, not graphed) on DFFs.
 const DFF_CONTROL_PINS: [&str; 3] = ["CK", "RN", "SN"];
+
+/// An instance's pin slots: its data inputs in [`pin_names`] order
+/// (at most three), then its output, then the [`DFF_CONTROL_PINS`].
+const OUT: usize = 3;
+const CONTROL: usize = OUT + 1;
+const RN: usize = CONTROL + 1;
+const SN: usize = CONTROL + 2;
+const SLOTS: usize = CONTROL + DFF_CONTROL_PINS.len();
+/// An empty pin slot.
+const UNCONNECTED: usize = usize::MAX;
+
+/// The slot of pin `pin` on a `kind` cell, or `None` if it has no such pin.
+fn pin_slot(kind: CellKind, pin: &str) -> Option<usize> {
+    if let Some(i) = pin_names(kind).iter().position(|&p| p == pin) {
+        Some(i)
+    } else if pin == output_pin(kind) {
+        Some(OUT)
+    } else if kind.is_sequential() {
+        DFF_CONTROL_PINS
+            .iter()
+            .position(|&p| p == pin)
+            .map(|i| CONTROL + i)
+    } else {
+        None
+    }
+}
 
 /// How a parsed DFF initializes, derived from its reset-style control pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,416 +168,348 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, NetlistError> {
 /// Returns [`NetlistError::Verilog`] wrapping a positioned [`ParseError`].
 pub fn parse_verilog_design(src: &str) -> Result<VerilogDesign, NetlistError> {
     let ast = parse_source(src)?;
-    elaborate(&ast)
+    Elaborator::new(src, &ast).run()
+}
+
+/// A net reference with its name looked up in the namespace.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// A constant bit.
+    Const(bool),
+    /// The net `name`, whose symbol is `sym` (`None`: not a declared net).
+    Net { name: &'a str, sym: Option<usize> },
 }
 
 /// What currently drives a net.
-#[derive(Debug, Clone)]
-enum Driver {
+#[derive(Debug, Clone, Copy)]
+enum Driver<'a> {
     /// Nothing yet.
     None,
     /// A netlist node: a primary input, or a cell's output pin.
     Node(NodeId),
     /// The right-hand side of an `assign` (resolved lazily, with cycle
     /// detection, because assigns may chain through output ports).
-    Assign(NetRef),
+    Assign(Source<'a>),
+}
+
+/// What a name in the module's namespace was declared as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decl {
+    /// The port at this index of the port list.
+    Port(usize),
+    Wire,
+    Instance,
 }
 
 #[derive(Debug)]
-struct Net {
-    driver: Driver,
-    is_output_port: bool,
+struct Symbol<'a> {
+    name: &'a str,
+    decl: Decl,
+    /// Meaningful for ports and wires, the module's nets.
+    driver: Driver<'a>,
+    /// The last [`Elaborator::resolve`] call that followed this net's
+    /// assign, for cycle detection.
+    visited: usize,
 }
 
-#[derive(Debug, Default)]
-struct Ties {
-    zero: Option<NodeId>,
-    one: Option<NodeId>,
-}
-
-struct CellInst {
+/// An instance awaiting its pin connections: each slot holds an index
+/// into [`Ast::pins`], or [`UNCONNECTED`].
+struct Cell {
     node: NodeId,
     kind: CellKind,
-    pins: HashMap<String, NetRef>,
+    pins: [usize; SLOTS],
 }
 
-fn redeclared(name: &Name) -> ParseError {
-    ParseError::new(
-        name.line,
-        name.column,
-        ParseErrorKind::Redeclared {
-            name: name.text.clone(),
-        },
-    )
+/// Elaborates an AST into a netlist under single-driver semantics.
+///
+/// Verilog modules have a single declaration namespace: ports, wires, and
+/// instance names may not collide. Every name is looked up in one table,
+/// once per occurrence, and each instance's pins land in fixed slots.
+struct Elaborator<'s, 'a> {
+    src: &'a str,
+    ast: &'s Ast<'a>,
+    /// Every port, wire and instance name → its index in `symbols`. Ports
+    /// come first, so port `i` is symbol `i`.
+    names: HashMap<&'a str, usize>,
+    symbols: Vec<Symbol<'a>>,
+    /// Each port's direction, from the port list or the body.
+    port_dirs: Vec<Option<Dir>>,
+    netlist: Netlist,
+    /// The shared `TIEL_X1`/`TIEH_X1` cells, created on first use.
+    ties: [Option<NodeId>; 2],
+    /// How many [`Elaborator::resolve`] calls have started.
+    resolves: usize,
 }
 
-fn multiple_drivers(at: (u32, u32), net: &str) -> ParseError {
-    ParseError::new(
-        at.0,
-        at.1,
-        ParseErrorKind::MultipleDrivers { net: net.into() },
-    )
-}
-
-/// Materializes the shared `TIEL_X1`/`TIEH_X1` cell for a constant.
-fn tie(
-    value: bool,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> NodeId {
-    let slot = if value { &mut ties.one } else { &mut ties.zero };
-    if let Some(id) = *slot {
-        return id;
+impl<'s, 'a> Elaborator<'s, 'a> {
+    fn new(src: &'a str, ast: &'s Ast<'a>) -> Elaborator<'s, 'a> {
+        let capacity = ast.ports.len() + ast.decls.len() + ast.items.len();
+        Elaborator {
+            src,
+            ast,
+            names: HashMap::with_capacity(capacity),
+            symbols: Vec::with_capacity(capacity),
+            port_dirs: ast.ports.iter().map(|p| p.dir).collect(),
+            netlist: Netlist::new(ast.name),
+            ties: [None; 2],
+            resolves: 0,
+        }
     }
-    let base = if value { "const1" } else { "const0" };
-    let mut name = base.to_owned();
-    let mut k = 1u32;
-    while !declared.insert(name.clone()) {
-        name = format!("{base}_{k}");
-        k += 1;
-    }
-    let kind = if value {
-        CellKind::Tie1
-    } else {
-        CellKind::Tie0
-    };
-    let id = netlist
-        .add_cell(kind, name, &[])
-        .expect("tie cells have no input pins");
-    *slot = Some(id);
-    id
-}
 
-/// Resolves the node driving net `read`, chasing assign chains.
-fn resolve_net(
-    read: &Name,
-    nets: &HashMap<String, Net>,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> Result<NodeId, ParseError> {
-    let mut visited: HashSet<&str> = HashSet::new();
-    let mut current: &str = &read.text;
-    loop {
-        let Some(net) = nets.get(current) else {
-            return Err(ParseError::new(
-                read.line,
-                read.column,
-                ParseErrorKind::UndeclaredNet {
-                    net: current.to_owned(),
+    fn run(mut self) -> Result<VerilogDesign, NetlistError> {
+        self.declare_ports_and_wires()?;
+        // Primary inputs come first in the netlist, in port order.
+        let ast = self.ast;
+        for (i, p) in ast.ports.iter().enumerate() {
+            if self.port_dirs[i] == Some(Dir::Input) {
+                self.symbols[i].driver = Driver::Node(self.netlist.add_input(p.name.text));
+            }
+        }
+        let cells = self.drive_nets()?;
+        let dffs = self.connect_pins(&cells)?;
+        self.add_outputs()?;
+        self.netlist.validate()?;
+        Ok(VerilogDesign {
+            netlist: self.netlist,
+            dffs,
+        })
+    }
+
+    fn fail(&self, at: usize, kind: ParseErrorKind) -> NetlistError {
+        error_at(self.src, at, kind).into()
+    }
+
+    /// A `kind` error about `name` itself, positioned at it.
+    fn name_error(&self, name: Name<'a>, kind: fn(String) -> ParseErrorKind) -> NetlistError {
+        self.fail(name.at, kind(name.text.to_owned()))
+    }
+
+    /// Adds `name` to the namespace.
+    fn declare(&mut self, name: Name<'a>, decl: Decl) -> Result<(), NetlistError> {
+        let id = self.symbols.len();
+        if *self.names.entry(name.text).or_insert(id) != id {
+            return Err(self.name_error(name, |name| ParseErrorKind::Redeclared { name }));
+        }
+        self.symbols.push(Symbol {
+            name: name.text,
+            decl,
+            driver: Driver::None,
+            visited: 0,
+        });
+        Ok(())
+    }
+
+    /// The symbol of net `name`, if it is a declared port or wire.
+    fn net(&self, name: &str) -> Option<usize> {
+        self.names
+            .get(name)
+            .copied()
+            .filter(|&s| self.symbols[s].decl != Decl::Instance)
+    }
+
+    fn source(&self, r: NetRef<'a>) -> Source<'a> {
+        match r {
+            NetRef::Const { value, .. } => Source::Const(value),
+            NetRef::Net(n) => Source::Net {
+                name: n.text,
+                sym: self.net(n.text),
+            },
+        }
+    }
+
+    /// Declares every port and wire and settles each port's direction.
+    fn declare_ports_and_wires(&mut self) -> Result<(), NetlistError> {
+        let ast = self.ast;
+        for (i, p) in ast.ports.iter().enumerate() {
+            self.declare(p.name, Decl::Port(i))?;
+        }
+        for &(dir, n) in &ast.decls {
+            if dir == Dir::Wire {
+                self.declare(n, Decl::Wire)?;
+                continue;
+            }
+            let port = self
+                .names
+                .get(n.text)
+                .and_then(|&s| match self.symbols[s].decl {
+                    Decl::Port(i) => Some(i),
+                    _ => None,
+                });
+            match port {
+                Some(i) if self.port_dirs[i].is_none() => self.port_dirs[i] = Some(dir),
+                _ => return Err(self.name_error(n, |port| ParseErrorKind::PortDirection { port })),
+            }
+        }
+        match ast
+            .ports
+            .iter()
+            .zip(&self.port_dirs)
+            .find(|(_, d)| d.is_none())
+        {
+            Some((p, _)) => {
+                Err(self.name_error(p.name, |port| ParseErrorKind::PortDirection { port }))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Records every assign and every instance output as its net's
+    /// driver, in source order, and creates the (unconnected) cells.
+    fn drive_nets(&mut self) -> Result<Vec<Cell>, NetlistError> {
+        let ast = self.ast;
+        let mut cells = Vec::with_capacity(ast.items.len());
+        for item in &ast.items {
+            match item {
+                Item::Assign { lhs, rhs } => self.assign(*lhs, *rhs)?,
+                Item::Instance { cell, name, pins } => {
+                    cells.push(self.instance(*cell, *name, pins.clone())?);
+                }
+            }
+        }
+        Ok(cells)
+    }
+
+    fn assign(&mut self, lhs: Name<'a>, rhs: NetRef<'a>) -> Result<(), NetlistError> {
+        let Some(s) = self.net(lhs.text) else {
+            return Err(self.name_error(lhs, |net| ParseErrorKind::UndeclaredNet { net }));
+        };
+        let is_output_port =
+            matches!(self.symbols[s].decl, Decl::Port(i) if self.port_dirs[i] == Some(Dir::Output));
+        if !is_output_port {
+            return Err(self.fail(
+                lhs.at,
+                ParseErrorKind::InvalidConnection {
+                    message: format!(
+                        "assign target '{}' is not an output port \
+                         (this frontend only assigns outputs)",
+                        lhs.text
+                    ),
                 },
             ));
+        }
+        if !matches!(self.symbols[s].driver, Driver::None) {
+            return Err(self.name_error(lhs, |net| ParseErrorKind::MultipleDrivers { net }));
+        }
+        self.symbols[s].driver = Driver::Assign(self.source(rhs));
+        Ok(())
+    }
+
+    fn instance(
+        &mut self,
+        cell: Name<'a>,
+        name: Name<'a>,
+        conns: Range<usize>,
+    ) -> Result<Cell, NetlistError> {
+        let Some(kind) = CellKind::ALL
+            .into_iter()
+            .find(|k| k.lib_name() == cell.text)
+        else {
+            return Err(self.name_error(cell, |cell| ParseErrorKind::UnknownCell { cell }));
         };
-        match &net.driver {
-            Driver::Node(id) => return Ok(*id),
-            Driver::Assign(NetRef::Const { value, .. }) => {
-                return Ok(tie(*value, netlist, ties, declared))
+        self.declare(name, Decl::Instance)?;
+        let mut pins = [UNCONNECTED; SLOTS];
+        for j in conns {
+            let pin = self.ast.pins[j].pin;
+            let Some(slot) = pin_slot(kind, pin.text) else {
+                return Err(self.fail(
+                    pin.at,
+                    ParseErrorKind::UnknownPin {
+                        cell: kind.lib_name().to_owned(),
+                        pin: pin.text.to_owned(),
+                    },
+                ));
+            };
+            if pins[slot] != UNCONNECTED {
+                return Err(self.name_error(pin, |pin| ParseErrorKind::DuplicatePin { pin }));
             }
-            Driver::Assign(NetRef::Net(next)) => {
-                if !visited.insert(current) {
-                    return Err(ParseError::new(
-                        read.line,
-                        read.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!("assign cycle through net '{current}'"),
-                        },
-                    ));
-                }
-                current = &next.text;
-            }
-            Driver::None => {
-                return Err(ParseError::new(
-                    read.line,
-                    read.column,
-                    ParseErrorKind::UndrivenNet {
-                        net: current.to_owned(),
+            pins[slot] = j;
+        }
+        let out = output_pin(kind);
+        let required = pin_names(kind).iter().enumerate();
+        for (slot, pin) in required.chain(std::iter::once((OUT, &out))) {
+            if pins[slot] == UNCONNECTED {
+                return Err(self.fail(
+                    name.at,
+                    ParseErrorKind::MissingPin {
+                        cell: kind.lib_name().to_owned(),
+                        pin: (*pin).to_owned(),
                     },
                 ));
             }
         }
-    }
-}
-
-fn resolve_ref(
-    r: &NetRef,
-    nets: &HashMap<String, Net>,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> Result<NodeId, ParseError> {
-    match r {
-        NetRef::Const { value, .. } => Ok(tie(*value, netlist, ties, declared)),
-        NetRef::Net(n) => resolve_net(n, nets, netlist, ties, declared),
-    }
-}
-
-fn elaborate(ast: &Ast) -> Result<VerilogDesign, NetlistError> {
-    let lib: HashMap<&str, CellKind> = CellKind::ALL.iter().map(|&k| (k.lib_name(), k)).collect();
-
-    // --- Namespace and port directions ----------------------------------
-    // Verilog modules have a single declaration namespace: ports, wires,
-    // and instance names may not collide.
-    let mut declared: HashSet<String> = HashSet::new();
-    let mut port_index: HashMap<&str, usize> = HashMap::new();
-    let mut port_dirs: Vec<Option<Dir>> = ast.ports.iter().map(|p| p.dir).collect();
-    for (i, p) in ast.ports.iter().enumerate() {
-        if !declared.insert(p.name.text.clone()) {
-            return Err(redeclared(&p.name).into());
-        }
-        port_index.insert(&p.name.text, i);
-    }
-    let mut wires: Vec<&Name> = Vec::new();
-    for item in &ast.items {
-        let Item::Decl { dir, names } = item else {
-            continue;
-        };
-        for n in names {
-            match dir {
-                Dir::Wire => {
-                    if !declared.insert(n.text.clone()) {
-                        return Err(redeclared(n).into());
-                    }
-                    wires.push(n);
-                }
-                Dir::Input | Dir::Output => {
-                    let dir_err = || {
-                        ParseError::new(
-                            n.line,
-                            n.column,
-                            ParseErrorKind::PortDirection {
-                                port: n.text.clone(),
-                            },
-                        )
-                    };
-                    let Some(&i) = port_index.get(n.text.as_str()) else {
-                        return Err(dir_err().into());
-                    };
-                    if port_dirs[i].is_some() {
-                        return Err(dir_err().into());
-                    }
-                    port_dirs[i] = Some(*dir);
-                }
-            }
-        }
-    }
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        if d.is_none() {
-            return Err(ParseError::new(
-                p.name.line,
-                p.name.column,
-                ParseErrorKind::PortDirection {
-                    port: p.name.text.clone(),
+        if pins[RN] != UNCONNECTED && pins[SN] != UNCONNECTED {
+            return Err(self.fail(
+                name.at,
+                ParseErrorKind::InvalidConnection {
+                    message: format!(
+                        "instance '{}' connects both RN and SN \
+                         (one reset style per flop)",
+                        name.text
+                    ),
                 },
-            )
-            .into());
+            ));
         }
-    }
-
-    // --- Netlist skeleton: primary inputs, then net bookkeeping ---------
-    let mut netlist = Netlist::new(ast.name.clone());
-    let mut nets: HashMap<String, Net> = HashMap::new();
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        let driver = match d.expect("directions checked") {
-            Dir::Input => Driver::Node(netlist.add_input(&p.name.text)),
-            _ => Driver::None,
-        };
-        nets.insert(
-            p.name.text.clone(),
-            Net {
-                driver,
-                is_output_port: *d == Some(Dir::Output),
-            },
-        );
-    }
-    for w in &wires {
-        nets.insert(
-            w.text.clone(),
-            Net {
-                driver: Driver::None,
-                is_output_port: false,
-            },
-        );
-    }
-
-    // --- Assigns and instances, in source order -------------------------
-    let mut cells: Vec<CellInst> = Vec::new();
-    for item in &ast.items {
-        match item {
-            Item::Decl { .. } => {}
-            Item::Assign { lhs, rhs } => {
-                let Some(net) = nets.get_mut(&lhs.text) else {
-                    return Err(ParseError::new(
-                        lhs.line,
-                        lhs.column,
-                        ParseErrorKind::UndeclaredNet {
-                            net: lhs.text.clone(),
-                        },
-                    )
-                    .into());
-                };
-                if !net.is_output_port {
-                    return Err(ParseError::new(
-                        lhs.line,
-                        lhs.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!(
-                                "assign target '{}' is not an output port \
-                                 (this frontend only assigns outputs)",
-                                lhs.text
-                            ),
-                        },
-                    )
-                    .into());
-                }
-                if !matches!(net.driver, Driver::None) {
-                    return Err(multiple_drivers((lhs.line, lhs.column), &lhs.text).into());
-                }
-                net.driver = Driver::Assign(rhs.clone());
-            }
-            Item::Instance(inst) => {
-                let Some(&kind) = lib.get(inst.cell.text.as_str()) else {
-                    return Err(ParseError::new(
-                        inst.cell.line,
-                        inst.cell.column,
-                        ParseErrorKind::UnknownCell {
-                            cell: inst.cell.text.clone(),
-                        },
-                    )
-                    .into());
-                };
-                if !declared.insert(inst.name.text.clone()) {
-                    return Err(redeclared(&inst.name).into());
-                }
-                let inputs = pin_names(kind);
-                let out = output_pin(kind);
-                let mut pins: HashMap<String, NetRef> = HashMap::new();
-                for conn in &inst.pins {
-                    let pname = conn.pin.text.as_str();
-                    let known = inputs.contains(&pname)
-                        || pname == out
-                        || (kind.is_sequential() && DFF_CONTROL_PINS.contains(&pname));
-                    if !known {
-                        return Err(ParseError::new(
-                            conn.pin.line,
-                            conn.pin.column,
-                            ParseErrorKind::UnknownPin {
-                                cell: kind.lib_name().to_owned(),
-                                pin: pname.to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                    if pins.insert(pname.to_owned(), conn.net.clone()).is_some() {
-                        return Err(ParseError::new(
-                            conn.pin.line,
-                            conn.pin.column,
-                            ParseErrorKind::DuplicatePin {
-                                pin: pname.to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                for required in inputs.iter().chain(std::iter::once(&out)) {
-                    if !pins.contains_key(*required) {
-                        return Err(ParseError::new(
-                            inst.name.line,
-                            inst.name.column,
-                            ParseErrorKind::MissingPin {
-                                cell: kind.lib_name().to_owned(),
-                                pin: (*required).to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                if pins.contains_key("RN") && pins.contains_key("SN") {
-                    return Err(ParseError::new(
-                        inst.name.line,
-                        inst.name.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!(
-                                "instance '{}' connects both RN and SN \
-                                 (one reset style per flop)",
-                                inst.name.text
-                            ),
-                        },
-                    )
-                    .into());
-                }
-                for cp in DFF_CONTROL_PINS {
-                    if let Some(NetRef::Const { line, column, .. }) = pins.get(cp) {
-                        return Err(ParseError::new(
-                            *line,
-                            *column,
-                            ParseErrorKind::InvalidConnection {
-                                message: format!("constant on control pin '{cp}'"),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                let node = netlist.add_cell_unconnected(kind, &inst.name.text);
-                // Register the output pin as this net's driver.
-                match &pins[out] {
-                    NetRef::Const { line, column, .. } => {
-                        return Err(ParseError::new(
-                            *line,
-                            *column,
-                            ParseErrorKind::InvalidConnection {
-                                message: format!("constant on output pin '{out}'"),
-                            },
-                        )
-                        .into());
-                    }
-                    NetRef::Net(n) => {
-                        let Some(net) = nets.get_mut(&n.text) else {
-                            return Err(ParseError::new(
-                                n.line,
-                                n.column,
-                                ParseErrorKind::UndeclaredNet {
-                                    net: n.text.clone(),
-                                },
-                            )
-                            .into());
-                        };
-                        if !matches!(net.driver, Driver::None) {
-                            return Err(multiple_drivers((n.line, n.column), &n.text).into());
-                        }
-                        net.driver = Driver::Node(node);
-                    }
-                }
-                cells.push(CellInst { node, kind, pins });
+        for (cp, &j) in DFF_CONTROL_PINS.iter().zip(&pins[CONTROL..]) {
+            if let Some(NetRef::Const { at, .. }) = self.ast.pins.get(j).map(|c| c.net) {
+                return Err(self.fail(
+                    at,
+                    ParseErrorKind::InvalidConnection {
+                        message: format!("constant on control pin '{cp}'"),
+                    },
+                ));
             }
         }
+        let node = self.netlist.add_cell_unconnected(kind, name.text);
+        // Register the output pin as its net's driver.
+        match self.ast.pins[pins[OUT]].net {
+            NetRef::Const { at, .. } => {
+                return Err(self.fail(
+                    at,
+                    ParseErrorKind::InvalidConnection {
+                        message: format!("constant on output pin '{out}'"),
+                    },
+                ));
+            }
+            NetRef::Net(n) => {
+                let Some(s) = self.net(n.text) else {
+                    return Err(self.name_error(n, |net| ParseErrorKind::UndeclaredNet { net }));
+                };
+                if !matches!(self.symbols[s].driver, Driver::None) {
+                    return Err(self.name_error(n, |net| ParseErrorKind::MultipleDrivers { net }));
+                }
+                self.symbols[s].driver = Driver::Node(node);
+            }
+        }
+        Ok(Cell { node, kind, pins })
     }
 
-    // --- Connect pins (second pass: nets may be driven after first use) -
-    let mut ties = Ties::default();
-    let mut dffs: Vec<ParsedDff> = Vec::new();
-    for c in &cells {
-        for pin in pin_names(c.kind) {
-            let src = resolve_ref(&c.pins[*pin], &nets, &mut netlist, &mut ties, &mut declared)?;
-            netlist
-                .connect_pin(c.node, src)
-                .expect("pin arity pre-checked against the cell library");
-        }
-        if c.kind.is_sequential() {
+    /// Connects every cell's input pins, in instance order (nets may be
+    /// driven after their first use), and collects the DFF metadata.
+    fn connect_pins(&mut self, cells: &[Cell]) -> Result<Vec<ParsedDff>, NetlistError> {
+        let mut dffs = Vec::new();
+        for c in cells {
+            for &j in &c.pins[..pin_names(c.kind).len()] {
+                let src = self.resolve_pin(j)?;
+                self.netlist
+                    .connect_pin(c.node, src)
+                    .expect("pin arity pre-checked against the cell library");
+            }
+            if !c.kind.is_sequential() {
+                continue;
+            }
             // Control nets must exist and be driven, but carry no edges:
             // the netlist graph models the D/Q data path only.
-            for cp in DFF_CONTROL_PINS {
-                if let Some(r) = c.pins.get(cp) {
-                    resolve_ref(r, &nets, &mut netlist, &mut ties, &mut declared)?;
-                }
+            let control = &c.pins[CONTROL..];
+            for &j in control.iter().filter(|&&j| j != UNCONNECTED) {
+                self.resolve_pin(j)?;
             }
-            let clock = match c.pins.get("CK") {
-                Some(NetRef::Net(n)) => Some(n.text.clone()),
+            let clock = match self.ast.pins.get(control[0]).map(|c| c.net) {
+                Some(NetRef::Net(n)) => Some(n.text.to_owned()),
                 _ => None,
             };
-            let reset = if c.pins.contains_key("RN") {
+            let reset = if c.pins[RN] != UNCONNECTED {
                 DffReset::ActiveLowReset
-            } else if c.pins.contains_key("SN") {
+            } else if c.pins[SN] != UNCONNECTED {
                 DffReset::ActiveLowSet
             } else {
                 DffReset::Implicit
@@ -554,29 +520,98 @@ fn elaborate(ast: &Ast) -> Result<VerilogDesign, NetlistError> {
                 reset,
             });
         }
+        Ok(dffs)
     }
 
-    // --- Primary outputs, in port order ----------------------------------
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        if *d != Some(Dir::Output) {
-            continue;
+    /// Adds the primary outputs, in port order.
+    fn add_outputs(&mut self) -> Result<(), NetlistError> {
+        let ast = self.ast;
+        for (i, p) in ast.ports.iter().enumerate() {
+            if self.port_dirs[i] != Some(Dir::Output) {
+                continue;
+            }
+            if matches!(self.symbols[i].driver, Driver::None) {
+                let unassigned = |port| ParseErrorKind::UnassignedOutput { port };
+                return Err(self.name_error(p.name, unassigned));
+            }
+            let net = Source::Net {
+                name: p.name.text,
+                sym: Some(i),
+            };
+            let src = self.resolve(p.name.at, net)?;
+            self.netlist.add_output(p.name.text, src);
         }
-        if matches!(nets[&p.name.text].driver, Driver::None) {
-            return Err(ParseError::new(
-                p.name.line,
-                p.name.column,
-                ParseErrorKind::UnassignedOutput {
-                    port: p.name.text.clone(),
-                },
-            )
-            .into());
-        }
-        let src = resolve_net(&p.name, &nets, &mut netlist, &mut ties, &mut declared)?;
-        netlist.add_output(&p.name.text, src);
+        Ok(())
     }
 
-    netlist.validate()?;
-    Ok(VerilogDesign { netlist, dffs })
+    /// Resolves the net or constant connected at `ast.pins[j]`.
+    fn resolve_pin(&mut self, j: usize) -> Result<NodeId, NetlistError> {
+        let net = self.ast.pins[j].net;
+        let at = match net {
+            NetRef::Net(n) => n.at,
+            NetRef::Const { at, .. } => at,
+        };
+        let source = self.source(net);
+        self.resolve(at, source)
+    }
+
+    /// The node driving `source`, chasing assign chains; errors point at
+    /// `at`, the reference being resolved.
+    fn resolve(&mut self, at: usize, mut source: Source<'a>) -> Result<NodeId, NetlistError> {
+        self.resolves += 1;
+        loop {
+            let s = match source {
+                Source::Const(value) => return Ok(self.tie(value)),
+                Source::Net { name, sym: None } => {
+                    let net = name.to_owned();
+                    return Err(self.fail(at, ParseErrorKind::UndeclaredNet { net }));
+                }
+                Source::Net { sym: Some(s), .. } => s,
+            };
+            let net = &self.symbols[s];
+            match net.driver {
+                Driver::Node(id) => return Ok(id),
+                Driver::None => {
+                    let net = net.name.to_owned();
+                    return Err(self.fail(at, ParseErrorKind::UndrivenNet { net }));
+                }
+                Driver::Assign(_) if net.visited == self.resolves => {
+                    let message = format!("assign cycle through net '{}'", net.name);
+                    return Err(self.fail(at, ParseErrorKind::InvalidConnection { message }));
+                }
+                Driver::Assign(next) => {
+                    self.symbols[s].visited = self.resolves;
+                    source = next;
+                }
+            }
+        }
+    }
+
+    /// Materializes the shared `TIEL_X1`/`TIEH_X1` cell for a constant,
+    /// named `const0`/`const1` unless that name is taken.
+    fn tie(&mut self, value: bool) -> NodeId {
+        if let Some(id) = self.ties[usize::from(value)] {
+            return id;
+        }
+        let base = if value { "const1" } else { "const0" };
+        let mut name = base.to_owned();
+        let mut k = 1u32;
+        while self.names.contains_key(name.as_str()) {
+            name = format!("{base}_{k}");
+            k += 1;
+        }
+        let kind = if value {
+            CellKind::Tie1
+        } else {
+            CellKind::Tie0
+        };
+        let id = self
+            .netlist
+            .add_cell(kind, name, &[])
+            .expect("tie cells have no input pins");
+        self.ties[usize::from(value)] = Some(id);
+        id
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Recursive-descent parser: token stream → module AST.
+//! Recursive-descent parser: token stream → a flat module AST whose
+//! names borrow from the source.
 //!
 //! The grammar is the structural subset a Design-Compiler-class tool
 //! writes and ISCAS/ITC-style benchmark distributions use:
@@ -17,33 +18,31 @@
 //! `consume_*` combinators return `Option` and never fail; `expect_*`
 //! combinators produce a positioned expected-vs-found [`ParseError`].
 
-use super::error::{ParseError, ParseErrorKind};
-use super::token::{lex, Spanned, Token};
+use std::ops::Range;
 
-/// An identifier with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Name {
+use super::error::{ParseError, ParseErrorKind};
+use super::token::{error_at, lex, position, Kind, Token};
+
+/// An identifier and the byte offset it starts at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Name<'a> {
     /// The identifier text.
-    pub text: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub column: u32,
+    pub text: &'a str,
+    /// Byte offset of the identifier's first character.
+    pub at: usize,
 }
 
 /// The right-hand side of a pin connection or assign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetRef {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetRef<'a> {
     /// A named net.
-    Net(Name),
+    Net(Name<'a>),
     /// A constant bit (`1'b0` / `1'b1`).
     Const {
         /// The bit value.
         value: bool,
-        /// 1-based source line.
-        line: u32,
-        /// 1-based source column.
-        column: u32,
+        /// Byte offset of the constant.
+        at: usize,
     },
 }
 
@@ -58,113 +57,96 @@ pub enum Dir {
     Wire,
 }
 
-/// One module-body item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Item {
-    /// `input a, b;` / `output y;` / `wire n1, n2;`
-    Decl {
-        /// The declared direction.
-        dir: Dir,
-        /// Declared names, in source order.
-        names: Vec<Name>,
-    },
-    /// `assign lhs = rhs;`
-    Assign {
-        /// The assigned net (an output port in this frontend).
-        lhs: Name,
-        /// The driving net or constant.
-        rhs: NetRef,
-    },
-    /// `CELL inst (.PIN(net), ...);`
-    Instance(Instance),
-}
-
-/// One cell instantiation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Instance {
-    /// The library cell name (e.g. `NAND2_X1`).
-    pub cell: Name,
-    /// The instance name.
-    pub name: Name,
-    /// Named pin connections, in source order.
-    pub pins: Vec<PinConn>,
-}
-
-/// One named pin connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PinConn {
-    /// The pin name (e.g. `A`, `Y`, `CK`).
-    pub pin: Name,
-    /// The connected net or constant.
-    pub net: NetRef,
-}
-
 /// One port-list entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Port {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Port<'a> {
     /// The port name.
-    pub name: Name,
+    pub name: Name<'a>,
     /// ANSI-style inline direction, if given in the port list.
     pub dir: Option<Dir>,
 }
 
+/// One named pin connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PinConn<'a> {
+    /// The pin name (e.g. `A`, `Y`, `CK`).
+    pub pin: Name<'a>,
+    /// The connected net or constant.
+    pub net: NetRef<'a>,
+}
+
+/// An assign or a cell instantiation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Item<'a> {
+    /// `assign lhs = rhs;`
+    Assign {
+        /// The assigned net (an output port in this frontend).
+        lhs: Name<'a>,
+        /// The driving net or constant.
+        rhs: NetRef<'a>,
+    },
+    /// `CELL inst (.PIN(net), ...);`
+    Instance {
+        /// The library cell name (e.g. `NAND2_X1`).
+        cell: Name<'a>,
+        /// The instance name.
+        name: Name<'a>,
+        /// The instance's pin connections: a range of [`Ast::pins`].
+        pins: Range<usize>,
+    },
+}
+
 /// The parsed module, before elaboration into a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ast {
+pub struct Ast<'a> {
     /// The module name.
-    pub name: String,
+    pub name: &'a str,
     /// Port list, in source order.
-    pub ports: Vec<Port>,
-    /// Body items, in source order.
-    pub items: Vec<Item>,
+    pub ports: Vec<Port<'a>>,
+    /// Every name of every `input`/`output`/`wire` declaration, in source
+    /// order.
+    pub decls: Vec<(Dir, Name<'a>)>,
+    /// Assigns and instances, in source order.
+    pub items: Vec<Item<'a>>,
+    /// Every instance's named pin connections, back to back.
+    pub pins: Vec<PinConn<'a>>,
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'t, 'a> {
+    src: &'a str,
+    tokens: &'t [Token<'a>],
     pos: usize,
-    end_line: u32,
-    end_column: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
-
-    fn advance(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    /// Position for diagnostics at the current token (or EOF).
-    fn here(&self) -> (u32, u32) {
-        self.peek()
-            .map_or((self.end_line, self.end_column), |s| (s.line, s.column))
-    }
-
-    fn found(&self) -> String {
-        self.peek()
-            .map_or_else(|| "end of input".into(), |s| s.token.describe())
+impl<'a> Parser<'_, 'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
-        let (line, column) = self.here();
-        ParseError::new(
-            line,
-            column,
-            ParseErrorKind::UnexpectedToken {
-                expected: expected.into(),
-                found: self.found(),
-            },
-        )
+        let found = self
+            .peek()
+            .map_or_else(|| "end of input".into(), |t| t.describe());
+        let kind = ParseErrorKind::UnexpectedToken {
+            expected: expected.into(),
+            found,
+        };
+        match self.peek() {
+            Some(t) => error_at(self.src, t.at, kind),
+            // EOF diagnostics point one past the last token's start.
+            None => {
+                let (line, column) = self.tokens.last().map_or((1, 1), |t| {
+                    let (line, column) = position(self.src, t.at);
+                    (line, column.saturating_add(1))
+                });
+                ParseError::new(line, column, kind)
+            }
+        }
     }
 
-    /// Consumes the next token when it equals `token`.
-    fn consume(&mut self, token: &Token) -> bool {
-        if self.peek().is_some_and(|s| s.token == *token) {
+    /// Consumes the next token when it is of `kind`.
+    fn consume(&mut self, kind: Kind) -> bool {
+        if self.peek().is_some_and(|t| t.kind == kind) {
             self.pos += 1;
             true
         } else {
@@ -173,29 +155,18 @@ impl Parser {
     }
 
     /// Consumes an identifier, if one is next.
-    fn consume_ident(&mut self) -> Option<Name> {
-        if let Some(Spanned {
-            token: Token::Ident(_),
-            ..
-        }) = self.peek()
-        {
-            let s = self.advance().expect("peeked");
-            let Token::Ident(text) = s.token else {
-                unreachable!()
-            };
-            Some(Name {
-                text,
-                line: s.line,
-                column: s.column,
-            })
-        } else {
-            None
-        }
+    fn consume_ident(&mut self) -> Option<Name<'a>> {
+        let t = self.peek().filter(|t| t.kind == Kind::Ident)?;
+        self.pos += 1;
+        Some(Name {
+            text: t.text,
+            at: t.at,
+        })
     }
 
-    /// Requires the next token to equal `token`.
-    fn expect(&mut self, token: &Token, expected: &str) -> Result<(), ParseError> {
-        if self.consume(token) {
+    /// Requires the next token to be of `kind`.
+    fn expect(&mut self, kind: Kind, expected: &str) -> Result<(), ParseError> {
+        if self.consume(kind) {
             Ok(())
         } else {
             Err(self.unexpected(expected))
@@ -203,137 +174,129 @@ impl Parser {
     }
 
     /// Requires an identifier next.
-    fn expect_ident(&mut self, expected: &str) -> Result<Name, ParseError> {
+    fn expect_ident(&mut self, expected: &str) -> Result<Name<'a>, ParseError> {
         self.consume_ident()
             .ok_or_else(|| self.unexpected(expected))
     }
 
     /// Requires an identifier or constant next.
-    fn expect_net_ref(&mut self, expected: &str) -> Result<NetRef, ParseError> {
+    fn expect_net_ref(&mut self, expected: &str) -> Result<NetRef<'a>, ParseError> {
         if let Some(name) = self.consume_ident() {
             return Ok(NetRef::Net(name));
         }
-        if let Some(Spanned {
-            token: Token::Const(_),
+        if let Some(Token {
+            kind: Kind::Const(value),
+            at,
             ..
         }) = self.peek()
         {
-            let s = self.advance().expect("peeked");
-            let Token::Const(value) = s.token else {
-                unreachable!()
-            };
-            return Ok(NetRef::Const {
-                value,
-                line: s.line,
-                column: s.column,
-            });
+            self.pos += 1;
+            return Ok(NetRef::Const { value, at });
         }
         Err(self.unexpected(expected))
     }
 
-    fn parse_ports(&mut self) -> Result<Vec<Port>, ParseError> {
+    fn parse_ports(&mut self) -> Result<Vec<Port<'a>>, ParseError> {
         let mut ports = Vec::new();
-        if self.consume(&Token::RParen) {
+        if self.consume(Kind::RParen) {
             return Ok(ports);
         }
         loop {
-            let dir = if self.consume(&Token::Input) {
+            let dir = if self.consume(Kind::Input) {
                 Some(Dir::Input)
-            } else if self.consume(&Token::Output) {
+            } else if self.consume(Kind::Output) {
                 Some(Dir::Output)
             } else {
                 None
             };
             let name = self.expect_ident("a port name")?;
             ports.push(Port { name, dir });
-            if self.consume(&Token::Comma) {
+            if self.consume(Kind::Comma) {
                 continue;
             }
-            self.expect(&Token::RParen, "')' or ',' in the port list")?;
+            self.expect(Kind::RParen, "')' or ',' in the port list")?;
             return Ok(ports);
         }
     }
 
-    fn parse_decl(&mut self, dir: Dir) -> Result<Item, ParseError> {
-        let mut names = vec![self.expect_ident("a declared name")?];
-        while self.consume(&Token::Comma) {
-            names.push(self.expect_ident("a declared name")?);
+    fn parse_decl(&mut self, dir: Dir, decls: &mut Vec<(Dir, Name<'a>)>) -> Result<(), ParseError> {
+        decls.push((dir, self.expect_ident("a declared name")?));
+        while self.consume(Kind::Comma) {
+            decls.push((dir, self.expect_ident("a declared name")?));
         }
-        self.expect(&Token::Semi, "';' after the declaration")?;
-        Ok(Item::Decl { dir, names })
+        self.expect(Kind::Semi, "';' after the declaration")
     }
 
-    fn parse_assign(&mut self) -> Result<Item, ParseError> {
+    fn parse_assign(&mut self) -> Result<Item<'a>, ParseError> {
         let lhs = self.expect_ident("the assigned net")?;
-        self.expect(&Token::Equals, "'=' in the assign")?;
+        self.expect(Kind::Equals, "'=' in the assign")?;
         let rhs = self.expect_net_ref("a driving net or 1'b0/1'b1")?;
-        self.expect(&Token::Semi, "';' after the assign")?;
+        self.expect(Kind::Semi, "';' after the assign")?;
         Ok(Item::Assign { lhs, rhs })
     }
 
-    fn parse_instance(&mut self) -> Result<Item, ParseError> {
+    fn parse_instance(&mut self, pins: &mut Vec<PinConn<'a>>) -> Result<Item<'a>, ParseError> {
         let cell = self.expect_ident("a cell name")?;
         let name = self.expect_ident("an instance name")?;
-        self.expect(&Token::LParen, "'(' opening the pin connections")?;
-        let mut pins = Vec::new();
-        if !self.consume(&Token::RParen) {
+        self.expect(Kind::LParen, "'(' opening the pin connections")?;
+        let first = pins.len();
+        if !self.consume(Kind::RParen) {
             loop {
-                self.expect(&Token::Dot, "'.' starting a named pin connection")?;
+                self.expect(Kind::Dot, "'.' starting a named pin connection")?;
                 let pin = self.expect_ident("a pin name")?;
-                self.expect(&Token::LParen, "'(' after the pin name")?;
+                self.expect(Kind::LParen, "'(' after the pin name")?;
                 let net = self.expect_net_ref("a net name or 1'b0/1'b1")?;
-                self.expect(&Token::RParen, "')' closing the pin connection")?;
+                self.expect(Kind::RParen, "')' closing the pin connection")?;
                 pins.push(PinConn { pin, net });
-                if self.consume(&Token::Comma) {
+                if self.consume(Kind::Comma) {
                     continue;
                 }
-                self.expect(&Token::RParen, "')' or ',' after a pin connection")?;
+                self.expect(Kind::RParen, "')' or ',' after a pin connection")?;
                 break;
             }
         }
-        self.expect(&Token::Semi, "';' after the instance")?;
-        Ok(Item::Instance(Instance { cell, name, pins }))
+        self.expect(Kind::Semi, "';' after the instance")?;
+        Ok(Item::Instance {
+            cell,
+            name,
+            pins: first..pins.len(),
+        })
     }
 
-    fn parse_module(&mut self) -> Result<Ast, ParseError> {
-        self.expect(&Token::Module, "keyword 'module'")?;
+    fn parse_module(&mut self) -> Result<Ast<'a>, ParseError> {
+        self.expect(Kind::Module, "keyword 'module'")?;
         let name = self.expect_ident("the module name")?;
-        self.expect(&Token::LParen, "'(' opening the port list")?;
+        self.expect(Kind::LParen, "'(' opening the port list")?;
         let ports = self.parse_ports()?;
-        self.expect(&Token::Semi, "';' after the port list")?;
+        self.expect(Kind::Semi, "';' after the port list")?;
 
+        let mut decls = Vec::new();
         let mut items = Vec::new();
+        let mut pins = Vec::new();
         loop {
-            if self.consume(&Token::Endmodule) {
+            if self.consume(Kind::Endmodule) {
                 break;
             }
-            let item = if self.consume(&Token::Input) {
-                self.parse_decl(Dir::Input)?
-            } else if self.consume(&Token::Output) {
-                self.parse_decl(Dir::Output)?
-            } else if self.consume(&Token::Wire) {
-                self.parse_decl(Dir::Wire)?
-            } else if self.consume(&Token::Assign) {
-                self.parse_assign()?
-            } else if matches!(
-                self.peek(),
-                Some(Spanned {
-                    token: Token::Ident(_),
-                    ..
-                })
-            ) {
-                self.parse_instance()?
+            if self.consume(Kind::Input) {
+                self.parse_decl(Dir::Input, &mut decls)?;
+            } else if self.consume(Kind::Output) {
+                self.parse_decl(Dir::Output, &mut decls)?;
+            } else if self.consume(Kind::Wire) {
+                self.parse_decl(Dir::Wire, &mut decls)?;
+            } else if self.consume(Kind::Assign) {
+                items.push(self.parse_assign()?);
+            } else if self.peek().is_some_and(|t| t.kind == Kind::Ident) {
+                items.push(self.parse_instance(&mut pins)?);
             } else {
                 return Err(self.unexpected("a declaration, assign, instance, or 'endmodule'"));
-            };
-            items.push(item);
+            }
         }
 
         if let Some(next) = self.peek() {
-            let err = if next.token == Token::Module {
-                ParseError::new(
-                    next.line,
-                    next.column,
+            let err = if next.kind == Kind::Module {
+                error_at(
+                    self.src,
+                    next.at,
                     ParseErrorKind::Unsupported {
                         construct: "more than one module per source".into(),
                     },
@@ -346,30 +309,28 @@ impl Parser {
         Ok(Ast {
             name: name.text,
             ports,
+            decls,
             items,
+            pins,
         })
     }
 }
 
-/// Parses `src` into an [`Ast`].
+/// Parses `src` into an [`Ast`]. The whole source is tokenized first, so
+/// a lexical error anywhere wins over a syntax error before it.
 ///
 /// # Errors
 ///
 /// Returns the first lexical or syntactic [`ParseError`], positioned at
 /// the offending token.
-pub fn parse_source(src: &str) -> Result<Ast, ParseError> {
+pub fn parse_source(src: &str) -> Result<Ast<'_>, ParseError> {
     let tokens = lex(src)?;
-    // EOF diagnostics point one past the last token.
-    let (end_line, end_column) = tokens
-        .last()
-        .map_or((1, 1), |s| (s.line, s.column.saturating_add(1)));
-    let mut parser = Parser {
-        tokens,
+    Parser {
+        src,
+        tokens: &tokens,
         pos: 0,
-        end_line,
-        end_column,
-    };
-    parser.parse_module()
+    }
+    .parse_module()
 }
 
 #[cfg(test)]
@@ -383,18 +344,17 @@ mod tests {
         assert_eq!(ansi.ports[0].dir, Some(Dir::Input));
         let plain = parse_source("module m (a, y); input a; output y; endmodule").unwrap();
         assert_eq!(plain.ports[0].dir, None);
-        assert_eq!(plain.items.len(), 2);
+        assert_eq!(plain.decls.len(), 2);
     }
 
     #[test]
     fn parses_multi_name_declarations() {
         let ast = parse_source("module m (); wire a, b, c; endmodule").unwrap();
-        let Item::Decl { dir, names } = &ast.items[0] else {
-            panic!("expected a decl");
-        };
-        assert_eq!(*dir, Dir::Wire);
-        let texts: Vec<&str> = names.iter().map(|n| n.text.as_str()).collect();
-        assert_eq!(texts, ["a", "b", "c"]);
+        let texts: Vec<(Dir, &str)> = ast.decls.iter().map(|(d, n)| (*d, n.text)).collect();
+        assert_eq!(
+            texts,
+            [(Dir::Wire, "a"), (Dir::Wire, "b"), (Dir::Wire, "c")]
+        );
     }
 
     #[test]
@@ -407,15 +367,14 @@ mod tests {
              endmodule",
         )
         .unwrap();
-        let Item::Instance(inst) = &ast.items[1] else {
+        let Item::Instance { cell, pins, .. } = &ast.items[0] else {
             panic!("expected an instance");
         };
-        assert_eq!(inst.cell.text, "NAND2_X1");
-        assert_eq!(inst.pins.len(), 3);
-        assert!(matches!(
-            inst.pins[1].net,
-            NetRef::Const { value: true, .. }
-        ));
+        assert_eq!(cell.text, "NAND2_X1");
+        let pins = &ast.pins[pins.clone()];
+        assert_eq!(pins.len(), 3);
+        assert!(matches!(pins[1].net, NetRef::Const { value: true, .. }));
+        assert!(matches!(ast.items[1], Item::Assign { .. }));
     }
 
     #[test]
@@ -434,6 +393,15 @@ mod tests {
             err.kind,
             ParseErrorKind::UnexpectedToken { ref found, .. } if found == "end of input"
         ));
+        // One column past the start of the last token, the `,`.
+        assert_eq!((err.line, err.column), (1, 38));
+    }
+
+    #[test]
+    fn a_lex_error_anywhere_wins_over_an_earlier_syntax_error() {
+        let err = parse_source("module m (;\n wire 4'b0;").unwrap_err();
+        assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
+        assert_eq!(err.line, 2);
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Tokenizer for gate-level structural Verilog.
 //!
-//! Produces a typed token stream with 1-based line/column spans. Handles
-//! the lexical surface real benchmark netlists actually use: `//` and
-//! `/* */` comments, simple and escaped (`\any[chars] `) identifiers, and
-//! the single-bit constants `1'b0` / `1'b1`.
+//! One pass over the source bytes yields `Copy` [`Token`]s: a kind, the
+//! byte offset of the token's first character, and, for identifiers, the
+//! name borrowed from the source. Lines and columns are not tracked while
+//! scanning; [`error_at`] derives them from an offset when an error is
+//! built. Handles the lexical surface real benchmark netlists actually
+//! use: `//` and `/* */` comments, simple and escaped (`\any[chars] `)
+//! identifiers, and the single-bit constants `1'b0` / `1'b1`.
 
 use super::error::{ParseError, ParseErrorKind};
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
-    /// A simple or escaped identifier (escaped identifiers are stored
-    /// without the leading backslash or terminating whitespace).
-    Ident(String),
+/// What a token is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A simple or escaped identifier; its name is [`Token::text`].
+    Ident,
     /// A single-bit constant: `1'b0` (false) or `1'b1` (true).
     Const(bool),
     /// `(`
@@ -41,97 +43,98 @@ pub enum Token {
     Assign,
 }
 
-impl Token {
+/// One lexical token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
+    /// The token's kind.
+    pub kind: Kind,
+    /// Byte offset of the token's first character (the backslash of an
+    /// escaped identifier).
+    pub at: usize,
+    /// An identifier's name, without an escaped identifier's backslash
+    /// and terminating whitespace; empty for every other kind.
+    pub text: &'a str,
+}
+
+impl Token<'_> {
     /// Human-readable description for expected-vs-found diagnostics.
     pub fn describe(&self) -> String {
-        match self {
-            Token::Ident(s) => format!("identifier '{s}'"),
-            Token::Const(b) => format!("constant 1'b{}", u8::from(*b)),
-            Token::LParen => "'('".into(),
-            Token::RParen => "')'".into(),
-            Token::Semi => "';'".into(),
-            Token::Comma => "','".into(),
-            Token::Dot => "'.'".into(),
-            Token::Equals => "'='".into(),
-            Token::Module => "keyword 'module'".into(),
-            Token::Endmodule => "keyword 'endmodule'".into(),
-            Token::Input => "keyword 'input'".into(),
-            Token::Output => "keyword 'output'".into(),
-            Token::Wire => "keyword 'wire'".into(),
-            Token::Assign => "keyword 'assign'".into(),
+        match self.kind {
+            Kind::Ident => format!("identifier '{}'", self.text),
+            Kind::Const(b) => format!("constant 1'b{}", u8::from(b)),
+            Kind::LParen => "'('".into(),
+            Kind::RParen => "')'".into(),
+            Kind::Semi => "';'".into(),
+            Kind::Comma => "','".into(),
+            Kind::Dot => "'.'".into(),
+            Kind::Equals => "'='".into(),
+            Kind::Module => "keyword 'module'".into(),
+            Kind::Endmodule => "keyword 'endmodule'".into(),
+            Kind::Input => "keyword 'input'".into(),
+            Kind::Output => "keyword 'output'".into(),
+            Kind::Wire => "keyword 'wire'".into(),
+            Kind::Assign => "keyword 'assign'".into(),
         }
     }
 }
 
-/// A token plus the 1-based position of its first character.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
-    /// The token.
-    pub token: Token,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub column: u32,
+/// The 1-based line and column of byte offset `at` in `src`. Columns
+/// count bytes, so a multibyte character advances the column by its
+/// encoded length.
+pub fn position(src: &str, at: usize) -> (u32, u32) {
+    let before = &src.as_bytes()[..at];
+    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    (line as u32, (1 + at - line_start) as u32)
+}
+
+/// A [`ParseError`] positioned at byte offset `at` of `src`.
+pub fn error_at(src: &str, at: usize, kind: ParseErrorKind) -> ParseError {
+    let (line, column) = position(src, at);
+    ParseError::new(line, column, kind)
 }
 
 /// Reserved words this frontend refuses as bare identifiers. Names that
 /// collide with these must be written as escaped identifiers.
-pub fn keyword(word: &str) -> Option<Token> {
+pub fn keyword(word: &str) -> Option<Kind> {
     match word {
-        "module" => Some(Token::Module),
-        "endmodule" => Some(Token::Endmodule),
-        "input" => Some(Token::Input),
-        "output" => Some(Token::Output),
-        "wire" => Some(Token::Wire),
-        "assign" => Some(Token::Assign),
+        "module" => Some(Kind::Module),
+        "endmodule" => Some(Kind::Endmodule),
+        "input" => Some(Kind::Input),
+        "output" => Some(Kind::Output),
+        "wire" => Some(Kind::Wire),
+        "assign" => Some(Kind::Assign),
         _ => None,
     }
 }
 
+/// Bytes that may continue a simple identifier: `[A-Za-z0-9_$]`.
+static IDENT_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || c == b'_' || c == b'$';
+        b += 1;
+    }
+    table
+};
+
+fn is_ident_byte(b: u8) -> bool {
+    IDENT_BYTE[usize::from(b)]
+}
+
 /// Whether `name` can be emitted as a bare (unescaped) identifier.
 pub fn is_simple_ident(name: &str) -> bool {
-    let mut chars = name.chars();
-    let leading_ok = chars
-        .next()
-        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_');
-    leading_ok
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
+    let bytes = name.as_bytes();
+    bytes
+        .first()
+        .is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_')
+        && bytes.iter().all(|&c| is_ident_byte(c))
         && keyword(name).is_none()
-}
-
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-    column: u32,
-}
-
-impl<'a> Lexer<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(b)
-    }
-
-    fn err(&self, line: u32, column: u32, message: String) -> ParseError {
-        ParseError::new(line, column, ParseErrorKind::Lex { message })
-    }
 }
 
 /// Tokenizes `src`.
@@ -142,63 +145,51 @@ impl<'a> Lexer<'a> {
 /// characters, unterminated block comments, non-single-bit literals, and
 /// empty escaped identifiers; bus-range brackets get a dedicated
 /// [`ParseErrorKind::Unsupported`] diagnostic.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        column: 1,
-    };
-    let mut out = Vec::new();
-    while let Some(b) = lx.peek() {
-        let (line, column) = (lx.line, lx.column);
-        match b {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let bytes = src.as_bytes();
+    let lex_err = |at: usize, message: String| error_at(src, at, ParseErrorKind::Lex { message });
+    // Writer output averages a little under five source bytes per token.
+    let mut out = Vec::with_capacity(bytes.len() / 4);
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let at = i;
+        let (kind, text) = match b {
             b' ' | b'\t' | b'\r' | b'\n' => {
-                lx.bump();
+                i += 1;
+                continue;
             }
-            b'/' if lx.peek2() == Some(b'/') => {
-                while let Some(c) = lx.peek() {
-                    if c == b'\n' {
-                        break;
-                    }
-                    lx.bump();
-                }
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                // The newline itself is left for the whitespace arm.
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                continue;
             }
-            b'/' if lx.peek2() == Some(b'*') => {
-                lx.bump();
-                lx.bump();
-                let mut closed = false;
-                while let Some(c) = lx.bump() {
-                    if c == b'*' && lx.peek() == Some(b'/') {
-                        lx.bump();
-                        closed = true;
-                        break;
-                    }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let body = i + 2;
+                match bytes[body..].windows(2).position(|w| w == b"*/") {
+                    Some(n) => i = body + n + 2,
+                    None => return Err(lex_err(at, "unterminated block comment".into())),
                 }
-                if !closed {
-                    return Err(lx.err(line, column, "unterminated block comment".into()));
-                }
+                continue;
             }
             b'(' | b')' | b';' | b',' | b'.' | b'=' => {
-                lx.bump();
-                let token = match b {
-                    b'(' => Token::LParen,
-                    b')' => Token::RParen,
-                    b';' => Token::Semi,
-                    b',' => Token::Comma,
-                    b'.' => Token::Dot,
-                    _ => Token::Equals,
+                i += 1;
+                let kind = match b {
+                    b'(' => Kind::LParen,
+                    b')' => Kind::RParen,
+                    b';' => Kind::Semi,
+                    b',' => Kind::Comma,
+                    b'.' => Kind::Dot,
+                    _ => Kind::Equals,
                 };
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
-                });
+                (kind, "")
             }
             b'[' | b']' => {
-                return Err(ParseError::new(
-                    line,
-                    column,
+                return Err(error_at(
+                    src,
+                    at,
                     ParseErrorKind::Unsupported {
                         construct: "bus ranges / bit selects (flatten buses to scalar nets, \
                                     or use escaped identifiers like `\\q[0] `)"
@@ -207,77 +198,55 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                 ));
             }
             b'\\' => {
-                lx.bump();
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_whitespace() {
-                        break;
-                    }
-                    lx.bump();
+                let start = i + 1;
+                i = bytes[start..]
+                    .iter()
+                    .position(u8::is_ascii_whitespace)
+                    .map_or(bytes.len(), |n| start + n);
+                if i == start {
+                    return Err(lex_err(at, "empty escaped identifier".into()));
                 }
-                if lx.pos == start {
-                    return Err(lx.err(line, column, "empty escaped identifier".into()));
-                }
-                // Escaped identifiers are raw bytes up to whitespace; the
-                // source is UTF-8, so the slice is too.
-                let name = String::from_utf8_lossy(&lx.src[start..lx.pos]).into_owned();
-                out.push(Spanned {
-                    token: Token::Ident(name),
-                    line,
-                    column,
-                });
+                // Escaped identifiers are raw bytes up to ASCII whitespace,
+                // which never splits a UTF-8 sequence.
+                (Kind::Ident, &src[start..i])
             }
             _ if b.is_ascii_alphabetic() || b == b'_' => {
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' || c == b'$' {
-                        lx.bump();
-                    } else {
-                        break;
-                    }
+                i += 1;
+                while bytes.get(i).is_some_and(|&c| is_ident_byte(c)) {
+                    i += 1;
                 }
-                let word = std::str::from_utf8(&lx.src[start..lx.pos])
-                    .expect("ascii ident bytes are utf-8");
-                let token = keyword(word).unwrap_or_else(|| Token::Ident(word.to_owned()));
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
-                });
+                let word = &src[at..i];
+                match keyword(word) {
+                    Some(kind) => (kind, ""),
+                    None => (Kind::Ident, word),
+                }
             }
             _ if b.is_ascii_digit() => {
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'\'' || c == b'_' {
-                        lx.bump();
-                    } else {
-                        break;
-                    }
+                i += 1;
+                while bytes
+                    .get(i)
+                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'\'' || c == b'_')
+                {
+                    i += 1;
                 }
-                let lit = std::str::from_utf8(&lx.src[start..lx.pos])
-                    .expect("ascii literal bytes are utf-8");
-                let token = match lit {
-                    "1'b0" => Token::Const(false),
-                    "1'b1" => Token::Const(true),
-                    _ => {
-                        return Err(lx.err(
-                            line,
-                            column,
+                let kind = match &src[at..i] {
+                    "1'b0" => Kind::Const(false),
+                    "1'b1" => Kind::Const(true),
+                    lit => {
+                        return Err(lex_err(
+                            at,
                             format!("unsupported literal '{lit}' (only 1'b0 and 1'b1)"),
                         ))
                     }
                 };
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
-                });
+                (kind, "")
             }
             _ => {
-                let ch = src[lx.pos..].chars().next().unwrap_or('?');
-                return Err(lx.err(line, column, format!("unexpected character '{ch}'")));
+                let ch = src[at..].chars().next().unwrap_or('?');
+                return Err(lex_err(at, format!("unexpected character '{ch}'")));
             }
-        }
+        };
+        out.push(Token { kind, at, text });
     }
     Ok(out)
 }
@@ -286,8 +255,20 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
-        lex(src).unwrap().into_iter().map(|s| s.token).collect()
+    fn toks(src: &str) -> Vec<(Kind, &str)> {
+        lex(src)
+            .unwrap()
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
+    }
+
+    fn positions(src: &str) -> Vec<(u32, u32)> {
+        lex(src)
+            .unwrap()
+            .iter()
+            .map(|t| position(src, t.at))
+            .collect()
     }
 
     #[test]
@@ -296,34 +277,37 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                Token::Module,
-                Token::Ident("m".into()),
-                Token::LParen,
-                Token::Ident("a".into()),
-                Token::RParen,
-                Token::Semi,
-                Token::Wire,
-                Token::Ident("w".into()),
-                Token::Semi,
-                Token::Ident("q[0]".into()),
-                Token::Const(false),
-                Token::Const(true),
-                Token::Endmodule,
+                (Kind::Module, ""),
+                (Kind::Ident, "m"),
+                (Kind::LParen, ""),
+                (Kind::Ident, "a"),
+                (Kind::RParen, ""),
+                (Kind::Semi, ""),
+                (Kind::Wire, ""),
+                (Kind::Ident, "w"),
+                (Kind::Semi, ""),
+                (Kind::Ident, "q[0]"),
+                (Kind::Const(false), ""),
+                (Kind::Const(true), ""),
+                (Kind::Endmodule, ""),
             ]
         );
     }
 
     #[test]
     fn positions_are_one_based_lines_and_columns() {
-        let spans = lex("module\n  foo").unwrap();
-        assert_eq!((spans[0].line, spans[0].column), (1, 1));
-        assert_eq!((spans[1].line, spans[1].column), (2, 3));
+        assert_eq!(positions("module\n  foo"), [(1, 1), (2, 3)]);
     }
 
     #[test]
     fn comment_newlines_advance_the_line_counter() {
-        let spans = lex("/* a\nb\nc */ x").unwrap();
-        assert_eq!((spans[0].line, spans[0].column), (3, 6));
+        assert_eq!(positions("/* a\nb\nc */ x"), [(3, 6)]);
+    }
+
+    #[test]
+    fn columns_count_bytes() {
+        // `é` is two bytes, so `x` starts at byte column 5.
+        assert_eq!(positions("\\é x"), [(1, 1), (1, 5)]);
     }
 
     #[test]
@@ -332,6 +316,9 @@ mod tests {
         assert_eq!((err.line, err.column), (1, 9));
         assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
         assert!(err.to_string().contains("unterminated"), "{err}");
+        // The opener's `*` does not also close the comment.
+        assert!(lex("/*/ x").is_err());
+        assert_eq!(toks("/**/ x"), [(Kind::Ident, "x")]);
     }
 
     #[test]
@@ -351,7 +338,7 @@ mod tests {
     fn escaped_identifier_preserves_special_characters() {
         assert_eq!(
             toks("\\a.b[3] x"),
-            vec![Token::Ident("a.b[3]".into()), Token::Ident("x".into()),]
+            vec![(Kind::Ident, "a.b[3]"), (Kind::Ident, "x")]
         );
         assert!(lex("\\ x").is_err(), "empty escaped identifier");
     }

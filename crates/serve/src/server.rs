@@ -460,7 +460,11 @@ fn decode_request(payload: &[u8]) -> Result<(u64, Netlist), (ErrorCode, String)>
     let _sp = moss_obs::span("serve.decode");
     let text = std::str::from_utf8(payload)
         .map_err(|_| (ErrorCode::BadFrame, "payload is not UTF-8".to_string()))?;
-    let netlist = parse_verilog(text).map_err(|e| match e {
+    let parsed = {
+        let _sp = moss_obs::span("serve.parse");
+        parse_verilog(text)
+    };
+    let netlist = parsed.map_err(|e| match e {
         // The frontend's typed errors carry a source position; forward it
         // so clients can point at the offending line of their netlist.
         moss_netlist::NetlistError::Verilog(p) => (ErrorCode::Parse, format!("parse error: {p}")),
@@ -468,7 +472,10 @@ fn decode_request(payload: &[u8]) -> Result<(u64, Netlist), (ErrorCode, String)>
         // combinational cycle caught by validation).
         other => (ErrorCode::Graph, format!("netlist error: {other}")),
     })?;
-    let hash = canonical_hash(&netlist);
+    let hash = {
+        let _sp = moss_obs::span("serve.hash");
+        canonical_hash(&netlist)
+    };
     Ok((hash, netlist))
 }
 

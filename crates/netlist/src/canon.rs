@@ -91,13 +91,10 @@ fn sorted_lines<'t>(netlist: &Netlist, text: &'t mut String) -> Vec<&'t str> {
 /// ```
 pub fn canonical_form(netlist: &Netlist) -> String {
     let mut text = String::new();
-    let lines = sorted_lines(netlist, &mut text);
-    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-    for line in lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+    sorted_lines(netlist, &mut text)
+        .into_iter()
+        .flat_map(|line| [line, "\n"])
+        .collect()
 }
 
 /// Content hash of the canonicalized netlist (FNV-1a over
@@ -110,14 +107,12 @@ pub fn canonical_form(netlist: &Netlist) -> String {
 /// every deployed cache (a regression test pins one value).
 pub fn canonical_hash(netlist: &Netlist) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
     let mut text = String::new();
     for line in sorted_lines(netlist, &mut text) {
-        line.bytes().for_each(&mut eat);
-        eat(b'\n');
+        for b in line.bytes().chain([b'\n']) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     h
 }

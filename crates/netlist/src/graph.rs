@@ -310,8 +310,8 @@ impl Netlist {
 
     /// Looks a node up by name (first node added under that name wins).
     ///
-    /// A linear scan: the netlist keeps no name index, so building one
-    /// costs nothing for callers that never look names up.
+    /// A linear scan: the netlist keeps no name index, so callers that
+    /// never look names up, such as the Verilog parser, pay nothing for one.
     pub fn find(&self, name: &str) -> Option<NodeId> {
         self.nodes
             .iter()

@@ -11,9 +11,9 @@
 //!
 //! Parsing costs bytes, not allocations: tokens and the AST borrow every
 //! name from the source and carry byte offsets (lines and columns are
-//! computed only for an error), and the elaborator resolves each name
-//! occurrence with one lookup in a single namespace table. The netlist's
-//! node names are the only strings it copies.
+//! computed only for an error), and the elaborator resolves names through
+//! a single namespace table. Apart from error messages, the only strings
+//! it copies are the netlist's node names and the DFF clock nets.
 //!
 //! Accepted surface (DESIGN.md §14 has the full grammar):
 //!
@@ -171,15 +171,6 @@ pub fn parse_verilog_design(src: &str) -> Result<VerilogDesign, NetlistError> {
     Elaborator::new(src, &ast).run()
 }
 
-/// A net reference with its name looked up in the namespace.
-#[derive(Debug, Clone, Copy)]
-enum Source<'a> {
-    /// A constant bit.
-    Const(bool),
-    /// The net `name`, whose symbol is `sym` (`None`: not a declared net).
-    Net { name: &'a str, sym: Option<usize> },
-}
-
 /// What currently drives a net.
 #[derive(Debug, Clone, Copy)]
 enum Driver<'a> {
@@ -189,7 +180,7 @@ enum Driver<'a> {
     Node(NodeId),
     /// The right-hand side of an `assign` (resolved lazily, with cycle
     /// detection, because assigns may chain through output ports).
-    Assign(Source<'a>),
+    Assign(NetRef<'a>),
 }
 
 /// What a name in the module's namespace was declared as.
@@ -203,7 +194,6 @@ enum Decl {
 
 #[derive(Debug)]
 struct Symbol<'a> {
-    name: &'a str,
     decl: Decl,
     /// Meaningful for ports and wires, the module's nets.
     driver: Driver<'a>,
@@ -224,7 +214,7 @@ struct Cell {
 ///
 /// Verilog modules have a single declaration namespace: ports, wires, and
 /// instance names may not collide. Every name is looked up in one table,
-/// once per occurrence, and each instance's pins land in fixed slots.
+/// and each instance's pins land in fixed slots.
 struct Elaborator<'s, 'a> {
     src: &'a str,
     ast: &'s Ast<'a>,
@@ -291,7 +281,6 @@ impl<'s, 'a> Elaborator<'s, 'a> {
             return Err(self.name_error(name, |name| ParseErrorKind::Redeclared { name }));
         }
         self.symbols.push(Symbol {
-            name: name.text,
             decl,
             driver: Driver::None,
             visited: 0,
@@ -305,16 +294,6 @@ impl<'s, 'a> Elaborator<'s, 'a> {
             .get(name)
             .copied()
             .filter(|&s| self.symbols[s].decl != Decl::Instance)
-    }
-
-    fn source(&self, r: NetRef<'a>) -> Source<'a> {
-        match r {
-            NetRef::Const { value, .. } => Source::Const(value),
-            NetRef::Net(n) => Source::Net {
-                name: n.text,
-                sym: self.net(n.text),
-            },
-        }
     }
 
     /// Declares every port and wire and settles each port's direction.
@@ -390,7 +369,7 @@ impl<'s, 'a> Elaborator<'s, 'a> {
         if !matches!(self.symbols[s].driver, Driver::None) {
             return Err(self.name_error(lhs, |net| ParseErrorKind::MultipleDrivers { net }));
         }
-        self.symbols[s].driver = Driver::Assign(self.source(rhs));
+        self.symbols[s].driver = Driver::Assign(rhs);
         Ok(())
     }
 
@@ -534,11 +513,7 @@ impl<'s, 'a> Elaborator<'s, 'a> {
                 let unassigned = |port| ParseErrorKind::UnassignedOutput { port };
                 return Err(self.name_error(p.name, unassigned));
             }
-            let net = Source::Net {
-                name: p.name.text,
-                sym: Some(i),
-            };
-            let src = self.resolve(p.name.at, net)?;
+            let src = self.resolve(p.name.at, NetRef::Net(p.name))?;
             self.netlist.add_output(p.name.text, src);
         }
         Ok(())
@@ -551,37 +526,36 @@ impl<'s, 'a> Elaborator<'s, 'a> {
             NetRef::Net(n) => n.at,
             NetRef::Const { at, .. } => at,
         };
-        let source = self.source(net);
-        self.resolve(at, source)
+        self.resolve(at, net)
     }
 
-    /// The node driving `source`, chasing assign chains; errors point at
+    /// The node driving `net`, chasing assign chains; errors point at
     /// `at`, the reference being resolved.
-    fn resolve(&mut self, at: usize, mut source: Source<'a>) -> Result<NodeId, NetlistError> {
+    fn resolve(&mut self, at: usize, mut net: NetRef<'a>) -> Result<NodeId, NetlistError> {
         self.resolves += 1;
         loop {
-            let s = match source {
-                Source::Const(value) => return Ok(self.tie(value)),
-                Source::Net { name, sym: None } => {
-                    let net = name.to_owned();
-                    return Err(self.fail(at, ParseErrorKind::UndeclaredNet { net }));
-                }
-                Source::Net { sym: Some(s), .. } => s,
+            let name = match net {
+                NetRef::Const { value, .. } => return Ok(self.tie(value)),
+                NetRef::Net(n) => n.text,
             };
-            let net = &self.symbols[s];
-            match net.driver {
+            let Some(s) = self.net(name) else {
+                let net = name.to_owned();
+                return Err(self.fail(at, ParseErrorKind::UndeclaredNet { net }));
+            };
+            let symbol = &self.symbols[s];
+            match symbol.driver {
                 Driver::Node(id) => return Ok(id),
                 Driver::None => {
-                    let net = net.name.to_owned();
+                    let net = name.to_owned();
                     return Err(self.fail(at, ParseErrorKind::UndrivenNet { net }));
                 }
-                Driver::Assign(_) if net.visited == self.resolves => {
-                    let message = format!("assign cycle through net '{}'", net.name);
+                Driver::Assign(_) if symbol.visited == self.resolves => {
+                    let message = format!("assign cycle through net '{name}'");
                     return Err(self.fail(at, ParseErrorKind::InvalidConnection { message }));
                 }
                 Driver::Assign(next) => {
                     self.symbols[s].visited = self.resolves;
-                    source = next;
+                    net = next;
                 }
             }
         }

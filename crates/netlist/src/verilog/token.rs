@@ -78,9 +78,9 @@ impl Token<'_> {
     }
 }
 
-/// The 1-based line and column of byte offset `at` in `src`. Columns
-/// count bytes, so a multibyte character advances the column by its
-/// encoded length.
+/// The 1-based line and column of byte offset `at` in `src`, each
+/// saturating at `u32::MAX`. Columns count bytes, so a multibyte
+/// character advances the column by its encoded length.
 pub fn position(src: &str, at: usize) -> (u32, u32) {
     let before = &src.as_bytes()[..at];
     let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
@@ -88,7 +88,8 @@ pub fn position(src: &str, at: usize) -> (u32, u32) {
         .iter()
         .rposition(|&b| b == b'\n')
         .map_or(0, |i| i + 1);
-    (line as u32, (1 + at - line_start) as u32)
+    let saturate = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    (saturate(line), saturate(1 + at - line_start))
 }
 
 /// A [`ParseError`] positioned at byte offset `at` of `src`.
@@ -111,20 +112,9 @@ pub fn keyword(word: &str) -> Option<Kind> {
     }
 }
 
-/// Bytes that may continue a simple identifier: `[A-Za-z0-9_$]`.
-static IDENT_BYTE: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut b = 0;
-    while b < 256 {
-        let c = b as u8;
-        table[b] = c.is_ascii_alphanumeric() || c == b'_' || c == b'$';
-        b += 1;
-    }
-    table
-};
-
+/// Whether `b` may continue a simple identifier: `[A-Za-z0-9_$]`.
 fn is_ident_byte(b: u8) -> bool {
-    IDENT_BYTE[usize::from(b)]
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
 }
 
 /// Whether `name` can be emitted as a bare (unescaped) identifier.

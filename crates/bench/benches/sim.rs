@@ -1,20 +1,16 @@
 //! Gate-level simulation throughput: `GateSim` (event-driven oracle) vs
-//! `CompiledSim` single-lane vs the 64-lane batch mode, on random netlists
-//! at the paper's circuit size band (~100 / 1k / 5k cells).
+//! `CompiledSim`, on random netlists at the paper's circuit size band
+//! (~100 / 1k / 5k cells).
 //!
 //! Emits `BENCH_sim.json` at the workspace root; `items_per_sec` is
-//! cycles/second for the single-lane engines and aggregate
-//! lane-cycles/second for the 64-lane mode. Run with
-//! `cargo bench -p moss-bench --bench sim`. `MOSS_BENCH_OUT` redirects the
-//! JSON report and `MOSS_BENCH_QUICK=1` shrinks the timing budgets (used
-//! by `cargo xtask bench-check`).
+//! cycles/second. Run with `cargo bench -p moss-bench --bench sim`.
+//! `MOSS_BENCH_OUT` redirects the JSON report and `MOSS_BENCH_QUICK=1`
+//! shrinks the timing budgets (used by `cargo xtask bench-check`).
 
 use std::time::Duration;
 
 use moss_benchkit::Suite;
-use moss_sim::{
-    simulate_random, simulate_random_compiled, simulate_random_wide, CompiledSim, GateSim,
-};
+use moss_sim::{simulate_random, simulate_random_compiled, CompiledSim, GateSim};
 
 fn main() {
     let mut suite =
@@ -42,11 +38,6 @@ fn main() {
         suite.bench_with_items(&format!("compiled_1lane/{cells}c"), cycles, || {
             std::hint::black_box(simulate_random_compiled(&mut compiled, cycles, 7));
         });
-
-        let mut wide = CompiledSim::new(&netlist).expect("valid netlist");
-        suite.bench_with_items(&format!("compiled_64lane/{cells}c"), cycles * 64, || {
-            std::hint::black_box(simulate_random_wide(&mut wide, cycles, 7));
-        });
     }
 
     let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {
@@ -54,21 +45,17 @@ fn main() {
     });
     suite.write_json(&out).expect("write sim bench JSON");
 
-    // Speedup summary (the acceptance bar: >=3x single-lane at 1k/5k,
-    // >=20x aggregate for the 64-lane mode).
+    // Speedup summary over the (gatesim, compiled_1lane) row pairs.
     let results = suite.results();
-    for chunk in results.chunks(3) {
-        if let [g, c1, c64] = chunk {
-            let (Some(gr), Some(c1r), Some(c64r)) =
-                (g.items_per_sec, c1.items_per_sec, c64.items_per_sec)
-            else {
+    for chunk in results.chunks(2) {
+        if let [g, c1] = chunk {
+            let (Some(gr), Some(c1r)) = (g.items_per_sec, c1.items_per_sec) else {
                 continue;
             };
             eprintln!(
-                "{:>8}: compiled_1lane {:.1}x, compiled_64lane {:.1}x aggregate",
+                "{:>8}: compiled_1lane {:.1}x",
                 g.name.rsplit('/').next().unwrap_or(""),
                 c1r / gr,
-                c64r / gr,
             );
         }
     }

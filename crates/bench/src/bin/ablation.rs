@@ -64,17 +64,7 @@ fn run_config(
 }
 
 fn main() -> ExitCode {
-    let _obs = moss_obs::session();
-    let mut manifest = RunManifest::new("ablation");
-    let result = real_main(&mut manifest);
-    manifest.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("moss: ablation aborted: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    moss_bench::run::run_experiment("ablation", real_main)
 }
 
 fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {

@@ -19,17 +19,7 @@ use moss_datagen::{pipeline_reg, signed_mac};
 use moss_rtl::Module;
 
 fn main() -> ExitCode {
-    let _obs = moss_obs::session();
-    let mut manifest = RunManifest::new("fig1a");
-    let result = real_main(&mut manifest);
-    manifest.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("moss: fig1a aborted: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    moss_bench::run::run_experiment("fig1a", real_main)
 }
 
 fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {

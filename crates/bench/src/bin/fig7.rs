@@ -10,17 +10,7 @@ use moss_bench::pipeline::{build_samples, build_world, train_variant};
 use moss_bench::run::{PipelineError, RunManifest};
 
 fn main() -> ExitCode {
-    let _obs = moss_obs::session();
-    let mut manifest = RunManifest::new("fig7");
-    let result = real_main(&mut manifest);
-    manifest.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("moss: fig7 aborted: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    moss_bench::run::run_experiment("fig7", real_main)
 }
 
 fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {

@@ -1,5 +1,5 @@
 //! Label-determinism check: toggle/probability ground truth from the
-//! compiled bit-parallel engine must be bit-identical to the event-driven
+//! compiled truth-table engine must be bit-identical to the event-driven
 //! `GateSim` oracle on a fixed corpus — the eight synthesized Table I
 //! benchmark circuits plus random netlists across the paper's 100–5000-cell
 //! size band.

@@ -13,17 +13,7 @@ use moss_bench::pipeline::{
 use moss_bench::run::{PipelineError, RunManifest};
 
 fn main() -> ExitCode {
-    let _obs = moss_obs::session();
-    let mut manifest = RunManifest::new("table1");
-    let result = real_main(&mut manifest);
-    manifest.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("moss: table1 aborted: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    moss_bench::run::run_experiment("table1", real_main)
 }
 
 fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {

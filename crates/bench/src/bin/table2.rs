@@ -16,17 +16,7 @@ use moss_bench::run::{PipelineError, RunManifest};
 use moss_datagen::{random_module, SizeClass};
 
 fn main() -> ExitCode {
-    let _obs = moss_obs::session();
-    let mut manifest = RunManifest::new("table2");
-    let result = real_main(&mut manifest);
-    manifest.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("moss: table2 aborted: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    moss_bench::run::run_experiment("table2", real_main)
 }
 
 fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {

@@ -11,7 +11,7 @@
 //!
 //! Every fallible per-circuit stage degrades per circuit instead of
 //! panicking: a failing circuit is skipped, recorded in the
-//! [`RunManifest`](crate::run::RunManifest), and excluded from averages;
+//! [`RunManifest`], and excluded from averages;
 //! the manifest's failure budget (`MOSS_MAX_FAILED_FRAC`) aborts runs that
 //! degrade too far. With no failures (the fault sites disabled and no
 //! organic bugs) results are identical to the old panicking pipeline.
@@ -481,22 +481,6 @@ pub fn score(pred: &Predictions, prep: &Prepared) -> CircuitScores {
         trp: metrics::trp_accuracy(pred, prep) * 100.0,
         pp: metrics::pp_accuracy(pred, prep) * 100.0,
     }
-}
-
-/// Evaluates a trained MOSS variant on all its prepared circuits.
-pub fn evaluate_variant(run: &VariantRun) -> Vec<CircuitScores> {
-    let _obs = moss_obs::span_items("evaluate", run.preps.len() as u64);
-    moss_tensor::par_map(&run.preps, |_, p| {
-        score(&run.model.predict(&run.store, p), p)
-    })
-}
-
-/// Evaluates a trained baseline on all its prepared circuits.
-pub fn evaluate_baseline(run: &BaselineRun) -> Vec<CircuitScores> {
-    let _obs = moss_obs::span_items("evaluate", run.preps.len() as u64);
-    moss_tensor::par_map(&run.preps, |_, p| {
-        score(&run.model.predict(&run.store, p), p)
-    })
 }
 
 /// Column averages for a score table, or `None` for an empty one — the

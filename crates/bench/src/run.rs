@@ -15,6 +15,7 @@
 
 use std::fmt;
 use std::io;
+use std::process::ExitCode;
 
 use moss_netlist::NetlistError;
 use moss_synth::SynthError;
@@ -267,6 +268,28 @@ impl RunManifest {
             for s in &self.skips {
                 eprintln!("moss:   {} [{}]: {}", s.circuit, s.stage, s.error);
             }
+        }
+    }
+}
+
+/// The whole `main` of an experiment binary: opens the observability
+/// session, runs `body` against a fresh [`RunManifest`] labelled `name`,
+/// finishes the manifest, and turns an abort into
+/// `moss: <name> aborted: <error>` on stderr plus a failing exit code. The
+/// run report is emitted last, after the abort message.
+pub fn run_experiment(
+    name: &str,
+    body: impl FnOnce(&mut RunManifest) -> Result<(), PipelineError>,
+) -> ExitCode {
+    let _obs = moss_obs::session();
+    let mut manifest = RunManifest::new(name);
+    let result = body(&mut manifest);
+    manifest.finish();
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("moss: {name} aborted: {e}");
+            ExitCode::FAILURE
         }
     }
 }

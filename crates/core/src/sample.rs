@@ -83,7 +83,7 @@ fn compute_labels(
     options: &SampleOptions,
 ) -> Result<Labels, SynthError> {
     // Simulation ground truth: toggle rates + signal probabilities,
-    // on the compiled bit-parallel engine (bit-identical to the GateSim
+    // on the compiled truth-table engine (bit-identical to the GateSim
     // reference — see `labels_match_gatesim_reference` below and the
     // moss-sim differential suite).
     let sim_obs = moss_obs::span_items("sim_labels", options.sim_cycles);

@@ -168,11 +168,6 @@ impl Trainer {
         self.pretrain_done
     }
 
-    /// Alignment epochs completed so far (resume point).
-    pub fn align_epochs_done(&self) -> usize {
-        self.align_done
-    }
-
     /// Enables autosaving: after each completed epoch (pre-training and
     /// alignment) the trainer writes a crash-safe training checkpoint of
     /// `config` + parameters + its own state to `path`. A failed autosave

@@ -11,7 +11,7 @@ pub mod special {
     pub const PAD: usize = 0;
     /// Sequence-start classifier token.
     pub const CLS: usize = 1;
-    /// Separator between paired texts.
+    /// Separator (reserved; no encoding emits it).
     pub const SEP: usize = 2;
     /// Mask token for masked-token pretraining.
     pub const MASK: usize = 3;
@@ -92,19 +92,6 @@ impl Tokenizer {
         }
         ids
     }
-
-    /// Encodes a text pair as `[CLS] a… [SEP] b…`, truncated to `max_len`.
-    pub fn encode_pair(&self, a: &str, b: &str, max_len: usize) -> Vec<usize> {
-        let mut ids = self.encode(a, max_len.saturating_sub(1) / 2);
-        ids.push(special::SEP);
-        for w in Self::words(b) {
-            if ids.len() >= max_len {
-                break;
-            }
-            ids.push(self.word_id(&w));
-        }
-        ids
-    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -145,14 +132,6 @@ mod tests {
         let tok = Tokenizer::new(4096);
         assert_eq!(tok.word_id("counter"), tok.word_id("counter"));
         assert_ne!(tok.word_id("counter"), tok.word_id("shift"));
-    }
-
-    #[test]
-    fn pair_encoding_contains_separator() {
-        let tok = Tokenizer::new(64);
-        let ids = tok.encode_pair("a b", "c d", 16);
-        assert!(ids.contains(&special::SEP));
-        assert_eq!(ids[0], special::CLS);
     }
 
     #[test]

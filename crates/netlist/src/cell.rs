@@ -116,11 +116,6 @@ impl CellKind {
         self as usize
     }
 
-    /// Reconstructs a kind from [`CellKind::index`].
-    pub fn from_index(index: usize) -> Option<CellKind> {
-        CellKind::ALL.get(index).copied()
-    }
-
     /// Evaluates the combinational function of the cell.
     ///
     /// For [`CellKind::Dff`] this returns the D input (the value that will be
@@ -233,14 +228,6 @@ mod tests {
             // Must not panic.
             let _ = kind.eval(&inputs);
         }
-    }
-
-    #[test]
-    fn index_round_trips() {
-        for kind in CellKind::ALL {
-            assert_eq!(CellKind::from_index(kind.index()), Some(kind));
-        }
-        assert_eq!(CellKind::from_index(CellKind::ALL.len()), None);
     }
 
     #[test]

@@ -157,14 +157,6 @@ impl Levelization {
     pub fn levels(&self) -> &[u32] {
         &self.levels
     }
-
-    /// The "data depth" seen at a DFF's D pin: the level of its driver.
-    ///
-    /// This is the quantity arrival-time prediction is supervised on.
-    pub fn dff_data_level(&self, netlist: &Netlist, dff: NodeId) -> u32 {
-        debug_assert!(netlist.kind(dff).is_dff());
-        source_level(netlist, &self.levels, netlist.fanins(dff)[0])
-    }
 }
 
 /// Level of `id` viewed as a *driver*: DFF outputs count as level 0 even
@@ -225,18 +217,5 @@ mod tests {
         let pos = |id| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(g1) < pos(g2));
         assert!(pos(g2) < pos(g3));
-    }
-
-    #[test]
-    fn dff_data_level_reports_input_depth() {
-        let mut nl = Netlist::new("d");
-        let a = nl.add_input("a");
-        let g1 = nl.add_cell(CellKind::Inv, "u1", &[a]).unwrap();
-        let g2 = nl.add_cell(CellKind::Inv, "u2", &[g1]).unwrap();
-        let ff = nl.add_cell(CellKind::Dff, "r0", &[g2]).unwrap();
-        nl.add_output("q", ff);
-        let lv = Levelization::of(&nl).unwrap();
-        assert_eq!(lv.level(ff), 0);
-        assert_eq!(lv.dff_data_level(&nl, ff), 2);
     }
 }

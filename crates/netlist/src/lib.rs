@@ -12,9 +12,7 @@
 //! - [`CellLibrary`]: NLDM-style timing/power characterization;
 //! - [`Netlist`]: the directed graph with ordered (pin-indexed) edges;
 //! - [`Levelization`]: topological ordering with DFFs as sequential
-//!   boundaries (pseudo primary inputs/outputs, paper §IV-B);
-//! - cone/register-adjacency analysis ([`fanin_cone`],
-//!   [`register_adjacency`]) for the DFF-anchor structure of Fig. 1(c).
+//!   boundaries (pseudo primary inputs/outputs, paper §IV-B).
 //!
 //! ## Example
 //!
@@ -41,7 +39,6 @@
 
 mod canon;
 mod cell;
-mod cone;
 mod error;
 mod graph;
 mod level;
@@ -51,12 +48,11 @@ mod verilog;
 
 pub use canon::{canonical_form, canonical_hash};
 pub use cell::CellKind;
-pub use cone::{dff_cone_sizes, fanin_cone, register_adjacency};
 pub use error::NetlistError;
 pub use graph::{FaninArena, Netlist, Node, NodeId, NodeKind};
 pub use level::Levelization;
 pub use library::{CellLibrary, CellTiming};
-pub use stats::{to_dot, NetlistStats};
+pub use stats::NetlistStats;
 pub use verilog::{
     parse_verilog, parse_verilog_design, write_verilog, DffReset, ParseError, ParseErrorKind,
     ParsedDff, VerilogDesign,

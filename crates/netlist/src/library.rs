@@ -116,11 +116,6 @@ impl CellLibrary {
     pub fn dff_setup_ps(&self) -> f64 {
         30.0
     }
-
-    /// Clock-to-Q delay of a DFF, in picoseconds.
-    pub fn dff_clk_to_q_ps(&self) -> f64 {
-        self.timing(CellKind::Dff).intrinsic_delay_ps
-    }
 }
 
 impl Default for CellLibrary {

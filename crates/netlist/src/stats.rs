@@ -1,4 +1,4 @@
-//! Summary statistics and DOT export for netlists.
+//! Summary statistics for netlists.
 
 use std::fmt;
 
@@ -66,55 +66,6 @@ impl fmt::Display for NetlistStats {
     }
 }
 
-/// Renders the netlist in Graphviz DOT format.
-///
-/// # Examples
-///
-/// ```
-/// use moss_netlist::{CellKind, Netlist, to_dot};
-///
-/// let mut nl = Netlist::new("t");
-/// let a = nl.add_input("a");
-/// let g = nl.add_cell(CellKind::Inv, "u1", &[a])?;
-/// nl.add_output("y", g);
-/// let dot = to_dot(&nl);
-/// assert!(dot.contains("digraph"));
-/// # Ok::<(), moss_netlist::NetlistError>(())
-/// ```
-pub fn to_dot(netlist: &Netlist) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "digraph \"{}\" {{\n  rankdir=LR;\n",
-        netlist.name()
-    ));
-    for id in netlist.node_ids() {
-        let node = netlist.node(id);
-        let (shape, label) = match node.kind() {
-            NodeKind::PrimaryInput => ("invtriangle", node.name().to_owned()),
-            NodeKind::PrimaryOutput => ("triangle", node.name().to_owned()),
-            NodeKind::Cell(k) if k.is_sequential() => {
-                ("box", format!("{}\\n{}", node.name(), k.lib_name()))
-            }
-            NodeKind::Cell(k) => ("ellipse", format!("{}\\n{}", node.name(), k.lib_name())),
-        };
-        out.push_str(&format!(
-            "  {} [shape={shape}, label=\"{label}\"];\n",
-            id.index()
-        ));
-    }
-    for id in netlist.node_ids() {
-        for (pin, &f) in netlist.fanins(id).iter().enumerate() {
-            out.push_str(&format!(
-                "  {} -> {} [label=\"{pin}\"];\n",
-                f.index(),
-                id.index()
-            ));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,17 +87,5 @@ mod tests {
         assert_eq!(s.kind_histogram[CellKind::Nand2.index()], 1);
         assert_eq!(s.kind_histogram[CellKind::Dff.index()], 1);
         assert!(s.to_string().contains("cells=2"));
-    }
-
-    #[test]
-    fn dot_mentions_every_node() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let g = nl.add_cell(CellKind::Inv, "u1", &[a]).unwrap();
-        nl.add_output("y", g);
-        let dot = to_dot(&nl);
-        assert!(dot.contains("u1"));
-        assert!(dot.contains("INV_X1"));
-        assert!(dot.matches("->").count() == 2);
     }
 }

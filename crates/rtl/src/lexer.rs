@@ -25,16 +25,6 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// Returns the identifier text if this is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 const PUNCTS2: [&str; 7] = ["==", "!=", "<<", ">>", "<=", "&&", "||"];
 const PUNCTS1: [&str; 18] = [
     "(", ")", "[", "]", "{", "}", ",", ";", ":", "?", "@", "&", "|", "^", "~", "+", "-", "*",

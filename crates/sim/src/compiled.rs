@@ -1,4 +1,4 @@
-//! Compiled bit-parallel gate-level simulation.
+//! Compiled gate-level simulation.
 //!
 //! [`GateSim`](crate::GateSim) interprets the netlist graph: every gate eval
 //! chases `Vec<Vec<NodeId>>` adjacency, dispatches on the cell-kind enum,
@@ -12,12 +12,11 @@
 //!   contiguous arena, emitted in levelized topological order. Gates with
 //!   fewer than three pins pad with a constant-zero slot; their truth table
 //!   is replicated so padded inputs are don't-cares.
-//! - **Packed values**: every net holds a `u64` word — 64 independent
-//!   simulation lanes. One bitwise op evaluates a gate for all lanes.
-//! - **Branchless eval**: the canonical single-lane path indexes an 8-bit
-//!   truth table with the fanin bits (`tt >> (a | b<<1 | c<<2) & 1`); the
-//!   64-lane path evaluates the same table as a three-level mask mux tree.
-//!   No enum dispatch, no per-eval allocation, no branches in either loop.
+//! - **Net values**: every net holds a `u64` word whose bit 0 is the
+//!   net's logic value.
+//! - **Branchless eval**: the fanin bits index an 8-bit truth table
+//!   (`tt >> (a | b<<1 | c<<2) & 1`). No enum dispatch, no per-eval
+//!   allocation, no branches in the loop.
 //! - **Fused toggle counting**: [`CompiledSim::step_count`] threads a
 //!   [`ToggleAccum`] through the clock-step commit loop, recording toggles
 //!   and ones at the write site of every DFF commit, combinational eval,
@@ -26,7 +25,7 @@
 //!
 //! # Determinism contract
 //!
-//! The single-lane path (`settle`, `step`, `step_count`, and
+//! `CompiledSim` (`settle`, `step`, `step_count`, and
 //! [`simulate_random_compiled`](crate::simulate_random_compiled)) is
 //! **bit-identical** to `GateSim` under the same stimulus: same two-phase
 //! semantics (settle → capture D → commit → settle), same sampled values,
@@ -38,10 +37,6 @@ use moss_netlist::{CellKind, Levelization, Netlist, NetlistError, NodeId, NodeKi
 
 /// Number of distinct cell kinds (truth-table/opcode table size).
 const NKINDS: usize = CellKind::ALL.len();
-
-/// Bit-planes in the vertical per-lane counter (counts up to `2^16 - 1`
-/// additions between flushes).
-const LANE_PLANES: usize = 16;
 
 /// The 8-row truth table of a combinational cell over its (up to three)
 /// inputs, replicated so unused input positions are don't-cares.
@@ -57,12 +52,10 @@ fn truth_table8(kind: CellKind) -> u8 {
     tt
 }
 
-/// A compiled bit-parallel simulator for one netlist.
+/// A compiled simulator for one netlist.
 ///
-/// The canonical single-lane API mirrors [`GateSim`](crate::GateSim)
-/// (`set_input` / `set_state` / `settle` / `step` / `value`) and is
-/// bit-identical to it. The `_word` / `_wide` variants drive all 64 lanes
-/// at once for batched workloads.
+/// The API mirrors [`GateSim`](crate::GateSim) (`set_input` / `set_state` /
+/// `settle` / `step` / `value` / `values`) and is bit-identical to it.
 ///
 /// # Examples
 ///
@@ -80,11 +73,6 @@ fn truth_table8(kind: CellKind) -> u8 {
 /// sim.set_input(b, false);
 /// sim.settle();
 /// assert!(sim.value(y));
-/// // 64-lane mode: one op simulates the gate for 64 stimulus streams.
-/// sim.set_input_word(a, 0b1100);
-/// sim.set_input_word(b, 0b1010);
-/// sim.settle_wide();
-/// assert_eq!(sim.word(y) & 0xf, 0b0110);
 /// # Ok::<(), moss_netlist::NetlistError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -94,8 +82,8 @@ pub struct CompiledSim {
     ops: Vec<u8>,
     /// Slot arena, stride 4 per instruction: `[out, a, b, c]`.
     slots: Vec<u32>,
-    /// Packed net values, one word per node, plus a trailing slot pinned to
-    /// zero that pads unused fanin positions.
+    /// Net values (bit 0 of each word), one word per node, plus a trailing
+    /// slot pinned to zero that pads unused fanin positions.
     words: Vec<u64>,
     /// DFF output (Q) slots, in netlist DFF order.
     dff_q: Vec<u32>,
@@ -107,15 +95,13 @@ pub struct CompiledSim {
     outputs: Vec<(u32, u32)>,
     /// Primary-input slots (for fused input toggle counting).
     pi_slots: Vec<u32>,
-    /// Per-opcode expanded truth-table masks for the 64-lane mux tree.
-    masks: [[u64; 8]; NKINDS],
-    /// Per-opcode 8-bit truth tables for the single-lane path.
+    /// Per-opcode 8-bit truth tables.
     tts: [u8; NKINDS],
 }
 
 impl CompiledSim {
     /// Compiles a netlist into an instruction stream; all DFFs start at
-    /// logic 0 and all inputs low (in every lane), matching
+    /// logic 0 and all inputs low, matching
     /// [`GateSim::new`](crate::GateSim::new).
     ///
     /// # Errors
@@ -131,16 +117,10 @@ impl CompiledSim {
         let zero_slot = n as u32;
         let arena = netlist.fanin_arena();
 
-        let mut masks = [[0u64; 8]; NKINDS];
         let mut tts = [0u8; NKINDS];
         for kind in CellKind::ALL {
-            if kind.is_sequential() {
-                continue;
-            }
-            let tt = truth_table8(kind);
-            tts[kind.index()] = tt;
-            for (row, mask) in masks[kind.index()].iter_mut().enumerate() {
-                *mask = if tt >> row & 1 == 1 { u64::MAX } else { 0 };
+            if !kind.is_sequential() {
+                tts[kind.index()] = truth_table8(kind);
             }
         }
 
@@ -187,10 +167,9 @@ impl CompiledSim {
             dff_d,
             outputs,
             pi_slots,
-            masks,
             tts,
         };
-        sim.settle_wide();
+        sim.settle();
         Ok(sim)
     }
 
@@ -199,74 +178,45 @@ impl CompiledSim {
         &self.netlist
     }
 
-    /// Current lane-0 logic value of a node.
+    /// Current logic value of a node.
     pub fn value(&self, id: NodeId) -> bool {
         self.words[id.index()] & 1 == 1
     }
 
-    /// Current packed 64-lane word of a node.
-    pub fn word(&self, id: NodeId) -> u64 {
-        self.words[id.index()]
+    /// All current values, indexed by node id (for differential checks
+    /// against [`GateSim::values`](crate::GateSim::values)).
+    pub fn values(&self) -> Vec<bool> {
+        self.words[..self.netlist.node_count()]
+            .iter()
+            .map(|&w| w & 1 == 1)
+            .collect()
     }
 
-    /// All packed words, indexed by node id.
-    pub fn words(&self) -> &[u64] {
-        &self.words[..self.netlist.node_count()]
-    }
-
-    /// Lane-0 values of all nodes (for differential checks against
-    /// [`GateSim::values`](crate::GateSim::values)).
-    pub fn values_lane0(&self) -> Vec<bool> {
-        self.words().iter().map(|&w| w & 1 == 1).collect()
-    }
-
-    /// Drives a primary input on lane 0 (lanes 1–63 are cleared).
+    /// Drives a primary input.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not a primary input.
     pub fn set_input(&mut self, id: NodeId, value: bool) {
-        self.set_input_word(id, value as u64);
-    }
-
-    /// Drives a primary input with a packed 64-lane word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a primary input.
-    pub fn set_input_word(&mut self, id: NodeId, word: u64) {
         assert_eq!(
             self.netlist.kind(id),
             NodeKind::PrimaryInput,
             "{id} is not a primary input"
         );
-        self.words[id.index()] = word;
+        self.words[id.index()] = u64::from(value);
     }
 
-    /// Forces a DFF's state in every lane (e.g. applying a reset value).
+    /// Forces a DFF's state (e.g. applying a reset value).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not a DFF.
     pub fn set_state(&mut self, id: NodeId, value: bool) {
-        self.set_state_word(id, if value { u64::MAX } else { 0 });
-    }
-
-    /// Forces a DFF's state with a packed 64-lane word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a DFF.
-    pub fn set_state_word(&mut self, id: NodeId, word: u64) {
         assert!(self.netlist.kind(id).is_dff(), "{id} is not a DFF");
-        self.words[id.index()] = word;
+        self.words[id.index()] = u64::from(value);
     }
 
-    /// Evaluates all combinational logic on lane 0 (the canonical path).
-    ///
-    /// Writes each combinational node's word as `0` or `1`, so lanes 1–63
-    /// of combinational nets are cleared; re-run [`settle_wide`] to restore
-    /// full-word state.
+    /// Evaluates all combinational logic.
     ///
     /// ## Termination
     ///
@@ -274,34 +224,19 @@ impl CompiledSim {
     /// instruction stream in levelized topological order, and
     /// [`CompiledSim::new`] rejects combinational cycles
     /// ([`NetlistError::CombinationalCycle`]) before compiling.
-    ///
-    /// [`settle_wide`]: CompiledSim::settle_wide
     pub fn settle(&mut self) {
-        self.eval_pass::<false>(None);
+        self.eval_pass(None);
     }
 
-    /// Evaluates all combinational logic across all 64 lanes.
-    pub fn settle_wide(&mut self) {
-        self.eval_pass::<true>(None);
-    }
-
-    /// Advances one clock edge on lane 0: settle, capture D pins, commit,
-    /// settle — the same two-phase semantics as
-    /// [`GateSim::step`](crate::GateSim::step).
+    /// Advances one clock edge: settle, capture D pins, commit, settle —
+    /// the same two-phase semantics as [`GateSim::step`](crate::GateSim::step).
     pub fn step(&mut self) {
-        self.eval_pass::<false>(None);
-        self.capture_commit::<false>(None);
-        self.eval_pass::<false>(None);
+        self.eval_pass(None);
+        self.capture_commit(None);
+        self.eval_pass(None);
     }
 
-    /// Advances one clock edge across all 64 lanes.
-    pub fn step_wide(&mut self) {
-        self.eval_pass::<true>(None);
-        self.capture_commit::<true>(None);
-        self.eval_pass::<true>(None);
-    }
-
-    /// Single-lane clock step with fused toggle counting.
+    /// Clock step with fused toggle counting.
     ///
     /// Equivalent to [`step`](CompiledSim::step) followed by comparing every
     /// node against the previous cycle's sample, but the comparison happens
@@ -309,71 +244,41 @@ impl CompiledSim {
     /// match [`simulate_random`](crate::simulate_random)'s per-cycle
     /// sampled-toggle semantics.
     pub fn step_count(&mut self, acc: &mut ToggleAccum) {
-        self.step_counted::<false>(acc);
-    }
-
-    /// 64-lane clock step with fused toggle counting (population counts
-    /// across all lanes, plus per-lane cell-toggle totals).
-    pub fn step_count_wide(&mut self, acc: &mut ToggleAccum) {
-        self.step_counted::<true>(acc);
-    }
-
-    fn step_counted<const WIDE: bool>(&mut self, acc: &mut ToggleAccum) {
         // Pre-edge settle: propagates the new inputs; values here are
         // intermediate, so no counting.
-        self.eval_pass::<WIDE>(None);
-        self.capture_commit::<WIDE>(Some(acc));
+        self.eval_pass(None);
+        self.capture_commit(Some(acc));
         // Post-edge settle produces the cycle's sampled values: count each
         // combinational cell and output mirror as it is written.
-        self.eval_pass::<WIDE>(Some(acc));
+        self.eval_pass(Some(acc));
         for &pi in &self.pi_slots {
-            acc.record::<WIDE>(pi as usize, self.words[pi as usize]);
+            acc.record(pi as usize, self.words[pi as usize]);
         }
         acc.cycles += 1;
     }
 
     /// Replays the instruction stream in levelized order, then mirrors
     /// primary outputs from their drivers.
-    fn eval_pass<const WIDE: bool>(&mut self, mut acc: Option<&mut ToggleAccum>) {
+    fn eval_pass(&mut self, mut acc: Option<&mut ToggleAccum>) {
         let CompiledSim {
             ops,
             slots,
             words,
             outputs,
-            masks,
             tts,
             ..
         } = self;
         let mut s = 0usize;
         for &op in ops.iter() {
             let out = slots[s] as usize;
-            let new = if WIDE {
-                let a = words[slots[s + 1] as usize];
-                let b = words[slots[s + 2] as usize];
-                let c = words[slots[s + 3] as usize];
-                // Three-level mux tree over the expanded truth-table masks:
-                // branchless, and one op covers all 64 lanes.
-                let m = &masks[op as usize];
-                let na = !a;
-                let s0 = (m[1] & a) | (m[0] & na);
-                let s1 = (m[3] & a) | (m[2] & na);
-                let s2 = (m[5] & a) | (m[4] & na);
-                let s3 = (m[7] & a) | (m[6] & na);
-                let nb = !b;
-                let u0 = (s1 & b) | (s0 & nb);
-                let u1 = (s3 & b) | (s2 & nb);
-                (u1 & c) | (u0 & !c)
-            } else {
-                // Single lane: the fanin bits index the 8-bit truth table
-                // directly.
-                let row = (words[slots[s + 1] as usize] & 1)
-                    | ((words[slots[s + 2] as usize] & 1) << 1)
-                    | ((words[slots[s + 3] as usize] & 1) << 2);
-                (tts[op as usize] as u64 >> row) & 1
-            };
+            // The fanin bits index the 8-bit truth table directly.
+            let row = (words[slots[s + 1] as usize] & 1)
+                | ((words[slots[s + 2] as usize] & 1) << 1)
+                | ((words[slots[s + 3] as usize] & 1) << 2);
+            let new = (tts[op as usize] as u64 >> row) & 1;
             words[out] = new;
             if let Some(acc) = acc.as_deref_mut() {
-                acc.record_cell::<WIDE>(out, new);
+                acc.record(out, new);
             }
             s += 4;
         }
@@ -381,14 +286,14 @@ impl CompiledSim {
             let v = words[drv as usize];
             words[po as usize] = v;
             if let Some(acc) = acc.as_deref_mut() {
-                acc.record::<WIDE>(po as usize, v);
+                acc.record(po as usize, v);
             }
         }
     }
 
     /// Captures every DFF's D word from the settled logic, then commits all
     /// captures simultaneously (two-phase clock edge).
-    fn capture_commit<const WIDE: bool>(&mut self, mut acc: Option<&mut ToggleAccum>) {
+    fn capture_commit(&mut self, mut acc: Option<&mut ToggleAccum>) {
         let CompiledSim {
             dff_q,
             dff_d,
@@ -402,32 +307,23 @@ impl CompiledSim {
         for (&q, &next) in dff_q.iter().zip(dff_next.iter()) {
             words[q as usize] = next;
             if let Some(acc) = acc.as_deref_mut() {
-                acc.record_cell::<WIDE>(q as usize, next);
+                acc.record(q as usize, next);
             }
         }
     }
 }
 
 /// Streaming per-node toggle/ones counters fused into
-/// [`CompiledSim::step_count`] / [`CompiledSim::step_count_wide`].
+/// [`CompiledSim::step_count`].
 ///
 /// Holds the previous cycle's sampled words internally; construct one right
 /// after applying resets and settling, then thread it through every step.
-/// In wide mode a bit-sliced vertical counter additionally accumulates
-/// per-lane toggle totals over all standard cells, which the
-/// [`WideToggleReport`](crate::WideToggleReport) turns into per-lane mean
-/// activity for variance/confidence estimation.
 #[derive(Debug, Clone)]
 pub struct ToggleAccum {
     pub(crate) cycles: u64,
     prev: Vec<u64>,
     pub(crate) toggles: Vec<u64>,
     pub(crate) ones: Vec<u64>,
-    /// Vertical (bit-sliced) counter planes: plane `k` holds bit `k` of a
-    /// per-lane running count of cell toggles.
-    lane_planes: [u64; LANE_PLANES],
-    lane_adds: u32,
-    lane_totals: [u64; 64],
 }
 
 impl ToggleAccum {
@@ -437,12 +333,9 @@ impl ToggleAccum {
         let n = sim.netlist().node_count();
         ToggleAccum {
             cycles: 0,
-            prev: sim.words().to_vec(),
+            prev: sim.words[..n].to_vec(),
             toggles: vec![0u64; n],
             ones: vec![0u64; n],
-            lane_planes: [0u64; LANE_PLANES],
-            lane_adds: 0,
-            lane_totals: [0u64; 64],
         }
     }
 
@@ -451,8 +344,7 @@ impl ToggleAccum {
         self.cycles
     }
 
-    /// Per-node toggle counts (lane 0 in single-lane mode, summed across
-    /// lanes in wide mode).
+    /// Per-node toggle counts.
     pub fn toggles(&self) -> &[u64] {
         &self.toggles
     }
@@ -462,72 +354,12 @@ impl ToggleAccum {
         &self.ones
     }
 
-    /// Per-lane toggle totals summed over all standard cells (wide mode
-    /// only; all zeros for single-lane runs).
-    pub fn lane_cell_toggles(&mut self) -> [u64; 64] {
-        self.flush_lanes();
-        self.lane_totals
-    }
-
     #[inline(always)]
-    fn record<const WIDE: bool>(&mut self, slot: usize, new: u64) {
+    fn record(&mut self, slot: usize, new: u64) {
         let diff = new ^ self.prev[slot];
         self.prev[slot] = new;
-        if WIDE {
-            self.toggles[slot] += u64::from(diff.count_ones());
-            self.ones[slot] += u64::from(new.count_ones());
-        } else {
-            self.toggles[slot] += diff & 1;
-            self.ones[slot] += new & 1;
-        }
-    }
-
-    /// Like [`record`](Self::record), but for standard-cell nodes: wide
-    /// mode also feeds the per-lane vertical counter.
-    #[inline(always)]
-    fn record_cell<const WIDE: bool>(&mut self, slot: usize, new: u64) {
-        let diff = new ^ self.prev[slot];
-        self.prev[slot] = new;
-        if WIDE {
-            self.toggles[slot] += u64::from(diff.count_ones());
-            self.ones[slot] += u64::from(new.count_ones());
-            self.add_lane(diff);
-        } else {
-            self.toggles[slot] += diff & 1;
-            self.ones[slot] += new & 1;
-        }
-    }
-
-    /// Adds one 0/1-per-lane bit vector to the vertical counter: ripple
-    /// carry across the planes, amortized ~2 ops per addition.
-    #[inline(always)]
-    fn add_lane(&mut self, mut x: u64) {
-        for plane in self.lane_planes.iter_mut() {
-            let carry = *plane & x;
-            *plane ^= x;
-            x = carry;
-            if x == 0 {
-                break;
-            }
-        }
-        self.lane_adds += 1;
-        if self.lane_adds == (1 << LANE_PLANES) - 1 {
-            self.flush_lanes();
-        }
-    }
-
-    /// Drains the vertical counter planes into the 64 per-lane totals.
-    fn flush_lanes(&mut self) {
-        for (k, plane) in self.lane_planes.iter_mut().enumerate() {
-            if *plane == 0 {
-                continue;
-            }
-            for (lane, total) in self.lane_totals.iter_mut().enumerate() {
-                *total += (*plane >> lane & 1) << k;
-            }
-            *plane = 0;
-        }
-        self.lane_adds = 0;
+        self.toggles[slot] += diff & 1;
+        self.ones[slot] += new & 1;
     }
 }
 
@@ -573,37 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_counter_runs_all_lanes_in_lockstep() {
-        let mut nl = Netlist::new("t");
-        let tie = nl.add_input("tie");
-        let q0 = nl.add_cell(CellKind::Dff, "q0", &[tie]).unwrap();
-        let n0 = nl.add_cell(CellKind::Inv, "u0", &[q0]).unwrap();
-        nl.replace_fanin(q0, 0, n0).unwrap();
-        let y = nl.add_output("y", q0);
-        let mut sim = CompiledSim::new(&nl).unwrap();
-        // A toggle flop flips every cycle in every lane simultaneously.
-        sim.step_wide();
-        assert_eq!(sim.word(y), u64::MAX);
-        sim.step_wide();
-        assert_eq!(sim.word(y), 0);
-    }
-
-    #[test]
-    fn wide_lanes_are_independent() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g = nl.add_cell(CellKind::And2, "u", &[a, b]).unwrap();
-        let y = nl.add_output("y", g);
-        let mut sim = CompiledSim::new(&nl).unwrap();
-        sim.set_input_word(a, 0xdead_beef_0123_4567);
-        sim.set_input_word(b, 0xffff_0000_ffff_0000);
-        sim.settle_wide();
-        assert_eq!(sim.word(y), 0xdead_beef_0123_4567 & 0xffff_0000_ffff_0000);
-    }
-
-    #[test]
-    fn tie_cells_hold_constants_in_every_lane() {
+    fn tie_cells_hold_constants_after_construction() {
         let mut nl = Netlist::new("t");
         let _a = nl.add_input("a");
         let t1 = nl.add_cell(CellKind::Tie1, "t1", &[]).unwrap();
@@ -611,10 +413,9 @@ mod tests {
         let g = nl.add_cell(CellKind::And2, "u", &[t1, t0]).unwrap();
         let y = nl.add_output("y", g);
         let sim = CompiledSim::new(&nl).unwrap();
-        assert_eq!(sim.word(t1), u64::MAX);
-        assert_eq!(sim.word(t0), 0);
-        assert_eq!(sim.word(y), 0);
         assert!(sim.value(t1));
+        assert!(!sim.value(t0));
+        assert!(!sim.value(y));
     }
 
     #[test]
@@ -638,22 +439,5 @@ mod tests {
         nl.add_output("y", g);
         let mut sim = CompiledSim::new(&nl).unwrap();
         sim.set_input(g, true);
-    }
-
-    #[test]
-    fn vertical_lane_counter_counts_exactly() {
-        let mut nl = Netlist::new("t");
-        let _ = nl.add_input("a");
-        let sim = CompiledSim::new(&nl).unwrap();
-        let mut acc = ToggleAccum::new(&sim);
-        // Lane L receives exactly L additions of a set bit.
-        for round in 0..64u64 {
-            let word = !0u64 << round;
-            acc.add_lane(word);
-        }
-        let totals = acc.lane_cell_toggles();
-        for (lane, &total) in totals.iter().enumerate() {
-            assert_eq!(total, lane as u64 + 1, "lane {lane}");
-        }
     }
 }

@@ -8,16 +8,12 @@
 //!   settling (only gates whose fanins changed are re-evaluated) — the
 //!   reference oracle;
 //! - [`CompiledSim`]: the production engine — the levelized netlist lowered
-//!   once into a flat, branchless instruction stream over packed 64-lane
-//!   `u64` net values, with toggle counting fused into the clock step.
-//!   Single-lane results are bit-identical to [`GateSim`]; the 64-lane
-//!   batch mode runs 64 independent stimulus streams per bitwise op;
+//!   once into a flat, branchless truth-table instruction stream over
+//!   packed `u64` net values, with toggle counting fused into the clock
+//!   step. Results are bit-identical to [`GateSim`];
 //! - [`simulate_random`] / [`simulate_random_compiled`] / [`toggle_rates`]:
 //!   random-stimulus runs producing per-cell [`ToggleReport`]s, the
-//!   supervision signal for the paper's toggle-rate prediction task;
-//! - [`simulate_random_wide`] / [`toggle_rates_wide`]: 64-lane batched runs
-//!   producing [`WideToggleReport`]s with per-lane activity statistics for
-//!   variance/confidence estimation.
+//!   supervision signal for the paper's toggle-rate prediction task.
 //!
 //! ## Example
 //!
@@ -43,7 +39,4 @@ mod toggle;
 
 pub use compiled::{CompiledSim, ToggleAccum};
 pub use sim::GateSim;
-pub use toggle::{
-    simulate_random, simulate_random_compiled, simulate_random_wide, toggle_rates,
-    toggle_rates_wide, ToggleReport, WideToggleReport,
-};
+pub use toggle::{simulate_random, simulate_random_compiled, toggle_rates, ToggleReport};

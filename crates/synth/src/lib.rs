@@ -43,4 +43,4 @@ pub use aig::{lower_to_aig, AigResult};
 pub use builder::{Bit, MapStyle, NetBuilder};
 pub use error::SynthError;
 pub use lower::{add, const_bits, eq, extend, less_than, lower_expr, mul, shift, Env};
-pub use synth::{synthesize, synthesize_variants, DffBinding, SynthOptions, SynthResult};
+pub use synth::{synthesize, DffBinding, SynthOptions, SynthResult};

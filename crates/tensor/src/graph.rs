@@ -79,7 +79,6 @@ enum Op {
     AddRow(Var, Var),
     MulScalarVar(Var, Var),
     Transpose(Var),
-    Relu(Var),
     Gelu(Var),
     Tanh(Var),
     Sigmoid(Var),
@@ -87,16 +86,13 @@ enum Op {
     SoftmaxRows(Var),
     MeanRows(Var),
     SumAll(Var),
-    MeanAll(Var),
     ConcatCols(Var, Var),
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
     GatherRows(Var, Vec<usize>),
-    ScatterRows(Var, Var, Vec<usize>),
     MulCol(Var, Var),
     L2NormalizeRows(Var),
     LayerNormRows(Var),
-    Dropout(Var, Tensor),
     SmoothL1(Var, Tensor),
     SmoothL1Weighted(Var, Tensor, Tensor),
     CrossEntropyRows(Var, Vec<usize>),
@@ -239,12 +235,6 @@ impl Graph {
         self.push(Op::Transpose(a), v)
     }
 
-    /// ReLU activation.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = Kernels::GLOBAL.map(self.value(a), |x| x.max(0.0));
-        self.push(Op::Relu(a), v)
-    }
-
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
         let v = Kernels::GLOBAL.map(self.value(a), gelu);
@@ -288,17 +278,6 @@ impl Graph {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = Tensor::from_rows(&[&[Kernels::GLOBAL.sum(self.value(a))]]);
         self.push(Op::SumAll(a), v)
-    }
-
-    /// Mean of all elements → `1×1`.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let len = self.value(a).data().len();
-        let mean = if len == 0 {
-            0.0
-        } else {
-            Kernels::GLOBAL.sum(self.value(a)) / len as f32
-        };
-        self.push(Op::MeanAll(a), Tensor::from_rows(&[&[mean]]))
     }
 
     /// Horizontal concatenation `n×a ++ n×b → n×(a+b)`.
@@ -368,35 +347,6 @@ impl Graph {
         self.push(Op::GatherRows(a, indices.to_vec()), out)
     }
 
-    /// Functional row update: copies `base` and overwrites row `indices[i]`
-    /// with row `i` of `rows`. Gradients flow to `rows` at the written
-    /// positions and to `base` everywhere else.
-    ///
-    /// This is how the asynchronous (level-by-level) GNN propagation updates
-    /// node states without mutating tape history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ, `rows` has fewer rows than `indices`,
-    /// an index is out of range, or `indices` contains duplicates.
-    pub fn scatter_rows(&mut self, base: Var, rows: Var, indices: &[usize]) -> Var {
-        let (n, d) = self.value(base).shape();
-        let (k, dr) = self.value(rows).shape();
-        assert_eq!(d, dr, "scatter_rows column mismatch");
-        assert_eq!(k, indices.len(), "one row per index");
-        let mut seen = vec![false; n];
-        let mut out = self.value(base).clone();
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < n, "scatter index {idx} out of range");
-            assert!(!seen[idx], "duplicate scatter index {idx}");
-            seen[idx] = true;
-            for j in 0..d {
-                out.set(idx, j, self.value(rows).get(i, j));
-            }
-        }
-        self.push(Op::ScatterRows(base, rows, indices.to_vec()), out)
-    }
-
     /// Broadcast multiply of an `n×d` tensor by an `n×1` column vector.
     ///
     /// # Panics
@@ -430,17 +380,6 @@ impl Graph {
     pub fn layer_norm_rows(&mut self, a: Var) -> Var {
         let v = layer_norm_rows(self.value(a));
         self.push(Op::LayerNormRows(a), v)
-    }
-
-    /// Dropout with the given keep mask (values 0 or `1/keep_prob`);
-    /// generate the mask externally for determinism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask shape differs.
-    pub fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = Kernels::GLOBAL.zip_map(self.value(a), &mask, |x, m| x * m);
-        self.push(Op::Dropout(a, mask), v)
     }
 
     /// Smooth-L1 (Huber, β = 1) loss against a constant target, averaged
@@ -603,16 +542,6 @@ impl Graph {
                     accumulate(&mut grads, s.0, Tensor::from_rows(&[&[ds]]));
                 }
                 Op::Transpose(a) => accumulate(&mut grads, a.0, grad.transpose()),
-                Op::Relu(a) => {
-                    let dx = Kernels::GLOBAL.zip_map(&grad, &self.nodes[a.0].value, |g, x| {
-                        if x > 0.0 {
-                            g
-                        } else {
-                            0.0
-                        }
-                    });
-                    accumulate(&mut grads, a.0, dx);
-                }
                 Op::Gelu(a) => {
                     let dx = Kernels::GLOBAL
                         .zip_map(&grad, &self.nodes[a.0].value, |g, x| g * gelu_grad(x));
@@ -659,11 +588,6 @@ impl Graph {
                     let g = grad.get(0, 0);
                     accumulate(&mut grads, a.0, Tensor::full(an, ad, g));
                 }
-                Op::MeanAll(a) => {
-                    let (an, ad) = self.nodes[a.0].value.shape();
-                    let g = grad.get(0, 0) / (an * ad).max(1) as f32;
-                    accumulate(&mut grads, a.0, Tensor::full(an, ad, g));
-                }
                 Op::ConcatCols(a, b) => {
                     let (n_, ca) = self.nodes[a.0].value.shape();
                     let (_, cb) = self.nodes[b.0].value.shape();
@@ -707,22 +631,6 @@ impl Graph {
                 Op::GatherRows(a, indices) => {
                     let shape = self.nodes[a.0].value.shape();
                     accumulate_rows(&mut grads, a.0, shape, &grad, &indices);
-                }
-                Op::ScatterRows(base, rows, indices) => {
-                    let (_, d) = grad.shape();
-                    let kd = indices.len();
-                    let mut drows = Tensor::zeros(kd, d);
-                    // Take ownership of `grad` as dbase, zeroing the
-                    // overwritten rows in place (no full-size temporary).
-                    let mut dbase = grad;
-                    for (i, &idx) in indices.iter().enumerate() {
-                        for j in 0..d {
-                            drows.set(i, j, dbase.get(idx, j));
-                            dbase.set(idx, j, 0.0);
-                        }
-                    }
-                    accumulate(&mut grads, base.0, dbase);
-                    accumulate(&mut grads, rows.0, drows);
                 }
                 Op::MulCol(a, col) => {
                     let (n_, d) = grad.shape();
@@ -785,10 +693,6 @@ impl Graph {
                             dx.set(r, c, v);
                         }
                     }
-                    accumulate(&mut grads, a.0, dx);
-                }
-                Op::Dropout(a, mask) => {
-                    let dx = Kernels::GLOBAL.zip_map(&grad, &mask, |g, m| g * m);
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::SmoothL1(pred, target) => {

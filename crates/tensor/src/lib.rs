@@ -7,8 +7,8 @@
 //!
 //! - [`Tensor`]: dense row-major `f32` matrices;
 //! - [`Graph`]/[`Var`]: an eager autograd tape with matmul, broadcasts,
-//!   activations (ReLU/GELU/tanh/sigmoid), softmax, layer norm, L2 row
-//!   normalization, gather/concat/slice, dropout, and the paper's losses
+//!   activations (GELU/tanh/sigmoid), softmax, layer norm, L2 row
+//!   normalization, gather/concat/slice, and the paper's losses
 //!   (smooth-L1 for Etoggle/EAT/RrNdM/RNM; symmetric row/column
 //!   cross-entropy for the CLIP-style RNC loss of Fig. 6);
 //! - [`Kernels`]: the one set of dense kernels every op runs through — see

@@ -101,11 +101,6 @@ impl Adam {
         adam
     }
 
-    /// Changes the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update step.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
         self.t += 1;

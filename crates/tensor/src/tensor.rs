@@ -14,7 +14,7 @@ use moss_prng::{Rng, SeedableRng};
 /// use moss_tensor::Tensor;
 ///
 /// let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
 /// ```
@@ -42,15 +42,6 @@ impl Tensor {
             rows,
             cols,
         }
-    }
-
-    /// The `n × n` identity.
-    pub fn eye(n: usize) -> Tensor {
-        let mut t = Tensor::zeros(n, n);
-        for i in 0..n {
-            t.set(i, i, 1.0);
-        }
-        t
     }
 
     /// Builds from row slices.
@@ -227,20 +218,6 @@ impl Tensor {
         self.zip_map(rhs, |a, b| (a - b) * (a - b)).sum().sqrt()
     }
 
-    /// Index of the max element in each row.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row_slice(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-
     /// Stacks tensors vertically (they must share a column count).
     ///
     /// # Panics
@@ -306,12 +283,6 @@ mod tests {
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
         assert!((a.norm() - 30.0f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn argmax_rows_picks_maxima() {
-        let a = Tensor::from_rows(&[&[0.1, 0.9, 0.0], &[2.0, 1.0, -1.0]]);
-        assert_eq!(a.argmax_rows(), vec![1, 0]);
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn gradcheck_passes_through_every_backend() {
 #[test]
 fn graphs_on_different_backends_produce_matching_losses() {
     // The tape (kernels) and the naive oracle compute the same
-    // matmul → ReLU → row-mean → sum loss.
+    // matmul → tanh → row-mean → sum loss.
     let mut store = ParamStore::new();
     let w = store.add("w", Tensor::xavier(6, 6, 17));
     let x = Tensor::xavier(8, 6, 23);
@@ -189,12 +189,12 @@ fn graphs_on_different_backends_produce_matching_losses() {
     let xv = g.input(x.clone());
     let wv = g.param(w, &store);
     let h = g.matmul(xv, wv);
-    let h = g.relu(h);
+    let h = g.tanh(h);
     let m = g.mean_rows(h);
     let loss = g.sum_all(m);
     let tape = g.value(loss).get(0, 0);
 
-    let h = Naive.matmul(&x, store.get(w)).map(|v| v.max(0.0));
+    let h = Naive.matmul(&x, store.get(w)).map(f32::tanh);
     let means: Vec<f32> = Naive.col_sums(&h).iter().map(|s| s / 8.0).collect();
     let oracle: f32 = means.iter().sum();
     assert!(

@@ -121,26 +121,6 @@ fn linearity_of_gradients() {
 }
 
 #[test]
-fn gather_then_scatter_identity_gradient() {
-    // scatter(base, gather(base, idx), idx) == base, and its gradient
-    // w.r.t. base is all-ones under sum_all.
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = tensor(5, 2, &mut rng);
-        let mut store = ParamStore::new();
-        let p = store.add("p", t.clone());
-        let mut g = Graph::new();
-        let base = g.param(p, &store);
-        let rows = g.gather_rows(base, &[1, 3]);
-        let back = g.scatter_rows(base, rows, &[1, 3]);
-        assert_eq!(g.value(back), &t);
-        let loss = g.sum_all(back);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(p).unwrap(), &Tensor::full(5, 2, 1.0));
-    }
-}
-
-#[test]
 fn l2_normalized_rows_have_unit_norm() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -32,10 +32,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod hold;
 mod slack;
 mod sta;
 
-pub use hold::HoldReport;
 pub use slack::SlackReport;
-pub use sta::{CriticalPath, TimingReport};
+pub use sta::TimingReport;

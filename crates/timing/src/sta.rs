@@ -1,5 +1,4 @@
-//! Arrival-time propagation, critical path extraction, and clock-period
-//! estimation.
+//! Arrival-time propagation and clock-period estimation.
 
 use moss_netlist::{CellLibrary, Levelization, Netlist, NetlistError, NodeId, NodeKind};
 
@@ -7,7 +6,6 @@ use moss_netlist::{CellLibrary, Levelization, Netlist, NetlistError, NodeId, Nod
 #[derive(Debug, Clone)]
 pub struct TimingReport {
     arrival_ps: Vec<f64>,
-    load_ff: Vec<f64>,
     dff_arrivals: Vec<(NodeId, f64)>,
     setup_ps: f64,
 }
@@ -82,7 +80,6 @@ impl TimingReport {
 
         Ok(TimingReport {
             arrival_ps,
-            load_ff,
             dff_arrivals,
             setup_ps: lib.dff_setup_ps(),
         })
@@ -93,20 +90,10 @@ impl TimingReport {
         self.arrival_ps[id.index()]
     }
 
-    /// Capacitive load driven by a node, in femtofarads.
-    pub fn load_ff(&self, id: NodeId) -> f64 {
-        self.load_ff[id.index()]
-    }
-
     /// Data arrival time at each DFF's D pin — the paper's per-DFF arrival
     /// time label. Ordered by DFF node id.
     pub fn dff_arrivals(&self) -> &[(NodeId, f64)] {
         &self.dff_arrivals
-    }
-
-    /// The worst data arrival over all DFFs and outputs, in picoseconds.
-    pub fn worst_arrival_ps(&self) -> f64 {
-        self.arrival_ps.iter().copied().fold(0.0, f64::max)
     }
 
     /// Minimum clock period that satisfies setup at every DFF.
@@ -116,51 +103,6 @@ impl TimingReport {
             .map(|&(_, at)| at + self.setup_ps)
             .fold(0.0, f64::max)
     }
-
-    /// Extracts the critical (longest-arrival) path ending at `endpoint`,
-    /// walking backwards through worst-arrival fanins to a timing source.
-    pub fn critical_path(&self, netlist: &Netlist, endpoint: NodeId) -> CriticalPath {
-        let mut nodes = vec![endpoint];
-        let mut cur = endpoint;
-        loop {
-            let fanins = netlist.fanins(cur);
-            if fanins.is_empty() {
-                break;
-            }
-            // DFF endpoints trace through D; DFFs reached as sources stop.
-            if cur != endpoint && netlist.kind(cur).is_dff() {
-                break;
-            }
-            let &worst = fanins
-                .iter()
-                .max_by(|&&a, &&b| {
-                    self.arrival_ps[a.index()]
-                        .partial_cmp(&self.arrival_ps[b.index()])
-                        .expect("arrival times are finite")
-                })
-                .expect("nonempty fanins");
-            nodes.push(worst);
-            if matches!(netlist.kind(worst), NodeKind::PrimaryInput) || netlist.kind(worst).is_dff()
-            {
-                break;
-            }
-            cur = worst;
-        }
-        nodes.reverse();
-        CriticalPath {
-            arrival_ps: self.arrival_ps[endpoint.index()],
-            nodes,
-        }
-    }
-}
-
-/// A longest path through the combinational logic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPath {
-    /// Arrival time at the endpoint.
-    pub arrival_ps: f64,
-    /// Nodes from timing source to endpoint.
-    pub nodes: Vec<NodeId>,
 }
 
 #[cfg(test)]
@@ -242,21 +184,5 @@ mod tests {
             r.arrival_ps(g)
         };
         assert!(build(8) > build(1));
-    }
-
-    #[test]
-    fn critical_path_walks_to_a_source() {
-        let mut nl = Netlist::new("cp");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g1 = nl.add_cell(CellKind::Inv, "u1", &[a]).unwrap();
-        let g2 = nl.add_cell(CellKind::And2, "u2", &[g1, b]).unwrap();
-        let ff = nl.add_cell(CellKind::Dff, "r0", &[g2]).unwrap();
-        nl.add_output("q", ff);
-        let r = TimingReport::analyze(&nl, &lib()).unwrap();
-        let path = r.critical_path(&nl, ff);
-        assert_eq!(*path.nodes.first().unwrap(), a, "starts at the slow PI");
-        assert_eq!(*path.nodes.last().unwrap(), ff);
-        assert!(path.nodes.contains(&g2));
     }
 }

@@ -237,7 +237,7 @@ fn verilog_round_trip_preserves_behaviour() {
 }
 
 /// The compiled engine honours RTL semantics end-to-end: synthesized
-/// netlists driven through `CompiledSim` (lane 0) match the RTL interpreter
+/// netlists driven through `CompiledSim` match the RTL interpreter
 /// bit-for-bit, with every node cross-checked against `GateSim` each cycle.
 #[test]
 fn compiled_sim_matches_interpreter_and_gatesim() {

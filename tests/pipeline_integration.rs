@@ -3,7 +3,7 @@
 
 use moss::MossVariant;
 use moss_bench::pipeline::{
-    averages, build_samples, build_world, evaluate_baseline, evaluate_variant, fep_of,
+    averages, build_samples, build_world, evaluate_baseline_on, evaluate_variant_on, fep_of,
     train_baseline, train_variant, ExperimentConfig,
 };
 use moss_bench::run::RunManifest;
@@ -35,7 +35,7 @@ fn full_moss_trains_end_to_end_and_beats_chance() {
     // …and alignment curves must exist for the full variant.
     assert!(!run.align.is_empty(), "alignment phase ran");
     // Scores are well-formed percentages.
-    let scores = evaluate_variant(&run);
+    let scores = evaluate_variant_on(&run, &run.preps);
     assert_eq!(scores.len(), samples.len());
     for s in &scores {
         assert!((0.0..=100.0).contains(&s.atp), "{}: atp {}", s.name, s.atp);
@@ -59,7 +59,7 @@ fn baseline_trains_and_evaluates() {
     let first = run.pretrain.first().expect("epochs ran").total;
     let last = run.pretrain.last().expect("epochs ran").total;
     assert!(last < first, "baseline loss {first} → {last}");
-    let scores = evaluate_baseline(&run);
+    let scores = evaluate_baseline_on(&run, &run.preps);
     assert_eq!(scores.len(), 2);
 }
 

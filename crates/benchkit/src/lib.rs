@@ -49,7 +49,7 @@ pub struct Measurement {
     /// Throughput in GFLOP/s, when the caller declared a flop count.
     pub gflops: Option<f64>,
     /// Throughput in items/s, when the caller declared an item count (e.g.
-    /// simulated cycles or lane-cycles per iteration).
+    /// simulated cycles per iteration).
     pub items_per_sec: Option<f64>,
 }
 

@@ -3,7 +3,7 @@
 
 use moss_netlist::{canonical_hash, CellLibrary, Netlist, NodeId, NodeKind};
 use moss_rtl::{describe_registers, module_summary, Module, RegisterDescription};
-use moss_sim::{CompiledSim, ToggleAccum};
+use moss_sim::CompiledSim;
 use moss_store::{store_key, LabelRecord, LabelStore};
 use moss_synth::{synthesize, DffBinding, SynthError, SynthOptions};
 use moss_timing::TimingReport;
@@ -87,37 +87,31 @@ fn compute_labels(
     // reference — see `labels_match_gatesim_reference` below and the
     // moss-sim differential suite).
     let sim_obs = moss_obs::span_items("sim_labels", options.sim_cycles);
-    moss_obs::counter("sim.lane_cycles", options.sim_cycles);
+    moss_obs::counter("sim.cycles", options.sim_cycles);
     let mut sim = CompiledSim::new(netlist)?;
     for b in bindings {
         sim.set_state(b.dff, b.reset);
     }
     sim.settle();
     let n = netlist.node_count();
-    let mut acc = ToggleAccum::new(&sim);
+    // Plain xorshift64 (13/7/17), one low bit per primary input per cycle,
+    // in input order. This draw order is part of the label definition that
+    // the store key pins: the generator must not change.
     let mut rng_state = options.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let inputs = netlist.primary_inputs();
-    for _ in 0..options.sim_cycles {
-        for &pi in &inputs {
-            // xorshift64* keeps this crate free of a rand dependency in
-            // the hot loop and deterministic across platforms.
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            sim.set_input(pi, rng_state & 1 == 1);
-        }
-        // Toggle counting is fused into the clock step: no per-cycle
-        // pass over a values snapshot.
-        sim.step_count(&mut acc);
-    }
+    let report = sim.count_toggles(options.sim_cycles, || {
+        rng_state ^= rng_state << 13;
+        rng_state ^= rng_state >> 7;
+        rng_state ^= rng_state << 17;
+        rng_state & 1 == 1
+    });
     let cycles = options.sim_cycles.max(1) as f64;
-    let toggle: Vec<f32> = acc
-        .toggles()
+    let toggle: Vec<f32> = report
+        .toggles
         .iter()
         .map(|&t| (t as f64 / cycles) as f32)
         .collect();
-    let probability: Vec<f32> = acc
-        .ones()
+    let probability: Vec<f32> = report
+        .ones
         .iter()
         .map(|&o| (o as f64 / cycles) as f32)
         .collect();

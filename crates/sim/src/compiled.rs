@@ -9,31 +9,39 @@
 //!
 //! - **Instruction stream**: one `u8` truth-table opcode per combinational
 //!   cell plus four `u32` slot indices (`[out, a, b, c]`) in a single
-//!   contiguous arena, emitted in levelized topological order. Gates with
-//!   fewer than three pins pad with a constant-zero slot; their truth table
-//!   is replicated so padded inputs are don't-cares.
+//!   contiguous arena, in topological order with the next-state cone
+//!   first (below). Gates with fewer than three pins pad with a
+//!   constant-zero slot; their truth table is replicated so padded inputs
+//!   are don't-cares.
 //! - **Net values**: every net holds a `u64` word whose bit 0 is the
 //!   net's logic value.
 //! - **Branchless eval**: the fanin bits index an 8-bit truth table
 //!   (`tt >> (a | b<<1 | c<<2) & 1`). No enum dispatch, no per-eval
 //!   allocation, no branches in the loop.
-//! - **Fused toggle counting**: [`CompiledSim::step_count`] threads a
-//!   [`ToggleAccum`] through the clock-step commit loop, recording toggles
-//!   and ones at the write site of every DFF commit, combinational eval,
-//!   output mirror, and input sample — the separate post-step counting pass
-//!   over a `Vec<bool>` snapshot disappears.
+//! - **Time-packed toggle counting**: [`CompiledSim::count_toggles`] runs
+//!   64 consecutive cycles at a time. The stream is ordered with the
+//!   *next-state cone* (every combinational cell in the transitive fanin
+//!   of a DFF D pin) first, so a serial pass per cycle evaluates only that
+//!   prefix and commits the DFFs, packing each cycle's input and state bits
+//!   into per-node block words. One pass over the whole stream on those
+//!   words, each truth table applied as a 3-level mask mux, then yields
+//!   every node's sampled value for all 64 cycles, and toggles and ones are
+//!   counted with a shift, an XOR and a popcount per node.
 //!
 //! # Determinism contract
 //!
-//! `CompiledSim` (`settle`, `step`, `step_count`, and
+//! `CompiledSim` (`settle`, `step`, `count_toggles`, and
 //! [`simulate_random_compiled`](crate::simulate_random_compiled)) is
 //! **bit-identical** to `GateSim` under the same stimulus: same two-phase
 //! semantics (settle → capture D → commit → settle), same sampled values,
-//! same toggle counts. `GateSim` stays the reference oracle; the
-//! differential tests in `tests/compiled_equivalence.rs` enforce the
-//! contract on random netlists and random stimulus.
+//! same toggle counts, same values after a run. `GateSim` stays the
+//! reference oracle; the differential tests in
+//! `tests/compiled_equivalence.rs` enforce the contract on random netlists
+//! and random stimulus.
 
 use moss_netlist::{CellKind, Levelization, Netlist, NetlistError, NodeId, NodeKind};
+
+use crate::toggle::ToggleReport;
 
 /// Number of distinct cell kinds (truth-table/opcode table size).
 const NKINDS: usize = CellKind::ALL.len();
@@ -50,6 +58,18 @@ fn truth_table8(kind: CellKind) -> u8 {
         }
     }
     tt
+}
+
+/// [`truth_table8`] as one all-zeros or all-ones word per row, the form the
+/// block phase of [`CompiledSim::count_toggles`] muxes between.
+fn row_masks(tt: u8) -> [u64; 8] {
+    std::array::from_fn(|row| 0u64.wrapping_sub(u64::from(tt >> row & 1)))
+}
+
+/// Bitwise 2:1 mux: `hi` where `sel` is 1, `lo` where it is 0.
+#[inline(always)]
+fn mux(sel: u64, hi: u64, lo: u64) -> u64 {
+    lo ^ ((lo ^ hi) & sel)
 }
 
 /// A compiled simulator for one netlist.
@@ -78,25 +98,33 @@ fn truth_table8(kind: CellKind) -> u8 {
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
     netlist: Netlist,
-    /// Truth-table opcode (a `CellKind` index) per instruction.
+    /// Truth-table opcode (a `CellKind` index) per instruction, next-state
+    /// cone first.
     ops: Vec<u8>,
     /// Slot arena, stride 4 per instruction: `[out, a, b, c]`.
     slots: Vec<u32>,
+    /// Instructions in the next-state cone: the prefix of `ops` that the
+    /// D pins depend on.
+    cone_len: usize,
     /// Net values (bit 0 of each word), one word per node, plus a trailing
     /// slot pinned to zero that pads unused fanin positions.
     words: Vec<u64>,
     /// DFF output (Q) slots, in netlist DFF order.
     dff_q: Vec<u32>,
-    /// DFF data (D-driver) slots, aligned with `dff_q`.
+    /// DFF data (D-driver) slots, aligned with `dff_q`. A D pin wired to
+    /// a primary output holds the output's driver: the value the output
+    /// mirrors after every settle.
     dff_d: Vec<u32>,
     /// Captured next-state words between settle and commit.
     dff_next: Vec<u64>,
     /// Primary-output `(po, driver)` slot pairs.
     outputs: Vec<(u32, u32)>,
-    /// Primary-input slots (for fused input toggle counting).
+    /// Primary-input slots, in netlist input order.
     pi_slots: Vec<u32>,
     /// Per-opcode 8-bit truth tables.
     tts: [u8; NKINDS],
+    /// Per-opcode truth tables as row masks (see [`row_masks`]).
+    masks: [[u64; 8]; NKINDS],
 }
 
 impl CompiledSim {
@@ -124,10 +152,42 @@ impl CompiledSim {
             }
         }
 
+        let dffs = netlist.dffs();
+        let dff_q: Vec<u32> = dffs.iter().map(|d| d.index() as u32).collect();
+        let dff_d: Vec<NodeId> = dffs
+            .iter()
+            .map(|&d| {
+                let mut src = arena.fanins(d)[0];
+                // Bounded: outputs may be rewired into chains or loops.
+                for _ in 0..n {
+                    if netlist.kind(src) != NodeKind::PrimaryOutput {
+                        break;
+                    }
+                    src = arena.fanins(src)[0];
+                }
+                src
+            })
+            .collect();
+
+        // The next-state cone: combinational cells in the transitive fanin
+        // of a D pin. It is closed under fanin, so emitting it first keeps
+        // the stream a topological order.
+        let mut in_cone = vec![false; n];
+        let mut stack = dff_d.clone();
+        while let Some(id) = stack.pop() {
+            if netlist.kind(id).is_combinational_cell() && !in_cone[id.index()] {
+                in_cone[id.index()] = true;
+                stack.extend_from_slice(arena.fanins(id));
+            }
+        }
         let topo = levels.topo_combinational();
+        let cone = topo.iter().filter(|id| in_cone[id.index()]);
+        let rest = topo.iter().filter(|id| !in_cone[id.index()]);
+        let cone_len = cone.clone().count();
+
         let mut ops = Vec::with_capacity(topo.len());
         let mut slots = Vec::with_capacity(topo.len() * 4);
-        for &id in topo {
+        for &id in cone.chain(rest) {
             let kind = match netlist.kind(id) {
                 NodeKind::Cell(k) => k,
                 _ => unreachable!("topo_combinational yields cells only"),
@@ -140,12 +200,7 @@ impl CompiledSim {
             }
         }
 
-        let dffs = netlist.dffs();
-        let dff_q: Vec<u32> = dffs.iter().map(|d| d.index() as u32).collect();
-        let dff_d: Vec<u32> = dffs
-            .iter()
-            .map(|&d| arena.fanins(d)[0].index() as u32)
-            .collect();
+        let dff_d: Vec<u32> = dff_d.iter().map(|d| d.index() as u32).collect();
         let outputs: Vec<(u32, u32)> = netlist
             .primary_outputs()
             .iter()
@@ -161,6 +216,7 @@ impl CompiledSim {
             netlist: netlist.clone(),
             ops,
             slots,
+            cone_len,
             words: vec![0u64; n + 1],
             dff_next: vec![0u64; dff_q.len()],
             dff_q,
@@ -168,6 +224,7 @@ impl CompiledSim {
             outputs,
             pi_slots,
             tts,
+            masks: tts.map(row_masks),
         };
         sim.settle();
         Ok(sim)
@@ -221,79 +278,133 @@ impl CompiledSim {
     /// ## Termination
     ///
     /// Always terminates: the compiled program is a straight-line
-    /// instruction stream in levelized topological order, and
+    /// instruction stream in topological order, and
     /// [`CompiledSim::new`] rejects combinational cycles
     /// ([`NetlistError::CombinationalCycle`]) before compiling.
     pub fn settle(&mut self) {
-        self.eval_pass(None);
+        self.eval_pass(self.ops.len());
+        self.mirror_outputs();
     }
 
     /// Advances one clock edge: settle, capture D pins, commit, settle —
     /// the same two-phase semantics as [`GateSim::step`](crate::GateSim::step).
     pub fn step(&mut self) {
-        self.eval_pass(None);
-        self.capture_commit(None);
-        self.eval_pass(None);
+        self.settle();
+        self.capture_commit();
+        self.settle();
     }
 
-    /// Clock step with fused toggle counting.
+    /// Runs `cycles` clock cycles of stimulus from `draw` and counts, per
+    /// node, the cycles whose sampled value differs from the previous
+    /// cycle's and the cycles sampled at logic 1.
     ///
-    /// Equivalent to [`step`](CompiledSim::step) followed by comparing every
-    /// node against the previous cycle's sample, but the comparison happens
-    /// at each node's write site inside the step itself. Counts exactly
-    /// match [`simulate_random`](crate::simulate_random)'s per-cycle
-    /// sampled-toggle semantics.
-    pub fn step_count(&mut self, acc: &mut ToggleAccum) {
-        // Pre-edge settle: propagates the new inputs; values here are
-        // intermediate, so no counting.
-        self.eval_pass(None);
-        self.capture_commit(Some(acc));
-        // Post-edge settle produces the cycle's sampled values: count each
-        // combinational cell and output mirror as it is written.
-        self.eval_pass(Some(acc));
-        for &pi in &self.pi_slots {
-            acc.record(pi as usize, self.words[pi as usize]);
+    /// Each cycle calls `draw` once per primary input, in netlist input
+    /// order, drives the inputs with the results, and then
+    /// [`step`](CompiledSim::step)s; the sample is every node's settled
+    /// value after the step, and the cycle-0 reference is the current
+    /// values. Counts, and [`values`](CompiledSim::values) after the run,
+    /// equal [`simulate_random`](crate::simulate_random)'s on
+    /// [`GateSim`](crate::GateSim) fed the same draws.
+    ///
+    /// Works 64 cycles at a time. A serial pass per cycle evaluates only
+    /// the next-state cone and commits the DFFs, packing the cycle's input
+    /// and state bits into per-node block words; one pass over the whole
+    /// stream on those words then settles all 64 cycles at once.
+    pub fn count_toggles(&mut self, cycles: u64, mut draw: impl FnMut() -> bool) -> ToggleReport {
+        let n = self.netlist.node_count();
+        let mut toggles = vec![0u64; n];
+        let mut ones = vec![0u64; n];
+        // Bit k of `block[i]` is node i's value in cycle k of the block;
+        // the trailing zero slot pads unused fanin positions.
+        let mut block = vec![0u64; n + 1];
+        // Each node's previous sample, carried across blocks.
+        let mut carry: Vec<u64> = self.words[..n].iter().map(|&w| w & 1).collect();
+        let mut done = 0u64;
+        while done < cycles {
+            let len = (cycles - done).min(64) as u32;
+            for &s in self.pi_slots.iter().chain(&self.dff_q) {
+                block[s as usize] = 0;
+            }
+            for k in 0..len {
+                for &pi in &self.pi_slots {
+                    let v = u64::from(draw());
+                    self.words[pi as usize] = v;
+                    block[pi as usize] |= v << k;
+                }
+                self.eval_pass(self.cone_len);
+                self.capture_commit();
+                for &q in &self.dff_q {
+                    block[q as usize] |= self.words[q as usize] << k;
+                }
+            }
+            self.eval_block(&mut block);
+
+            let live = u64::MAX >> (64 - len);
+            for (i, c) in carry.iter_mut().enumerate() {
+                let w = block[i] & live;
+                toggles[i] += u64::from(((w ^ (w << 1 | *c)) & live).count_ones());
+                ones[i] += u64::from(w.count_ones());
+                *c = w >> (len - 1);
+            }
+            done += u64::from(len);
         }
-        acc.cycles += 1;
+        // The last cycle's settled values; the serial passes left the cone
+        // at its pre-edge values and never touched the rest.
+        self.words[..n].copy_from_slice(&carry);
+        ToggleReport {
+            cycles,
+            toggles,
+            ones,
+        }
     }
 
-    /// Replays the instruction stream in levelized order, then mirrors
-    /// primary outputs from their drivers.
-    fn eval_pass(&mut self, mut acc: Option<&mut ToggleAccum>) {
+    /// Replays the first `len` instructions of the stream, one bit per
+    /// net.
+    fn eval_pass(&mut self, len: usize) {
         let CompiledSim {
             ops,
             slots,
             words,
-            outputs,
             tts,
             ..
         } = self;
-        let mut s = 0usize;
-        for &op in ops.iter() {
-            let out = slots[s] as usize;
+        for (&op, s) in ops[..len].iter().zip(slots.chunks_exact(4)) {
             // The fanin bits index the 8-bit truth table directly.
-            let row = (words[slots[s + 1] as usize] & 1)
-                | ((words[slots[s + 2] as usize] & 1) << 1)
-                | ((words[slots[s + 3] as usize] & 1) << 2);
-            let new = (tts[op as usize] as u64 >> row) & 1;
-            words[out] = new;
-            if let Some(acc) = acc.as_deref_mut() {
-                acc.record(out, new);
-            }
-            s += 4;
+            let row = (words[s[1] as usize] & 1)
+                | ((words[s[2] as usize] & 1) << 1)
+                | ((words[s[3] as usize] & 1) << 2);
+            words[s[0] as usize] = (tts[op as usize] as u64 >> row) & 1;
         }
-        for &(po, drv) in outputs.iter() {
-            let v = words[drv as usize];
-            words[po as usize] = v;
-            if let Some(acc) = acc.as_deref_mut() {
-                acc.record(po as usize, v);
-            }
+    }
+
+    /// Mirrors every primary output from its driver.
+    fn mirror_outputs(&mut self) {
+        for &(po, drv) in &self.outputs {
+            self.words[po as usize] = self.words[drv as usize];
+        }
+    }
+
+    /// Replays the whole stream on 64-cycle block words: each truth table
+    /// is a 3-level mux over its row masks, selected by `a`, then `b`, then
+    /// `c`. Then mirrors the outputs.
+    fn eval_block(&self, block: &mut [u64]) {
+        for (&op, s) in self.ops.iter().zip(self.slots.chunks_exact(4)) {
+            let t = &self.masks[op as usize];
+            let a = block[s[1] as usize];
+            let b = block[s[2] as usize];
+            let c = block[s[3] as usize];
+            let b0 = mux(b, mux(a, t[3], t[2]), mux(a, t[1], t[0]));
+            let b1 = mux(b, mux(a, t[7], t[6]), mux(a, t[5], t[4]));
+            block[s[0] as usize] = mux(c, b1, b0);
+        }
+        for &(po, drv) in &self.outputs {
+            block[po as usize] = block[drv as usize];
         }
     }
 
     /// Captures every DFF's D word from the settled logic, then commits all
     /// captures simultaneously (two-phase clock edge).
-    fn capture_commit(&mut self, mut acc: Option<&mut ToggleAccum>) {
+    fn capture_commit(&mut self) {
         let CompiledSim {
             dff_q,
             dff_d,
@@ -306,60 +417,7 @@ impl CompiledSim {
         }
         for (&q, &next) in dff_q.iter().zip(dff_next.iter()) {
             words[q as usize] = next;
-            if let Some(acc) = acc.as_deref_mut() {
-                acc.record(q as usize, next);
-            }
         }
-    }
-}
-
-/// Streaming per-node toggle/ones counters fused into
-/// [`CompiledSim::step_count`].
-///
-/// Holds the previous cycle's sampled words internally; construct one right
-/// after applying resets and settling, then thread it through every step.
-#[derive(Debug, Clone)]
-pub struct ToggleAccum {
-    pub(crate) cycles: u64,
-    prev: Vec<u64>,
-    pub(crate) toggles: Vec<u64>,
-    pub(crate) ones: Vec<u64>,
-}
-
-impl ToggleAccum {
-    /// Starts counting from `sim`'s current values (the cycle-0 reference
-    /// sample).
-    pub fn new(sim: &CompiledSim) -> ToggleAccum {
-        let n = sim.netlist().node_count();
-        ToggleAccum {
-            cycles: 0,
-            prev: sim.words[..n].to_vec(),
-            toggles: vec![0u64; n],
-            ones: vec![0u64; n],
-        }
-    }
-
-    /// Cycles counted so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Per-node toggle counts.
-    pub fn toggles(&self) -> &[u64] {
-        &self.toggles
-    }
-
-    /// Per-node counts of cycles sampled at logic 1.
-    pub fn ones(&self) -> &[u64] {
-        &self.ones
-    }
-
-    #[inline(always)]
-    fn record(&mut self, slot: usize, new: u64) {
-        let diff = new ^ self.prev[slot];
-        self.prev[slot] = new;
-        self.toggles[slot] += diff & 1;
-        self.ones[slot] += new & 1;
     }
 }
 

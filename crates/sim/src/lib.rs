@@ -8,9 +8,10 @@
 //!   settling (only gates whose fanins changed are re-evaluated) — the
 //!   reference oracle;
 //! - [`CompiledSim`]: the production engine — the levelized netlist lowered
-//!   once into a flat, branchless truth-table instruction stream over
-//!   packed `u64` net values, with toggle counting fused into the clock
-//!   step. Results are bit-identical to [`GateSim`];
+//!   once into a flat, branchless truth-table instruction stream, next-state
+//!   cone first. Its toggle counting steps only that cone cycle by cycle
+//!   and settles everything else 64 consecutive cycles per `u64` word.
+//!   Results are bit-identical to [`GateSim`];
 //! - [`simulate_random`] / [`simulate_random_compiled`] / [`toggle_rates`]:
 //!   random-stimulus runs producing per-cell [`ToggleReport`]s, the
 //!   supervision signal for the paper's toggle-rate prediction task.
@@ -37,6 +38,6 @@ mod compiled;
 mod sim;
 mod toggle;
 
-pub use compiled::{CompiledSim, ToggleAccum};
+pub use compiled::CompiledSim;
 pub use sim::GateSim;
 pub use toggle::{simulate_random, simulate_random_compiled, toggle_rates, ToggleReport};

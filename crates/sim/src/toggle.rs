@@ -9,7 +9,7 @@ use moss_netlist::{Netlist, NetlistError, NodeId};
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
 
-use crate::compiled::{CompiledSim, ToggleAccum};
+use crate::compiled::CompiledSim;
 use crate::sim::GateSim;
 
 /// Per-node toggle statistics from a random-stimulus run.
@@ -87,9 +87,10 @@ pub fn simulate_random(sim: &mut GateSim, cycles: u64, seed: u64) -> ToggleRepor
     }
 }
 
-/// Like [`simulate_random`], but on the compiled engine with fused toggle
-/// counting — bit-identical results (same PRNG stream, same sampled
-/// semantics), several times the throughput.
+/// Like [`simulate_random`], but on the compiled engine
+/// ([`CompiledSim::count_toggles`]): bit-identical results (same PRNG
+/// stream, same sampled semantics, same values after the run), several
+/// times the throughput.
 ///
 /// # Examples
 ///
@@ -108,19 +109,7 @@ pub fn simulate_random(sim: &mut GateSim, cycles: u64, seed: u64) -> ToggleRepor
 /// ```
 pub fn simulate_random_compiled(sim: &mut CompiledSim, cycles: u64, seed: u64) -> ToggleReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let inputs = sim.netlist().primary_inputs();
-    let mut acc = ToggleAccum::new(sim);
-    for _ in 0..cycles {
-        for &pi in &inputs {
-            sim.set_input(pi, rng.gen_bool(0.5));
-        }
-        sim.step_count(&mut acc);
-    }
-    ToggleReport {
-        cycles: acc.cycles(),
-        toggles: acc.toggles().to_vec(),
-        ones: acc.ones().to_vec(),
-    }
+    sim.count_toggles(cycles, || rng.gen_bool(0.5))
 }
 
 /// Convenience: build a simulator, apply DFF reset states, and run a random

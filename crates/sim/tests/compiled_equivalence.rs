@@ -60,6 +60,64 @@ fn random_netlist(seed: u64, cells: usize) -> Netlist {
     nl
 }
 
+/// Cycle counts on both sides of the 64-cycle block boundaries of
+/// [`CompiledSim::count_toggles`].
+const EDGE_CYCLES: [u64; 5] = [1, 63, 64, 65, 129];
+
+/// Hand-built corners of the next-state cone, each with logic outside the
+/// cone too: no DFF at all, a D pin read straight from a primary input, a
+/// DFF fed directly by another DFF, a tie-driven D pin, and a D pin wired
+/// to a primary output.
+fn edge_netlists() -> Vec<Netlist> {
+    let mut out = Vec::new();
+
+    let mut nl = Netlist::new("no_dff");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let g = nl.add_cell(CellKind::Xor2, "u0", &[a, b]).unwrap();
+    let h = nl.add_cell(CellKind::Nand2, "u1", &[g, a]).unwrap();
+    nl.add_output("y", h);
+    out.push(nl);
+
+    let mut nl = Netlist::new("d_from_input");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let q = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let g = nl.add_cell(CellKind::And2, "u0", &[q, b]).unwrap();
+    nl.add_output("y", g);
+    out.push(nl);
+
+    let mut nl = Netlist::new("dff_to_dff");
+    let a = nl.add_input("a");
+    let g = nl.add_cell(CellKind::Inv, "u0", &[a]).unwrap();
+    let q0 = nl.add_cell(CellKind::Dff, "r0", &[g]).unwrap();
+    let q1 = nl.add_cell(CellKind::Dff, "r1", &[q0]).unwrap();
+    let q2 = nl.add_cell(CellKind::Dff, "r2", &[q1]).unwrap();
+    let h = nl.add_cell(CellKind::Aoi21, "u1", &[q0, q1, q2]).unwrap();
+    nl.add_output("y", h);
+    out.push(nl);
+
+    let mut nl = Netlist::new("tie_driven_d");
+    let a = nl.add_input("a");
+    let t1 = nl.add_cell(CellKind::Tie1, "t1", &[]).unwrap();
+    let t0 = nl.add_cell(CellKind::Tie0, "t0", &[]).unwrap();
+    let q1 = nl.add_cell(CellKind::Dff, "r1", &[t1]).unwrap();
+    let q0 = nl.add_cell(CellKind::Dff, "r0", &[t0]).unwrap();
+    let g = nl.add_cell(CellKind::Mux2, "u0", &[q1, a, q0]).unwrap();
+    nl.add_output("y", g);
+    out.push(nl);
+
+    let mut nl = Netlist::new("d_from_output");
+    let a = nl.add_input("a");
+    let q = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let g = nl.add_cell(CellKind::Xor2, "u0", &[q, a]).unwrap();
+    let y = nl.add_output("y", g);
+    nl.replace_fanin(q, 0, y).unwrap();
+    out.push(nl);
+
+    out
+}
+
 /// Random DFF reset assignment, identical for both engines.
 fn random_resets(netlist: &Netlist, rng: &mut StdRng) -> Vec<(NodeId, bool)> {
     netlist
@@ -107,24 +165,42 @@ fn values_lockstep_equivalence() {
 
 #[test]
 fn toggle_reports_are_bit_identical() {
-    for case in 0..CASES {
+    let random = (0..CASES).map(|case| {
         let seed = 0xface ^ (case << 12);
         let netlist = random_netlist(seed, 30 + (case as usize % 5) * 40);
-        let stim_seed = seed.wrapping_mul(0x9e37_79b9);
-        let reference = simulate_random(&mut GateSim::new(&netlist).unwrap(), 200, stim_seed);
-        let compiled =
-            simulate_random_compiled(&mut CompiledSim::new(&netlist).unwrap(), 200, stim_seed);
-        assert_eq!(reference, compiled, "case {case}");
+        (netlist, 200, seed.wrapping_mul(0x9e37_79b9))
+    });
+    let edges = edge_netlists()
+        .into_iter()
+        .chain((0..4).map(|case| random_netlist(0xed9e ^ case, 60)))
+        .flat_map(|netlist| EDGE_CYCLES.map(|cycles| (netlist.clone(), cycles, cycles ^ 0x5eed)));
+    for (netlist, cycles, stim_seed) in random.chain(edges) {
+        let case = format!("{} at {cycles} cycles", netlist.name());
+        let mut oracle = GateSim::new(&netlist).unwrap();
+        let mut compiled = CompiledSim::new(&netlist).unwrap();
+        let reference = simulate_random(&mut oracle, cycles, stim_seed);
+        let counted = simulate_random_compiled(&mut compiled, cycles, stim_seed);
+        assert_eq!(reference, counted, "{case}");
+        assert_eq!(
+            oracle.values(),
+            compiled.values(),
+            "{case}: values after the run"
+        );
     }
 }
 
 #[test]
 fn toggle_rates_helper_matches_gatesim_reference_path() {
-    // `toggle_rates` now runs on CompiledSim; pin it against the
-    // hand-driven GateSim reference including resets.
-    for case in 0..8u64 {
+    // `toggle_rates` runs on CompiledSim; pin it against the hand-driven
+    // GateSim reference including resets.
+    let random = (0..8u64).map(|case| {
         let seed = 0xab1e ^ (case << 9);
-        let netlist = random_netlist(seed, 80);
+        (random_netlist(seed, 80), 150, seed)
+    });
+    let edges = edge_netlists()
+        .into_iter()
+        .flat_map(|netlist| EDGE_CYCLES.map(|cycles| (netlist.clone(), cycles, 0xab1e ^ cycles)));
+    for (netlist, cycles, seed) in random.chain(edges) {
         let mut rng = StdRng::seed_from_u64(seed);
         let resets = random_resets(&netlist, &mut rng);
 
@@ -133,9 +209,14 @@ fn toggle_rates_helper_matches_gatesim_reference_path() {
             oracle.set_state(d, v);
         }
         oracle.settle();
-        let reference = simulate_random(&mut oracle, 150, seed ^ 1);
+        let reference = simulate_random(&mut oracle, cycles, seed ^ 1);
 
-        let from_helper = moss_sim::toggle_rates(&netlist, &resets, 150, seed ^ 1).unwrap();
-        assert_eq!(reference, from_helper, "case {case}");
+        let from_helper = moss_sim::toggle_rates(&netlist, &resets, cycles, seed ^ 1).unwrap();
+        assert_eq!(
+            reference,
+            from_helper,
+            "{} at {cycles} cycles",
+            netlist.name()
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Benches for the learned components: encoder embedding, GNN forward on
-//! the tape (`gnn_forward/<circuit>`, the full `predict`) beside the
-//! tape-free pass on the same circuit (`gnn_infer/<circuit>`, the
-//! `netlist_align` every served miss runs), and a full training step
+//! the tape (`gnn_forward/<circuit>`, the full `predict`: trunk plus the
+//! toggle, arrival and power heads) beside the tape-free pass on the same
+//! circuit (`gnn_infer/<circuit>`, the `netlist_align` every served miss
+//! runs: trunk plus the alignment projection), and a full training step
 //! (moss-benchkit harness).
 //!
 //! Emits `BENCH_models.json` at the workspace root. Run with
@@ -11,7 +12,7 @@
 
 use std::time::Duration;
 
-use moss::{CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions};
+use moss::{CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TaskModel};
 use moss_benchkit::Suite;
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;

@@ -1,5 +1,5 @@
-//! Benches for the EDA substrates: synthesis, simulation, static timing
-//! analysis, and AIG lowering throughput (moss-benchkit harness).
+//! Benches for the EDA substrates: synthesis, simulation and static timing
+//! analysis throughput (moss-benchkit harness).
 //!
 //! Run with `cargo bench -p moss-bench --bench substrates`.
 
@@ -8,7 +8,7 @@ use std::time::Duration;
 use moss_benchkit::Suite;
 use moss_netlist::CellLibrary;
 use moss_sim::GateSim;
-use moss_synth::{lower_to_aig, synthesize, SynthOptions};
+use moss_synth::{synthesize, SynthOptions};
 use moss_timing::TimingReport;
 
 fn bench_synthesis(suite: &mut Suite) {
@@ -58,19 +58,10 @@ fn bench_sta(suite: &mut Suite) {
     }
 }
 
-fn bench_aig_lowering(suite: &mut Suite) {
-    let m = moss_datagen::signed_mac(10, 12);
-    let synth = synthesize(&m, &SynthOptions::default()).expect("synthesizes");
-    suite.bench("aig_lowering/signed_mac", || {
-        std::hint::black_box(lower_to_aig(&synth.netlist).expect("lowers"));
-    });
-}
-
 fn main() {
     let mut suite = Suite::new("substrates")
         .with_budget(Duration::from_millis(100), Duration::from_millis(500));
     bench_synthesis(&mut suite);
     bench_simulation(&mut suite);
     bench_sta(&mut suite);
-    bench_aig_lowering(&mut suite);
 }

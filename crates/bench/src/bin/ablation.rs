@@ -7,60 +7,64 @@
 
 use std::process::ExitCode;
 
-use moss::{metrics, CircuitSample, MossConfig, MossModel, MossVariant, TrainConfig, Trainer};
-use moss_bench::pipeline::{build_samples, build_world, World};
+use moss::{CircuitSample, MossConfig, MossModel, MossVariant, Trainer};
+use moss_bench::pipeline::{build_samples, build_world, evaluate_on, prepare_for, World};
 use moss_bench::run::{PipelineError, RunManifest};
 
-/// Trains one tweaked configuration and returns its train-set accuracy row,
-/// or `None` when every sample was skipped at preparation.
+/// Train-set accuracy (ATP, TRP, PP) of one configuration, or `None` when
+/// every sample was skipped at preparation.
+type Scores = Option<(f64, f64, f64)>;
+
+/// Trains one tweaked configuration and returns its labelled accuracy row.
+/// The sweeps share the default configuration, so each distinct
+/// configuration trains once: `trained` keeps the scores of the ones
+/// already run.
 fn run_config(
     world: &World,
     samples: &[CircuitSample],
     label: &str,
     manifest: &mut RunManifest,
+    trained: &mut Vec<(MossConfig, Scores)>,
     tweak: impl Fn(&mut MossConfig),
 ) -> Result<Option<(String, f64, f64, f64)>, PipelineError> {
-    let mut store = world.store.clone();
     let mut config = MossConfig {
         d_hidden: world.config.d_hidden,
         iterations: world.config.iterations,
         ..MossConfig::small(world.config.encoder.d_model, MossVariant::WithoutAlignment)
     };
     tweak(&mut config);
-    let model = MossModel::new(config, &mut store, world.config.seed ^ 0xab1a);
-    let mut preps = Vec::with_capacity(samples.len());
-    for s in samples {
-        match model.prepare(
-            s,
-            &world.encoder,
-            &store,
-            &world.lib,
-            world.config.clock_mhz,
-        ) {
-            Ok(p) => {
-                manifest.record_success();
-                preps.push(p);
-            }
-            Err(e) => manifest.record_skip(s.name.clone(), "prepare", e.into()),
+    let scores = match trained.iter().find(|(c, _)| *c == config) {
+        Some(&(_, scores)) => scores,
+        None => {
+            let scores = train_config(world, samples, manifest, config)?;
+            trained.push((config, scores));
+            scores
         }
-    }
-    manifest.check_budget()?;
+    };
+    Ok(scores.map(|(atp, trp, pp)| (label.to_owned(), atp, trp, pp)))
+}
+
+fn train_config(
+    world: &World,
+    samples: &[CircuitSample],
+    manifest: &mut RunManifest,
+    config: MossConfig,
+) -> Result<Scores, PipelineError> {
+    let mut store = world.store.clone();
+    let model = MossModel::new(config, &mut store, world.config.seed ^ 0xab1a);
+    let preps = prepare_for(world, &model, &store, samples, manifest)?;
     if preps.is_empty() {
         return Ok(None);
     }
-    let mut trainer = Trainer::new(TrainConfig {
-        align_epochs: 0,
-        ..world.config.train
-    });
-    trainer.pretrain(&model, &mut store, &preps);
+    Trainer::new(world.config.train).pretrain(&model, &mut store, &preps);
+    let n = preps.len() as f64;
     let (mut atp, mut trp, mut pp) = (0.0, 0.0, 0.0);
-    for p in &preps {
-        let pred = model.predict(&store, p);
-        atp += metrics::atp_accuracy(&pred, p) * 100.0 / preps.len() as f64;
-        trp += metrics::trp_accuracy(&pred, p) * 100.0 / preps.len() as f64;
-        pp += metrics::pp_accuracy(&pred, p) * 100.0 / preps.len() as f64;
+    for s in evaluate_on(&model, &store, &preps) {
+        atp += s.atp / n;
+        trp += s.trp / n;
+        pp += s.pp / n;
     }
-    Ok(Some((label.to_owned(), atp, trp, pp)))
+    Ok(Some((atp, trp, pp)))
 }
 
 fn main() -> ExitCode {
@@ -83,6 +87,7 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
     let samples = build_samples(&world, &modules, manifest)?;
 
     let mut rows = Vec::new();
+    let mut trained = Vec::new();
     eprintln!("# iterations sweep…");
     for iters in [1usize, 2, 4, 8] {
         rows.extend(run_config(
@@ -90,6 +95,7 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
             &samples,
             &format!("iterations={iters}"),
             manifest,
+            &mut trained,
             |c| {
                 c.iterations = iters;
             },
@@ -102,6 +108,7 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
             &samples,
             &format!("d_hidden={d}"),
             manifest,
+            &mut trained,
             |c| {
                 c.d_hidden = d;
             },
@@ -113,6 +120,7 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
         &samples,
         "two_phase=on",
         manifest,
+        &mut trained,
         |_| {},
     )?);
     rows.extend(run_config(
@@ -120,6 +128,7 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
         &samples,
         "two_phase=off",
         manifest,
+        &mut trained,
         |c| {
             c.two_phase = false;
         },

@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use moss::MossVariant;
+use moss::{MossVariant, TaskModel};
 use moss_bench::pipeline::{build_samples, build_world, score, train_baseline, train_variant};
 use moss_bench::run::{PipelineError, RunManifest};
 use moss_datagen::{pipeline_reg, signed_mac};

@@ -7,8 +7,8 @@ use std::process::ExitCode;
 
 use moss::MossVariant;
 use moss_bench::pipeline::{
-    averages, build_samples_variant, build_world, evaluate_baseline_on, evaluate_variant_on,
-    prepare_for, prepare_for_baseline, train_baseline, train_variant, CircuitScores,
+    averages, build_samples_variant, build_world, evaluate_on, prepare_for, train_baseline,
+    train_variant, CircuitScores,
 };
 use moss_bench::run::{PipelineError, RunManifest};
 
@@ -58,18 +58,41 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
 
     eprintln!("# training DeepSeq2 baseline…");
     let baseline = train_baseline(&world, &train_samples, manifest)?;
-    let eval_preps_b = prepare_for_baseline(&world, &baseline, &eval_samples, manifest)?;
-    let ds2 = evaluate_baseline_on(&baseline, &eval_preps_b);
-
-    let mut columns = vec![("DeepSeq2".to_owned(), ds2)];
+    let preps = prepare_for(
+        &world,
+        &baseline.model,
+        &baseline.store,
+        &eval_samples,
+        manifest,
+    )?;
+    let mut columns = vec![(
+        "DeepSeq2",
+        evaluate_on(&baseline.model, &baseline.store, &preps),
+    )];
     for variant in MossVariant::ALL {
+        if variant == MossVariant::WithoutAlignment {
+            continue; // scored from the full run below
+        }
         eprintln!("# training {}…", variant.label());
         let run = train_variant(&world, variant, &train_samples, manifest)?;
-        let eval_preps = prepare_for(&world, &run, &eval_samples, manifest)?;
-        columns.push((
-            variant.label().to_owned(),
-            evaluate_variant_on(&run, &eval_preps),
-        ));
+        let preps = prepare_for(
+            &world,
+            &run.model,
+            &run.feature_store,
+            &eval_samples,
+            manifest,
+        )?;
+        if variant == MossVariant::Full {
+            // "MOSS w/o A" pretrains exactly like MOSS, and alignment
+            // leaves the trunk frozen: it is MOSS's pre-alignment snapshot,
+            // and the two columns are equal by construction.
+            eprintln!("# scoring MOSS w/o A: MOSS's pre-alignment snapshot…");
+            columns.push((
+                MossVariant::WithoutAlignment.label(),
+                evaluate_on(&run.model, &run.feature_store, &preps),
+            ));
+        }
+        columns.push((variant.label(), evaluate_on(&run.model, &run.store, &preps)));
     }
 
     // Render the table. Scores are looked up by circuit name: a circuit

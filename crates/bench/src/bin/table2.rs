@@ -10,8 +10,10 @@
 
 use std::process::ExitCode;
 
-use moss::{MossVariant, Prepared};
-use moss_bench::pipeline::{build_world, fep_of, train_variant};
+use moss::MossVariant;
+use moss_bench::pipeline::{
+    build_samples_variant, build_world, fep_of, prepare_for, train_variant,
+};
 use moss_bench::run::{PipelineError, RunManifest};
 use moss_datagen::{random_module, SizeClass};
 
@@ -38,14 +40,8 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
         "# building training ground truth ({} designs × 2 mappings)…",
         train_modules.len()
     );
-    let mut train_samples =
-        moss_bench::pipeline::build_samples_variant(&world, &train_modules, 0, manifest)?;
-    train_samples.extend(moss_bench::pipeline::build_samples_variant(
-        &world,
-        &train_modules,
-        1,
-        manifest,
-    )?);
+    let mut train_samples = build_samples_variant(&world, &train_modules, 0, manifest)?;
+    train_samples.extend(build_samples_variant(&world, &train_modules, 1, manifest)?);
 
     // Six evaluation groups. Each group pairs known RTL with *unseen
     // synthesis mappings* (variants 2–7 never appear in training): the
@@ -61,17 +57,17 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
         "huggingface_1",
         "huggingface_2",
     ];
-    let groups: Vec<(Vec<moss_rtl::Module>, u64)> = (0..6u64)
-        .map(|gi| {
-            let modules: Vec<moss_rtl::Module> = (0..group_size)
-                .map(|i| {
-                    let idx = ((gi as usize) * 3 + i as usize) % train_modules.len();
-                    train_modules[idx].clone()
-                })
-                .collect();
-            (modules, 2 + gi) // mapping variant unseen in training
-        })
-        .collect();
+    let mut groups = Vec::with_capacity(6);
+    for gi in 0..6u64 {
+        let modules: Vec<moss_rtl::Module> = (0..group_size)
+            .map(|i| {
+                let idx = ((gi as usize) * 3 + i as usize) % train_modules.len();
+                train_modules[idx].clone()
+            })
+            .collect();
+        // Mapping variant 2 + gi is unseen in training.
+        groups.push(build_samples_variant(&world, &modules, 2 + gi, manifest)?);
+    }
 
     println!("\nTable II — RTL-netlist functional equivalence prediction accuracy (reproduced)");
     println!(
@@ -82,26 +78,25 @@ fn real_main(manifest: &mut RunManifest) -> Result<(), PipelineError> {
     // skipped) — rendered as dashes, excluded from the column average.
     let mut rows: Vec<[Option<f64>; 4]> = vec![[None; 4]; 6];
     for (vi, variant) in MossVariant::ALL.iter().enumerate() {
+        if *variant == MossVariant::WithoutAlignment {
+            continue; // scored from the full run below
+        }
         eprintln!("# training {} for FEP…", variant.label());
         let run = train_variant(&world, *variant, &train_samples, manifest)?;
-        for (gi, (group, mapping)) in groups.iter().enumerate() {
-            let samples =
-                moss_bench::pipeline::build_samples_variant(&world, group, *mapping, manifest)?;
-            let mut preps: Vec<Prepared> = Vec::with_capacity(samples.len());
-            for s in &samples {
-                match run
-                    .model
-                    .prepare(s, &world.encoder, &run.store, &world.lib, config.clock_mhz)
-                {
-                    Ok(p) => {
-                        manifest.record_success();
-                        preps.push(p);
-                    }
-                    Err(e) => manifest.record_skip(s.name.clone(), "prepare", e.into()),
-                }
+        // Each column scores one parameter snapshot. "MOSS w/o A" pretrains
+        // exactly like MOSS, and alignment leaves the trunk frozen: it is
+        // MOSS's pre-alignment snapshot.
+        let mut columns = vec![(vi, &run.store)];
+        if *variant == MossVariant::Full {
+            eprintln!("# scoring MOSS w/o A: MOSS's pre-alignment snapshot…");
+            // w/o A is the column left of MOSS.
+            columns.insert(0, (vi - 1, &run.feature_store));
+        }
+        for (gi, samples) in groups.iter().enumerate() {
+            for &(column, store) in &columns {
+                let preps = prepare_for(&world, &run.model, store, samples, manifest)?;
+                rows[gi][column] = fep_of(&world, &run.model, store, &preps);
             }
-            manifest.check_budget()?;
-            rows[gi][vi] = fep_of(&world, &run, &preps);
         }
     }
     // Column averages over the groups that produced a score, accumulated

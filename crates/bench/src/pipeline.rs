@@ -18,7 +18,8 @@
 
 use moss::{
     metrics, AlignEpoch, CircuitSample, DeepSeq2, DeepSeq2Config, MossConfig, MossModel,
-    MossVariant, Predictions, Prepared, PretrainEpoch, SampleOptions, TrainConfig, Trainer,
+    MossVariant, Predictions, Prepared, PretrainEpoch, SampleOptions, TaskModel, TrainConfig,
+    Trainer,
 };
 use moss_llm::{EncoderConfig, FineTuneConfig, FineTuner, TextEncoder};
 use moss_netlist::CellLibrary;
@@ -258,88 +259,57 @@ fn collect_stage<T, E: Into<crate::run::StageError>>(
     Ok(out)
 }
 
-/// Prepares additional (e.g. held-out) samples for an already-trained
-/// variant run. Samples that fail preparation are skipped and recorded.
+/// Prepares `samples` for `model` with the parameters in `store` — the
+/// training samples of a run, or new circuits for an already-trained one.
+/// Samples that fail preparation are skipped and recorded.
 ///
 /// # Errors
 ///
 /// [`PipelineError::BudgetExceeded`] when the skips push the run over its
 /// failure budget.
-pub fn prepare_for(
+pub fn prepare_for<M: TaskModel + Sync>(
     world: &World,
-    run: &VariantRun,
+    model: &M,
+    store: &ParamStore,
     samples: &[CircuitSample],
     manifest: &mut RunManifest,
 ) -> Result<Vec<Prepared>, PipelineError> {
-    let _obs = moss_obs::span_items("prepare_heldout", samples.len() as u64);
+    let _obs = moss_obs::span_items("prepare_samples", samples.len() as u64);
     let results = moss_tensor::par_map(samples, |_, s| {
         (
             s.name.clone(),
-            run.model.prepare(
-                s,
-                &world.encoder,
-                &run.feature_store,
-                &world.lib,
-                world.config.clock_mhz,
-            ),
+            model.prepare(s, &world.encoder, store, &world.lib, world.config.clock_mhz),
         )
     });
     collect_stage(results, "prepare", manifest)
 }
 
-/// Prepares held-out samples for a trained baseline. Samples that fail
-/// preparation are skipped and recorded.
-///
-/// # Errors
-///
-/// [`PipelineError::BudgetExceeded`] when the skips push the run over its
-/// failure budget.
-pub fn prepare_for_baseline(
-    world: &World,
-    run: &BaselineRun,
-    samples: &[CircuitSample],
-    manifest: &mut RunManifest,
-) -> Result<Vec<Prepared>, PipelineError> {
-    let _obs = moss_obs::span_items("prepare_heldout", samples.len() as u64);
-    let results = moss_tensor::par_map(samples, |_, s| {
-        (
-            s.name.clone(),
-            run.model.prepare(
-                s,
-                &world.encoder,
-                &run.store,
-                &world.lib,
-                world.config.clock_mhz,
-            ),
-        )
-    });
-    collect_stage(results, "prepare", manifest)
-}
-
-/// Scores a trained variant on arbitrary prepared circuits.
-pub fn evaluate_variant_on(run: &VariantRun, preps: &[Prepared]) -> Vec<CircuitScores> {
+/// Scores `model` with the parameters in `store` on prepared circuits.
+pub fn evaluate_on<M: TaskModel + Sync>(
+    model: &M,
+    store: &ParamStore,
+    preps: &[Prepared],
+) -> Vec<CircuitScores> {
     let _obs = moss_obs::span_items("evaluate", preps.len() as u64);
-    moss_tensor::par_map(preps, |_, p| score(&run.model.predict(&run.store, p), p))
+    moss_tensor::par_map(preps, |_, p| score(&model.predict(store, p), p))
 }
 
-/// Scores a trained baseline on arbitrary prepared circuits.
-pub fn evaluate_baseline_on(run: &BaselineRun, preps: &[Prepared]) -> Vec<CircuitScores> {
-    let _obs = moss_obs::span_items("evaluate", preps.len() as u64);
-    moss_tensor::par_map(preps, |_, p| score(&run.model.predict(&run.store, p), p))
-}
-
-/// A trained MOSS variant with everything needed for evaluation.
+/// A trained model — a MOSS variant or the DeepSeq2 baseline — with
+/// everything needed for evaluation.
 #[derive(Debug)]
-pub struct VariantRun {
+pub struct TrainedRun<M> {
     /// The trained model.
-    pub model: MossModel,
+    pub model: M,
     /// Its parameters (cloned world store + model params).
     pub store: ParamStore,
-    /// Snapshot taken before the alignment phase. Node features for *new*
-    /// circuits must be built with this encoder state: alignment tunes the
-    /// text-side LoRA adapters, and features embedded with the tuned
-    /// encoder would be distribution-shifted relative to what the (frozen)
-    /// GNN trunk trained on.
+    /// Snapshot taken before the alignment phase (equal to `store` when
+    /// alignment is off). Node features for *new* circuits must be built
+    /// with this encoder state: alignment tunes the text-side LoRA
+    /// adapters, and features embedded with the tuned encoder would be
+    /// distribution-shifted relative to what the (frozen) GNN trunk trained
+    /// on. For the full MOSS model this snapshot *is* "MOSS w/o A": that
+    /// variant pretrains identically, and alignment leaves the trunk
+    /// frozen.
     pub feature_store: ParamStore,
     /// Prepared circuits (the training samples that survived preparation).
     pub preps: Vec<Prepared>,
@@ -361,7 +331,7 @@ pub fn train_variant(
     variant: MossVariant,
     samples: &[CircuitSample],
     manifest: &mut RunManifest,
-) -> Result<VariantRun, PipelineError> {
+) -> Result<TrainedRun<MossModel>, PipelineError> {
     let _obs = moss_obs::span("train_variant");
     let mut store = world.store.clone();
     let model = MossModel::new(
@@ -373,26 +343,14 @@ pub fn train_variant(
         &mut store,
         world.config.seed ^ 0x90de1,
     );
-    let results = moss_tensor::par_map(samples, |_, s| {
-        (
-            s.name.clone(),
-            model.prepare(
-                s,
-                &world.encoder,
-                &store,
-                &world.lib,
-                world.config.clock_mhz,
-            ),
-        )
-    });
-    let preps = collect_stage(results, "prepare", manifest)?;
+    let preps = prepare_for(world, &model, &store, samples, manifest)?;
     let mut trainer = Trainer::new(world.config.train);
     let pretrain = trainer.pretrain(&model, &mut store, &preps);
     let feature_store = store.clone();
     // Alignment trains only the projection heads and text-side LoRA; the
     // GNN trunk (and therefore the regression heads) is untouched.
     let align = trainer.align(&model, &world.encoder, &mut store, &preps);
-    Ok(VariantRun {
+    Ok(TrainedRun {
         model,
         store,
         feature_store,
@@ -402,20 +360,8 @@ pub fn train_variant(
     })
 }
 
-/// A trained DeepSeq2 baseline.
-#[derive(Debug)]
-pub struct BaselineRun {
-    /// The trained baseline.
-    pub model: DeepSeq2,
-    /// Its parameters.
-    pub store: ParamStore,
-    /// Prepared circuits (the training samples that survived preparation).
-    pub preps: Vec<Prepared>,
-    /// Training loss curves.
-    pub pretrain: Vec<PretrainEpoch>,
-}
-
-/// Trains the DeepSeq2 baseline on `samples`. Samples that fail
+/// Trains the DeepSeq2 baseline on `samples`: the same preparation and
+/// pre-training loop as MOSS, with no alignment phase. Samples that fail
 /// preparation are skipped (recorded in `manifest`).
 ///
 /// # Errors
@@ -426,7 +372,7 @@ pub fn train_baseline(
     world: &World,
     samples: &[CircuitSample],
     manifest: &mut RunManifest,
-) -> Result<BaselineRun, PipelineError> {
+) -> Result<TrainedRun<DeepSeq2>, PipelineError> {
     let _obs = moss_obs::span("train_baseline");
     let mut store = world.store.clone();
     let model = DeepSeq2::new(
@@ -437,26 +383,15 @@ pub fn train_baseline(
         &mut store,
         world.config.seed ^ 0xba5e,
     );
-    let results = moss_tensor::par_map(samples, |_, s| {
-        (
-            s.name.clone(),
-            model.prepare(
-                s,
-                &world.encoder,
-                &store,
-                &world.lib,
-                world.config.clock_mhz,
-            ),
-        )
-    });
-    let preps = collect_stage(results, "prepare", manifest)?;
-    let mut trainer = Trainer::new(world.config.train);
-    let pretrain = trainer.train_deepseq2(&model, &mut store, &preps);
-    Ok(BaselineRun {
+    let preps = prepare_for(world, &model, &store, samples, manifest)?;
+    let pretrain = Trainer::new(world.config.train).pretrain(&model, &mut store, &preps);
+    Ok(TrainedRun {
         model,
+        feature_store: store.clone(),
         store,
         preps,
         pretrain,
+        align: Vec::new(),
     })
 }
 
@@ -497,18 +432,24 @@ pub fn averages(scores: &[CircuitScores]) -> Option<(f64, f64, f64)> {
     ))
 }
 
-/// FEP retrieval accuracy of a trained variant on a group of prepared
-/// circuits (paper Table II protocol), or `None` for an empty group.
-pub fn fep_of(world: &World, run: &VariantRun, preps: &[Prepared]) -> Option<f64> {
+/// FEP retrieval accuracy of a MOSS model with the parameters in `store` on
+/// a group of prepared circuits (paper Table II protocol), or `None` for an
+/// empty group. The netlist side runs the tape-free pass
+/// ([`MossModel::netlist_align`]).
+pub fn fep_of(
+    world: &World,
+    model: &MossModel,
+    store: &ParamStore,
+    preps: &[Prepared],
+) -> Option<f64> {
     if preps.is_empty() {
         return None;
     }
     let _obs = moss_obs::span_items("fep", preps.len() as u64);
-    let rtl: Vec<Vec<f32>> = moss_tensor::par_map(preps, |_, p| {
-        run.model.rtl_align_vec(&run.store, &world.encoder, p)
-    });
+    let rtl: Vec<Vec<f32>> =
+        moss_tensor::par_map(preps, |_, p| model.rtl_align_vec(store, &world.encoder, p));
     let net: Vec<Vec<f32>> =
-        moss_tensor::par_map(preps, |_, p| run.model.predict(&run.store, p).netlist_align);
+        moss_tensor::par_map(preps, |_, p| model.netlist_align(store, &p.circuit));
     Some(metrics::fep_accuracy(&rtl, &net) * 100.0)
 }
 

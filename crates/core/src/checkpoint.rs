@@ -464,7 +464,7 @@ fn variant_from_tag(tag: u64) -> io::Result<MossVariant> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MossModel;
+    use crate::model::{MossModel, TaskModel};
     use crate::sample::{CircuitSample, SampleOptions};
     use crate::trainer::TrainConfig;
     use moss_llm::{EncoderConfig, TextEncoder};

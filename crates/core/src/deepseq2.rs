@@ -6,19 +6,23 @@
 //! probability supervision, the canonical single-number compression of a
 //! node's truth table under random inputs.
 //!
-//! The baseline is evaluated on the same standard-cell graphs as MOSS
-//! (rather than its native AIGs, which [`moss_synth::lower_to_aig`]
-//! produces) so its Table I numbers are directly comparable; this choice
-//! favors the baseline, making MOSS's margin conservative.
+//! The baseline runs on the same standard-cell graphs as MOSS rather than
+//! on its native AIGs, so its Table I numbers are directly comparable; this
+//! choice favors the baseline, making MOSS's margin conservative. It
+//! prepares, trains and scores through the same [`TaskModel`] path as MOSS.
 
 use std::collections::HashMap;
 
 use moss_gnn::{CircuitGraph, Clustering, StateTable};
-use moss_netlist::{CellLibrary, NodeKind};
+use moss_llm::TextEncoder;
+use moss_netlist::{CellLibrary, NetlistError};
 use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::features::{build_node_features, FeatureOptions, STRUCT_DIM};
-use crate::model::{Predictions, Prepared};
+use crate::model::{
+    dynamic_power, power_loss, relative_weights, scalar_head, LocalLosses, Predictions, Prepared,
+    TaskModel,
+};
 use crate::sample::CircuitSample;
 
 /// DeepSeq2 hyperparameters.
@@ -69,19 +73,6 @@ pub struct DeepSeq2 {
     b_act: ParamId,
 }
 
-/// DeepSeq2 loss handles.
-#[derive(Debug, Clone, Copy)]
-pub struct DeepSeq2Losses {
-    /// Toggle loss.
-    pub toggle: Var,
-    /// Probability (compressed-truth-table) loss.
-    pub probability: Var,
-    /// Arrival-time loss.
-    pub arrival: Var,
-    /// Power loss.
-    pub power: Var,
-}
-
 impl DeepSeq2 {
     /// Registers parameters into `store`.
     pub fn new(config: DeepSeq2Config, store: &mut ParamStore, seed: u64) -> DeepSeq2 {
@@ -114,84 +105,6 @@ impl DeepSeq2 {
     /// The configuration.
     pub fn config(&self) -> &DeepSeq2Config {
         &self.config
-    }
-
-    /// Prepares a sample for the baseline: same pipeline as MOSS but with
-    /// LLM features disabled and a single uniform aggregator cluster.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the netlist cannot be levelized.
-    pub fn prepare(
-        &self,
-        sample: &CircuitSample,
-        encoder: &moss_llm::TextEncoder,
-        store: &ParamStore,
-        lib: &CellLibrary,
-        clock_mhz: f64,
-    ) -> Result<Prepared, moss_netlist::NetlistError> {
-        // Reuse the MOSS preparation minus LLM features and clustering.
-        let features = build_node_features(
-            &sample.netlist,
-            encoder,
-            store,
-            &HashMap::new(),
-            &sample.register_descs,
-            &sample.bindings,
-            &FeatureOptions {
-                llm_enhancement: false,
-            },
-        )?;
-        let n = sample.netlist.node_count();
-        let circuit = CircuitGraph::new(
-            &sample.netlist,
-            features,
-            Clustering {
-                assignment: vec![0; n],
-                count: 1,
-            },
-        )?;
-        let cell_nodes: Vec<usize> = sample
-            .netlist
-            .node_ids()
-            .filter(|&id| matches!(sample.netlist.kind(id), NodeKind::Cell(_)))
-            .map(|id| id.index())
-            .collect();
-        let dff_nodes: Vec<usize> = sample.labels.arrival_ns.iter().map(|&(i, _)| i).collect();
-        let pick = |v: &[f32]| -> Vec<f32> { cell_nodes.iter().map(|&i| v[i]).collect() };
-        Ok(Prepared {
-            name: sample.name.clone(),
-            toggle_target: Tensor::from_vec(pick(&sample.labels.toggle), cell_nodes.len(), 1),
-            prob_target: Tensor::from_vec(pick(&sample.labels.probability), cell_nodes.len(), 1),
-            arrival_target: Tensor::from_vec(
-                sample.labels.arrival_ns.iter().map(|&(_, a)| a).collect(),
-                dff_nodes.len(),
-                1,
-            ),
-            energy_vec: Tensor::from_vec(
-                cell_nodes
-                    .iter()
-                    .map(
-                        |&i| match sample.netlist.kind(moss_netlist::NodeId::new(i)) {
-                            NodeKind::Cell(k) => {
-                                lib.timing(k).switch_energy_fj as f32 * clock_mhz as f32
-                            }
-                            _ => 0.0,
-                        },
-                    )
-                    .collect(),
-                cell_nodes.len(),
-                1,
-            ),
-            leakage_nw: sample.labels.leakage_nw,
-            true_power_nw: sample.labels.total_power_nw,
-            reg_embs: Tensor::zeros(1, self.config.d_llm),
-            dff_reg_index: vec![0; dff_nodes.len()],
-            rtl_windows: Vec::new(),
-            circuit,
-            cell_nodes,
-            dff_nodes,
-        })
     }
 
     /// Forward pass: gated uniform aggregation over the two-phase schedule.
@@ -253,83 +166,91 @@ impl DeepSeq2 {
         }
         table.assemble(g)
     }
+}
 
-    /// Builds losses for one prepared circuit.
-    pub fn losses(&self, g: &mut Graph, store: &ParamStore, prep: &Prepared) -> DeepSeq2Losses {
+impl TaskModel for DeepSeq2 {
+    const FAULT_SALT: u64 = 2 << 48;
+
+    /// Prepares a sample for the baseline: same pipeline as MOSS but with
+    /// LLM features disabled and a single uniform aggregator cluster.
+    fn prepare(
+        &self,
+        sample: &CircuitSample,
+        encoder: &TextEncoder,
+        store: &ParamStore,
+        lib: &CellLibrary,
+        clock_mhz: f64,
+    ) -> Result<Prepared, NetlistError> {
+        let features = build_node_features(
+            &sample.netlist,
+            encoder,
+            store,
+            &HashMap::new(),
+            &sample.register_descs,
+            &sample.bindings,
+            &FeatureOptions {
+                llm_enhancement: false,
+            },
+        )?;
+        let n = sample.netlist.node_count();
+        let circuit = CircuitGraph::new(
+            &sample.netlist,
+            features,
+            Clustering {
+                assignment: vec![0; n],
+                count: 1,
+            },
+        )?;
+        Ok(Prepared::new(
+            sample,
+            circuit,
+            lib,
+            clock_mhz,
+            self.config.d_llm,
+        ))
+    }
+
+    fn local_losses(&self, g: &mut Graph, store: &ParamStore, prep: &Prepared) -> LocalLosses {
         let states = self.forward(g, store, &prep.circuit);
         let ds = self.config.d_state;
         let cells = g.gather_rows(states, &prep.cell_nodes);
         let func = g.slice_cols(cells, 0, ds);
-        let toggle_pred = self.head(g, store, func, self.w_toggle, self.b_toggle, true);
-        let prob_pred = self.head(g, store, func, self.w_prob, self.b_prob, true);
+        let toggle_pred = scalar_head(g, store, func, self.w_toggle, self.b_toggle, true);
+        let prob_pred = scalar_head(g, store, func, self.w_prob, self.b_prob, true);
         let dffs = g.gather_rows(states, &prep.dff_nodes);
         let timing = g.slice_cols(dffs, ds, ds);
-        let at_pred = self.head(g, store, timing, self.w_at, self.b_at, false);
-        let act = self.head(g, store, func, self.w_act, self.b_act, true);
-        let energy = g.input(prep.energy_vec.clone());
-        let dyn_nw = g.mul(act, energy);
-        let total_dyn = g.sum_all(dyn_nw);
-        let scale = 1.0 / prep.true_power_nw.max(1e-9) as f32;
-        let dyn_ratio = g.scale(total_dyn, scale);
-        let leak = g.input(Tensor::from_rows(&[&[prep.leakage_nw as f32 * scale]]));
-        let total_ratio = g.add(dyn_ratio, leak);
-
-        let toggle_w = prep.toggle_target.map(|t| 1.0 / t.abs().max(0.05));
-        let at_w = prep.arrival_target.map(|t| 1.0 / t.abs().max(0.05));
-        DeepSeq2Losses {
-            toggle: g.smooth_l1_weighted(toggle_pred, prep.toggle_target.clone(), toggle_w),
+        let at_pred = scalar_head(g, store, timing, self.w_at, self.b_at, false);
+        let act = scalar_head(g, store, func, self.w_act, self.b_act, true);
+        let total_dyn = dynamic_power(g, act, prep);
+        LocalLosses {
+            toggle: g.smooth_l1_weighted(
+                toggle_pred,
+                prep.toggle_target.clone(),
+                relative_weights(&prep.toggle_target),
+            ),
             probability: g.smooth_l1(prob_pred, prep.prob_target.clone()),
-            arrival: g.smooth_l1_weighted(at_pred, prep.arrival_target.clone(), at_w),
-            power: g.smooth_l1(total_ratio, Tensor::from_rows(&[&[1.0]])),
+            arrival: g.smooth_l1_weighted(
+                at_pred,
+                prep.arrival_target.clone(),
+                relative_weights(&prep.arrival_target),
+            ),
+            power: power_loss(g, total_dyn, prep),
         }
     }
 
-    /// Inference predictions (same shape as the MOSS model's).
-    pub fn predict(&self, store: &ParamStore, prep: &Prepared) -> Predictions {
+    fn predict(&self, store: &ParamStore, prep: &Prepared) -> Predictions {
         let mut g = Graph::new();
         let states = self.forward(&mut g, store, &prep.circuit);
         let ds = self.config.d_state;
         let cells = g.gather_rows(states, &prep.cell_nodes);
         let func = g.slice_cols(cells, 0, ds);
-        let toggle_pred = self.head(&mut g, store, func, self.w_toggle, self.b_toggle, true);
+        let toggle_pred = scalar_head(&mut g, store, func, self.w_toggle, self.b_toggle, true);
         let dffs = g.gather_rows(states, &prep.dff_nodes);
         let timing = g.slice_cols(dffs, ds, ds);
-        let at_pred = self.head(&mut g, store, timing, self.w_at, self.b_at, false);
-        let act = self.head(&mut g, store, func, self.w_act, self.b_act, true);
-        let energy = g.input(prep.energy_vec.clone());
-        let dyn_nw = g.mul(act, energy);
-        let total_dyn = g.sum_all(dyn_nw);
-        Predictions {
-            toggle: g.value(toggle_pred).data().to_vec(),
-            arrival_ns: g
-                .value(at_pred)
-                .data()
-                .iter()
-                .map(|&a| a.max(0.0))
-                .collect(),
-            power_nw: g.value(total_dyn).get(0, 0) as f64 + prep.leakage_nw,
-            netlist_align: Vec::new(),
-        }
-    }
-
-    fn head(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        states: Var,
-        w: ParamId,
-        b: ParamId,
-        squash: bool,
-    ) -> Var {
-        let wv = g.param(w, store);
-        let bv = g.param(b, store);
-        let o = g.matmul(states, wv);
-        let o = g.add_row(o, bv);
-        if squash {
-            g.sigmoid(o)
-        } else {
-            o
-        }
+        let at_pred = scalar_head(&mut g, store, timing, self.w_at, self.b_at, false);
+        let act = scalar_head(&mut g, store, func, self.w_act, self.b_act, true);
+        let total_dyn = dynamic_power(&mut g, act, prep);
+        Predictions::from_tape(&g, toggle_pred, at_pred, total_dyn, prep)
     }
 }
 
@@ -337,7 +258,7 @@ impl DeepSeq2 {
 mod tests {
     use super::*;
     use crate::sample::SampleOptions;
-    use moss_llm::{EncoderConfig, TextEncoder};
+    use moss_llm::EncoderConfig;
 
     fn setup() -> (DeepSeq2, ParamStore, Prepared) {
         let m = moss_rtl::parse(
@@ -373,7 +294,7 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..15 {
             let mut g = Graph::new();
-            let l = model.losses(&mut g, &store, &prep);
+            let l = model.local_losses(&mut g, &store, &prep);
             let s1 = g.add(l.toggle, l.probability);
             let s2 = g.add(l.arrival, l.power);
             let total = g.add(s1, s2);

@@ -18,6 +18,8 @@
 //!   and the CLIP-style RNC/RNM global alignment of Fig. 6;
 //! - [`MossVariant`]: the paper's ablations (w/o A, w/o AA, w/o FAA);
 //! - [`DeepSeq2`]: the reimplemented baseline;
+//! - [`TaskModel`]: what MOSS and DeepSeq2 share — prepare, local-task
+//!   losses, predict — so both train and score through one path;
 //! - [`Trainer`]: two-phase multi-task training with dynamic loss balancing
 //!   (Eq. 2), producing the Fig. 7 / Fig. 8 loss curves;
 //! - [`metrics`]: accuracy = 1 − mean relative error (Eq. 3) plus FEP
@@ -27,7 +29,7 @@
 //!
 //! ```no_run
 //! use moss::{CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions,
-//!            TrainConfig, Trainer};
+//!            TaskModel, TrainConfig, Trainer};
 //! use moss_llm::{EncoderConfig, TextEncoder};
 //! use moss_netlist::CellLibrary;
 //! use moss_tensor::ParamStore;
@@ -71,11 +73,13 @@ pub use checkpoint::{
     load_training_checkpoint, load_training_checkpoint_file, save_checkpoint, save_checkpoint_file,
     save_training_checkpoint, save_training_checkpoint_file, validate_params_finite,
 };
-pub use deepseq2::{DeepSeq2, DeepSeq2Config, DeepSeq2Losses};
+pub use deepseq2::{DeepSeq2, DeepSeq2Config};
 pub use embedder::NetlistEmbedder;
 pub use features::{build_node_features, FeatureOptions, STRUCT_DIM};
 pub use ingest::bindings_from_design;
-pub use model::{LocalLosses, MossConfig, MossModel, MossVariant, Predictions, Prepared};
+pub use model::{
+    LocalLosses, MossConfig, MossModel, MossVariant, Predictions, Prepared, TaskModel,
+};
 pub use sample::{
     canonical_reset_hash, labels_from_record, labels_to_record, CircuitSample, LabeledCircuit,
     Labels, SampleOptions,

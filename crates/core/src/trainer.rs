@@ -22,8 +22,7 @@ use moss_prng::seq::SliceRandom;
 use moss_prng::SeedableRng;
 use moss_tensor::{Adam, Graph, ParamStore, Tensor, Var};
 
-use crate::deepseq2::DeepSeq2;
-use crate::model::{MossConfig, MossModel, Prepared};
+use crate::model::{MossConfig, MossModel, Prepared, TaskModel};
 use moss_llm::TextEncoder;
 
 /// Training hyperparameters.
@@ -112,7 +111,8 @@ impl DynamicWeights {
     }
 }
 
-/// Trains MOSS (or a variant) through both phases.
+/// Trains MOSS (or a variant) through both phases, and the DeepSeq2
+/// baseline through the first.
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainConfig,
@@ -217,16 +217,16 @@ impl Trainer {
         }
     }
 
-    /// Phase 1 — pre-training on the local tasks. Returns per-epoch losses
-    /// (the Fig. 7 curves — the complete history, including epochs finished
-    /// before a resume).
+    /// Phase 1 — pre-training on the local tasks, for MOSS and the DeepSeq2
+    /// baseline alike. Returns per-epoch losses (the Fig. 7 curves — the
+    /// complete history, including epochs finished before a resume).
     ///
     /// A step whose losses are non-finite (organically diverged, or the
     /// `nan` fault site fired) is skipped and counted
     /// (`train.skipped_steps`) instead of poisoning the parameters.
-    pub fn pretrain(
+    pub fn pretrain<M: TaskModel>(
         &mut self,
-        model: &MossModel,
+        model: &M,
         store: &mut ParamStore,
         circuits: &[Prepared],
     ) -> Vec<PretrainEpoch> {
@@ -245,7 +245,10 @@ impl Trainer {
                 if self.aborted() {
                     return self.pretrain_history.clone();
                 }
-                if moss_faults::fire(moss_faults::Site::Nan, ((epoch as u64) << 32) ^ step as u64) {
+                if moss_faults::fire(
+                    moss_faults::Site::Nan,
+                    M::FAULT_SALT ^ ((epoch as u64) << 32) ^ step as u64,
+                ) {
                     moss_obs::counter("train.skipped_steps", 1);
                     continue;
                 }
@@ -284,7 +287,9 @@ impl Trainer {
                 power: sums[4] / n,
             });
             self.pretrain_done = epoch + 1;
-            self.maybe_autosave(model.config(), store);
+            if let Some(config) = model.checkpoint_config() {
+                self.maybe_autosave(config, store);
+            }
         }
         self.pretrain_history.clone()
     }
@@ -400,64 +405,6 @@ impl Trainer {
             self.maybe_autosave(model.config(), store);
         }
         self.align_history.clone()
-    }
-
-    /// Trains the DeepSeq2 baseline on its four local tasks.
-    pub fn train_deepseq2(
-        &mut self,
-        model: &DeepSeq2,
-        store: &mut ParamStore,
-        circuits: &[Prepared],
-    ) -> Vec<PretrainEpoch> {
-        let mut weights = DynamicWeights::new(4);
-        let mut history = Vec::with_capacity(self.config.pretrain_epochs);
-        let mut order: Vec<usize> = (0..circuits.len()).collect();
-        for epoch in 0..self.config.pretrain_epochs {
-            order.shuffle(&mut self.rng);
-            let mut sums = [0.0f64; 5];
-            let mut used = 0usize;
-            for (step, &i) in order.iter().enumerate() {
-                if moss_faults::fire(
-                    moss_faults::Site::Nan,
-                    (2u64 << 48) ^ ((epoch as u64) << 32) ^ step as u64,
-                ) {
-                    moss_obs::counter("train.skipped_steps", 1);
-                    continue;
-                }
-                let prep = &circuits[i];
-                let mut g = Graph::new();
-                let l = model.losses(&mut g, store, prep);
-                let raw = [
-                    g.value(l.probability).get(0, 0) as f64,
-                    g.value(l.toggle).get(0, 0) as f64,
-                    g.value(l.arrival).get(0, 0) as f64,
-                    g.value(l.power).get(0, 0) as f64,
-                ];
-                if raw.iter().any(|v| !v.is_finite()) {
-                    moss_obs::counter("train.skipped_steps", 1);
-                    continue;
-                }
-                let w = weights.update(&raw);
-                let total =
-                    weighted_sum(&mut g, &[l.probability, l.toggle, l.arrival, l.power], &w);
-                sums[0] += g.value(total).get(0, 0) as f64;
-                for (s, &r) in sums[1..].iter_mut().zip(&raw) {
-                    *s += r;
-                }
-                used += 1;
-                let grads = g.backward(total);
-                self.optimizer.step(store, &grads);
-            }
-            let n = used.max(1) as f64;
-            history.push(PretrainEpoch {
-                total: sums[0] / n,
-                probability: sums[1] / n,
-                toggle: sums[2] / n,
-                arrival: sums[3] / n,
-                power: sums[4] / n,
-            });
-        }
-        history
     }
 
     // ---- checkpoint (de)serialization ------------------------------------

@@ -8,7 +8,7 @@
 
 use moss::{
     load_checkpoint_file, save_checkpoint_file, CircuitSample, MossConfig, MossModel, MossVariant,
-    Prepared, SampleOptions, TrainConfig, Trainer,
+    Prepared, SampleOptions, TaskModel, TrainConfig, Trainer,
 };
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;

@@ -33,13 +33,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod aig;
 mod builder;
 mod error;
 mod lower;
 mod synth;
 
-pub use aig::{lower_to_aig, AigResult};
 pub use builder::{Bit, MapStyle, NetBuilder};
 pub use error::SynthError;
 pub use lower::{add, const_bits, eq, extend, less_than, lower_expr, mul, shift, Env};

@@ -15,7 +15,7 @@
 //!   [`backend`]. They run runtime-dispatched SIMD microkernels ([`simd`])
 //!   and fan large problems out over a persistent work-stealing thread
 //!   pool ([`pool`]) sized by `MOSS_THREADS`;
-//! - [`ParamStore`]/[`Adam`]/[`Sgd`]: named parameters and optimizers;
+//! - [`ParamStore`]/[`Adam`]: named parameters and the optimizer;
 //! - [`max_gradient_error`]: finite-difference gradient checking;
 //! - [`save_params`]/[`load_params`]: binary checkpoints.
 //!
@@ -55,7 +55,7 @@ pub use gradcheck::max_gradient_error;
 pub use graph::{
     l2_normalize_rows, layer_norm_rows, sigmoid, softmax_row, softmax_rows, Gradients, Graph, Var,
 };
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
 pub use pool::{PoolStats, ThreadPool};
 pub use serialize::{load_params, save_params};

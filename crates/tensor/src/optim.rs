@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the paper's choice, §V-A) and plain SGD.
+//! The Adam optimizer (the paper's choice, §V-A).
 
 use std::collections::HashMap;
 
@@ -134,28 +134,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent (used by ablation benches).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with a fixed learning rate.
-    pub fn new(lr: f32) -> Sgd {
-        Sgd { lr }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        let lr = self.lr;
-        for (id, grad) in grads.iter() {
-            let new = Kernels::GLOBAL.zip_map(store.get(id), grad, |w, g| w - lr * g);
-            store.set(id, new);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,17 +160,6 @@ mod tests {
         }
         let (_, last) = quadratic_step(&mut store, w);
         assert!(last < first * 0.01, "loss {first} → {last}");
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_rows(&[&[1.0]]));
-        let mut sgd = Sgd::new(0.1);
-        let (grads, _) = quadratic_step(&mut store, w);
-        sgd.step(&mut store, &grads);
-        // grad of w² at 1 is 2 → w ← 1 - 0.2.
-        assert!((store.get(w).get(0, 0) - 0.8).abs() < 1e-6);
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
     let net_embs: Vec<Vec<f32>> = run
         .preps
         .iter()
-        .map(|p| run.model.predict(&run.store, p).netlist_align)
+        .map(|p| run.model.netlist_align(&run.store, &p.circuit))
         .collect();
 
     // Center each modality within the group (as the alignment losses and the

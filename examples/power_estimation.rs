@@ -5,7 +5,8 @@
 //! Run with: `cargo run -p moss-bench --example power_estimation --release`
 
 use moss::{
-    metrics, CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TrainConfig, Trainer,
+    metrics, CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TaskModel,
+    TrainConfig, Trainer,
 };
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;

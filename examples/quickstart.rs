@@ -7,7 +7,8 @@
 //! Run with: `cargo run -p moss-bench --example quickstart --release`
 
 use moss::{
-    metrics, CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TrainConfig, Trainer,
+    metrics, CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TaskModel,
+    TrainConfig, Trainer,
 };
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::{CellLibrary, NetlistStats};

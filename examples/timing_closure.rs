@@ -10,7 +10,8 @@
 //! Run with: `cargo run -p moss-bench --example timing_closure --release`
 
 use moss::{
-    CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TrainConfig, Trainer,
+    CircuitSample, MossConfig, MossModel, MossVariant, SampleOptions, TaskModel, TrainConfig,
+    Trainer,
 };
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;

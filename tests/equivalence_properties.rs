@@ -8,7 +8,7 @@ use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
 use moss_rtl::{Interpreter, Module};
 use moss_sim::{CompiledSim, GateSim};
-use moss_synth::{lower_to_aig, synthesize, SynthOptions, SynthResult};
+use moss_synth::{synthesize, SynthOptions, SynthResult};
 
 /// Cases per property. The former proptest config ran 12 random cases;
 /// these are now deterministic draws from a seeded generator (the
@@ -108,31 +108,6 @@ fn all_mapping_variants_are_equivalent() {
     for seed in 0..6u64 {
         let synth = synthesize(&module, &SynthOptions::variant(seed)).expect("synthesizes");
         assert_equivalent(&module, &synth, 48, seed ^ 0x77);
-    }
-}
-
-#[test]
-fn aig_lowering_preserves_sequential_behaviour() {
-    for seed in 0..5u64 {
-        let module = moss_datagen::random_module(seed + 400, moss_datagen::SizeClass::Small);
-        let synth = synthesize(&module, &SynthOptions::default()).expect("synthesizes");
-        let aig = lower_to_aig(&synth.netlist).expect("lowers");
-        // Remap the DFF bindings through the node map so the checker can
-        // apply reset state to the AIG.
-        let dffs: Vec<_> = synth
-            .dffs
-            .iter()
-            .map(|b| {
-                let mut nb = b.clone();
-                nb.dff = aig.node_map[b.dff.index()].expect("dff mapped");
-                nb
-            })
-            .collect();
-        let wrapped = SynthResult {
-            netlist: aig.netlist,
-            dffs,
-        };
-        assert_equivalent(&module, &wrapped, 48, seed ^ 0x99);
     }
 }
 

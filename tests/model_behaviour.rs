@@ -1,10 +1,13 @@
 //! Behavioural integration tests of the models: determinism, checkpoint
 //! round-trips, thread-safety bounds, and variant-specific gradient flow.
 
-use moss::{CircuitSample, MossConfig, MossModel, MossVariant, Prepared, SampleOptions};
+use moss::{
+    CircuitSample, MossConfig, MossModel, MossVariant, Prepared, SampleOptions, TaskModel,
+    TrainConfig, Trainer,
+};
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;
-use moss_tensor::{load_params, save_params, Graph, ParamStore};
+use moss_tensor::{load_params, save_params, ParamStore};
 
 fn setup(variant: MossVariant) -> (MossModel, TextEncoder, ParamStore, Prepared) {
     let module = moss_datagen::max_selector(3, 6);
@@ -35,7 +38,10 @@ fn predictions_are_deterministic() {
     assert_eq!(a.toggle, b.toggle);
     assert_eq!(a.arrival_ns, b.arrival_ns);
     assert_eq!(a.power_nw, b.power_nw);
-    assert_eq!(a.netlist_align, b.netlist_align);
+    assert_eq!(
+        model.netlist_align(&store, &prep.circuit),
+        model.netlist_align(&store, &prep.circuit)
+    );
 }
 
 #[test]
@@ -83,14 +89,37 @@ fn adaptive_variant_clusters_within_budget_and_ablation_is_uniform() {
 
 #[test]
 fn alignment_gradients_only_exist_for_full_variant() {
+    let lib = CellLibrary::default();
+    let other = CircuitSample::build(
+        &moss_datagen::prbs_generator(2, 6),
+        &lib,
+        &SampleOptions {
+            sim_cycles: 128,
+            ..SampleOptions::default()
+        },
+    )
+    .expect("builds");
     for variant in MossVariant::ALL {
-        let (model, _enc, store, prep) = setup(variant);
-        let mut g = Graph::new();
-        let losses = model.local_losses(&mut g, &store, &prep);
+        let (model, encoder, mut store, prep) = setup(variant);
+        let second = model
+            .prepare(&other, &encoder, &store, &lib, 500.0)
+            .expect("prepares");
+        let wn = store.find("moss.align.wn").expect("registered");
+        let before = store.get(wn).clone();
+        let mut trainer = Trainer::new(TrainConfig {
+            align_epochs: 1,
+            ..TrainConfig::default()
+        });
+        let history = trainer.align(&model, &encoder, &mut store, &[prep, second]);
         assert_eq!(
-            losses.rrndm.is_some(),
+            !history.is_empty(),
             variant.alignment(),
-            "RrNdM presence must track the variant ({variant:?})"
+            "the alignment phase must track the variant ({variant:?})"
+        );
+        assert_eq!(
+            store.get(wn).data() != before.data(),
+            variant.alignment(),
+            "W_n trains only under alignment ({variant:?})"
         );
     }
 }

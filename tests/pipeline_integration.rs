@@ -1,10 +1,10 @@
 //! End-to-end integration tests: RTL → synthesis → ground truth → training
 //! → evaluation, across the whole workspace.
 
-use moss::MossVariant;
+use moss::{MossVariant, TaskModel};
 use moss_bench::pipeline::{
-    averages, build_samples, build_world, evaluate_baseline_on, evaluate_variant_on, fep_of,
-    train_baseline, train_variant, ExperimentConfig,
+    averages, build_samples, build_world, evaluate_on, fep_of, train_baseline, train_variant,
+    ExperimentConfig,
 };
 use moss_bench::run::RunManifest;
 use moss_datagen::{random_module, SizeClass};
@@ -35,7 +35,7 @@ fn full_moss_trains_end_to_end_and_beats_chance() {
     // …and alignment curves must exist for the full variant.
     assert!(!run.align.is_empty(), "alignment phase ran");
     // Scores are well-formed percentages.
-    let scores = evaluate_variant_on(&run, &run.preps);
+    let scores = evaluate_on(&run.model, &run.store, &run.preps);
     assert_eq!(scores.len(), samples.len());
     for s in &scores {
         assert!((0.0..=100.0).contains(&s.atp), "{}: atp {}", s.name, s.atp);
@@ -59,7 +59,7 @@ fn baseline_trains_and_evaluates() {
     let first = run.pretrain.first().expect("epochs ran").total;
     let last = run.pretrain.last().expect("epochs ran").total;
     assert!(last < first, "baseline loss {first} → {last}");
-    let scores = evaluate_baseline_on(&run, &run.preps);
+    let scores = evaluate_on(&run.model, &run.store, &run.preps);
     assert_eq!(scores.len(), 2);
 }
 
@@ -76,10 +76,11 @@ fn alignment_lifts_fep_above_unaligned_variants() {
     let samples = build_samples(&world, &modules, &mut m).unwrap();
 
     let full = train_variant(&world, MossVariant::Full, &samples, &mut m).unwrap();
-    let fep_full = fep_of(&world, &full, &full.preps).expect("non-empty group");
+    let fep_full = fep_of(&world, &full.model, &full.store, &full.preps).expect("non-empty group");
 
     let unaligned = train_variant(&world, MossVariant::WithoutAlignment, &samples, &mut m).unwrap();
-    let fep_unaligned = fep_of(&world, &unaligned, &unaligned.preps).expect("non-empty group");
+    let fep_unaligned = fep_of(&world, &unaligned.model, &unaligned.store, &unaligned.preps)
+        .expect("non-empty group");
 
     // The full model aligns its own training set essentially perfectly;
     // the unaligned variant's shared space is an untrained projection.
@@ -88,6 +89,54 @@ fn alignment_lifts_fep_above_unaligned_variants() {
         "alignment must help: full {fep_full}% vs unaligned {fep_unaligned}%"
     );
     assert!(fep_full >= 60.0, "aligned retrieval strong: {fep_full}%");
+}
+
+/// Table I and II score "MOSS w/o A" from the full run's pre-alignment
+/// snapshot instead of training it. That holds only while the variant
+/// pretrains exactly like MOSS and alignment leaves the trunk and heads
+/// alone; this pins both, bitwise.
+#[test]
+fn without_alignment_is_the_full_runs_pre_alignment_snapshot() {
+    let world = tiny_world();
+    let modules = vec![
+        moss_datagen::max_selector(3, 6),
+        moss_datagen::prbs_generator(2, 8),
+        moss_datagen::shift_reg(6, 6),
+    ];
+    let mut m = manifest();
+    let samples = build_samples(&world, &modules, &mut m).unwrap();
+    let full = train_variant(&world, MossVariant::Full, &samples, &mut m).unwrap();
+    let without = train_variant(&world, MossVariant::WithoutAlignment, &samples, &mut m).unwrap();
+    assert!(!full.align.is_empty(), "the full run aligned");
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(without.store.len(), full.feature_store.len());
+    for ((_, name, a), (_, full_name, b)) in without.store.iter().zip(full.feature_store.iter()) {
+        assert_eq!(name, full_name, "parameter order");
+        assert_eq!(a.shape(), b.shape(), "{name}");
+        assert_eq!(
+            bits(a.data()),
+            bits(b.data()),
+            "w/o A's {name} is not MOSS's pre-alignment value"
+        );
+    }
+    for prep in &full.preps {
+        let after = full.model.predict(&full.store, prep);
+        let before = full.model.predict(&full.feature_store, prep);
+        assert_eq!(bits(&after.toggle), bits(&before.toggle), "{}", prep.name);
+        assert_eq!(
+            bits(&after.arrival_ns),
+            bits(&before.arrival_ns),
+            "{}",
+            prep.name
+        );
+        assert_eq!(
+            after.power_nw.to_bits(),
+            before.power_nw.to_bits(),
+            "{}",
+            prep.name
+        );
+    }
 }
 
 #[test]

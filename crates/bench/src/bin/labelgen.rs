@@ -1,6 +1,6 @@
 //! Single-command, resumable corpus labeling backed by the sharded label
 //! store. Generates a deterministic random corpus shard-by-shard, labels
-//! first-touch circuits on the work-stealing pool, and serves everything
+//! first-touch circuits on the thread pool, and serves everything
 //! else from the store — so a killed run rerun with the same arguments
 //! completes from cache bit-identically.
 //!

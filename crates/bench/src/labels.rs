@@ -1,6 +1,6 @@
 //! Streaming, store-backed corpus labeling: generate one deterministic
 //! seed-range shard at a time ([`moss_datagen::CorpusPlan`]), label it on
-//! the work-stealing pool with first-touch results published to the
+//! the thread pool with first-touch results published to the
 //! [`LabelStore`], fold the labels into an order-dependent digest, and
 //! drop the shard. Peak memory is bounded by the shard size, not the
 //! corpus size — the monolithic pipeline in [`crate::pipeline`]
@@ -86,7 +86,7 @@ fn fold(mut h: u64, word: u64) -> u64 {
 /// Seed value for the digest fold (plain FNV-1a offset basis).
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Labels one shard on the work-stealing pool, returning
+/// Labels one shard on the thread pool, returning
 /// `(corpus index, record digest, cache_hit)` per surviving circuit in
 /// corpus order. Failing circuits are skipped into `manifest`.
 ///

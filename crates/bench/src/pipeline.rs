@@ -5,7 +5,7 @@
 //!
 //! Per-sample stages (ground-truth generation, preparation, evaluation)
 //! are independent across samples, so they fan out through
-//! [`moss_tensor::par_map`] onto the persistent work-stealing pool
+//! [`moss_tensor::par_map`] onto the persistent thread pool
 //! (`moss_tensor::pool`): deterministic ordered results, thread count from
 //! `MOSS_THREADS`, no per-call thread spawning.
 //!

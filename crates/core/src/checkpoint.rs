@@ -26,6 +26,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use moss_store::crc32_update;
 use moss_tensor::{load_params, save_params, ParamStore};
 
 use crate::model::{MossConfig, MossVariant};
@@ -34,54 +35,12 @@ use crate::trainer::Trainer;
 const MAGIC: &[u8; 8] = b"MOSSCKP2";
 const V1_MAGIC: &[u8; 8] = b"MOSSCKP1";
 
-// ---- CRC32 (IEEE 802.3, reflected) --------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
-    }
-    crc
-}
+// ---- CRC32 footer ----------------------------------------------------------
 
 /// A writer that maintains a running CRC32 of everything written.
 struct CrcWriter<W: Write> {
     inner: W,
     crc: u32,
-}
-
-impl<W: Write> CrcWriter<W> {
-    fn new(inner: W) -> CrcWriter<W> {
-        CrcWriter {
-            inner,
-            crc: 0xffff_ffff,
-        }
-    }
-
-    fn crc(&self) -> u32 {
-        self.crc ^ 0xffff_ffff
-    }
 }
 
 impl<W: Write> Write for CrcWriter<W> {
@@ -100,19 +59,6 @@ impl<W: Write> Write for CrcWriter<W> {
 struct CrcReader<R: Read> {
     inner: R,
     crc: u32,
-}
-
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> CrcReader<R> {
-        CrcReader {
-            inner,
-            crc: 0xffff_ffff,
-        }
-    }
-
-    fn crc(&self) -> u32 {
-        self.crc ^ 0xffff_ffff
-    }
 }
 
 impl<R: Read> Read for CrcReader<R> {
@@ -191,7 +137,10 @@ fn save_checkpoint_impl<W: Write>(
     store: &ParamStore,
     trainer: Option<&Trainer>,
 ) -> io::Result<()> {
-    let mut w = CrcWriter::new(writer);
+    let mut w = CrcWriter {
+        inner: writer,
+        crc: 0,
+    };
     w.write_all(MAGIC)?;
     for v in [
         config.d_llm as u64,
@@ -213,8 +162,7 @@ fn save_checkpoint_impl<W: Write>(
         }
         None => w.write_all(&[0u8])?,
     }
-    let crc = w.crc();
-    w.inner.write_all(&crc.to_le_bytes())
+    w.inner.write_all(&w.crc.to_le_bytes())
 }
 
 // ---- load ----------------------------------------------------------------
@@ -249,7 +197,10 @@ pub fn load_training_checkpoint<R: Read>(
 fn load_checkpoint_impl<R: Read>(
     reader: R,
 ) -> io::Result<(MossConfig, ParamStore, Option<Trainer>)> {
-    let mut r = CrcReader::new(reader);
+    let mut r = CrcReader {
+        inner: reader,
+        crc: 0,
+    };
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic).map_err(eof_as_invalid)?;
     if &magic == V1_MAGIC {
@@ -286,7 +237,7 @@ fn load_checkpoint_impl<R: Read>(
         1 => Some(Trainer::read_state(&mut r, &store).map_err(eof_as_invalid)?),
         _ => return Err(invalid("corrupt trainer flag")),
     };
-    let computed = r.crc();
+    let computed = r.crc;
     let mut footer = [0u8; 4];
     r.inner.read_exact(&mut footer).map_err(eof_as_invalid)?;
     if u32::from_le_bytes(footer) != computed {

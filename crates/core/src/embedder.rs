@@ -57,32 +57,76 @@ fn encoder_config_for(d_llm: usize) -> EncoderConfig {
     }
 }
 
+/// Checks that `store` can back `config` before anything binds to it. A
+/// parameter bound under a different shape, an encoder whose attention
+/// heads do not divide its width, or a model with no aggregator would
+/// otherwise panic mid-build.
+fn check_fits(config: &MossConfig, encoder: EncoderConfig, store: &ParamStore) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    if config.aggregators == 0 {
+        return Err(invalid("aggregators must be at least 1".to_string()));
+    }
+    if !encoder.d_model.is_multiple_of(encoder.heads) {
+        return Err(invalid(format!(
+            "d_llm {} is not a multiple of the encoder's {} attention heads",
+            config.d_llm, encoder.heads
+        )));
+    }
+    let mut fresh = ParamStore::new();
+    TextEncoder::new(encoder, &mut fresh, BIND_SEED);
+    MossModel::new(*config, &mut fresh, BIND_SEED);
+    for (_, name, want) in fresh.iter() {
+        if let Some(have) = store.find(name).map(|id| store.get(id)) {
+            if have.shape() != want.shape() {
+                return Err(invalid(format!(
+                    "parameter '{name}' is {:?}, but the config needs {:?}",
+                    have.shape(),
+                    want.shape()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 impl NetlistEmbedder {
     /// Builds an embedder from a config + parameter store (typically a
     /// loaded checkpoint; a fresh store gets deterministic random init).
-    pub fn new(config: MossConfig, mut store: ParamStore) -> NetlistEmbedder {
-        let encoder = TextEncoder::new(encoder_config_for(config.d_llm), &mut store, BIND_SEED);
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` if the store cannot back `config`: no
+    /// aggregators, a `d_llm` that is not a multiple of its encoder's
+    /// attention heads, or a parameter in the store shaped differently than
+    /// `config` needs (a checkpoint whose header disagrees with its
+    /// payload).
+    pub fn new(config: MossConfig, mut store: ParamStore) -> io::Result<NetlistEmbedder> {
+        let encoder_config = encoder_config_for(config.d_llm);
+        check_fits(&config, encoder_config, &store)?;
+        let encoder = TextEncoder::new(encoder_config, &mut store, BIND_SEED);
         let model = MossModel::new(config, &mut store, BIND_SEED);
 
         // The whole LLM contribution to a bare netlist, computed once.
         let kinds = KindTable::new(&config, &encoder, &store);
-        NetlistEmbedder {
+        Ok(NetlistEmbedder {
             model,
             store,
             kinds,
             no_regs: HashMap::new(),
             no_bindings: HashMap::new(),
-        }
+        })
     }
 
     /// Loads a MOSSCKP2 checkpoint and builds an embedder around it.
     ///
     /// # Errors
     ///
-    /// Propagates checkpoint I/O and validation errors.
+    /// Propagates checkpoint I/O and validation errors, and returns
+    /// `InvalidData` for a checkpoint whose header disagrees with its
+    /// parameters (see [`NetlistEmbedder::new`]).
     pub fn from_checkpoint_file<P: AsRef<Path>>(path: P) -> io::Result<NetlistEmbedder> {
         let (config, store) = load_checkpoint_file(path)?;
-        Ok(NetlistEmbedder::new(config, store))
+        NetlistEmbedder::new(config, store)
     }
 
     /// The model configuration.
@@ -162,7 +206,7 @@ mod tests {
 
     fn embedder() -> NetlistEmbedder {
         let config = MossConfig::small(16, MossVariant::Full);
-        NetlistEmbedder::new(config, ParamStore::new())
+        NetlistEmbedder::new(config, ParamStore::new()).unwrap()
     }
 
     #[test]
@@ -216,7 +260,7 @@ mod tests {
             .iter()
             .map(|m| synthesize(m, &SynthOptions::default()).unwrap().netlist)
             .collect();
-        let demo = NetlistEmbedder::new(config, demo_store(&config));
+        let demo = NetlistEmbedder::new(config, demo_store(&config)).unwrap();
         // The demo weights start every attention key at zero (a uniform
         // softmax); nonzero keys and pin biases make the softmax real.
         let mut keyed = demo_store(&config);
@@ -226,7 +270,7 @@ mod tests {
             let bias = keyed.find(&format!("gnn.agg{a}.pin_bias")).unwrap();
             keyed.set(bias, Tensor::xavier(1, 3, 50 + a as u64));
         }
-        let keyed = NetlistEmbedder::new(config, keyed);
+        let keyed = NetlistEmbedder::new(config, keyed).unwrap();
         for e in [&demo, &keyed] {
             for nl in &netlists {
                 let circuit = e.prepare(nl).unwrap();
@@ -235,6 +279,32 @@ mod tests {
                 let bytes = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bytes(&served), bytes(&tape), "{}", nl.name());
             }
+        }
+    }
+
+    #[test]
+    fn checkpoint_header_disagreeing_with_its_parameters_is_invalid_data() {
+        let config = MossConfig::small(16, MossVariant::Full);
+        let store = demo_store(&config);
+        let mut narrow = config;
+        narrow.d_hidden = 8;
+        let mut odd = config;
+        odd.d_llm = 15;
+        let mut no_aggregators = config;
+        no_aggregators.aggregators = 0;
+        for (tag, header) in [
+            ("hidden", narrow),
+            ("odd_llm", odd),
+            ("no_aggregators", no_aggregators),
+        ] {
+            let path = std::env::temp_dir().join(format!(
+                "moss-embedder-{}-{tag}.mossckp",
+                std::process::id()
+            ));
+            crate::save_checkpoint_file(&path, &header, &store).unwrap();
+            let err = NetlistEmbedder::from_checkpoint_file(&path).unwrap_err();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}: {err}");
         }
     }
 

@@ -335,7 +335,7 @@ impl TextEncoder {
     }
 
     /// Embeds a batch of texts, fanning the independent forwards out over
-    /// the persistent work-stealing pool (`moss_tensor::pool`). Results are
+    /// the persistent thread pool (`moss_tensor::pool`). Results are
     /// in input order and bit-identical to sequential
     /// [`TextEncoder::embed_text`] calls.
     pub fn embed_batch<S: AsRef<str> + Sync>(

@@ -17,8 +17,11 @@
 //!
 //! Spans nest: a span recorded while another span on the same thread is
 //! open is reported under a slash-joined path (`pretrain/pretrain_epoch`).
-//! Guards must be dropped in LIFO order (the natural scoping order); spans
-//! opened on worker threads simply start a fresh path on that thread.
+//! Guards must be dropped in LIFO order (the natural scoping order). Work
+//! handed to another thread keeps its path when the handing thread
+//! captures it ([`current_path`]) and the running thread enters it
+//! ([`SpanPath::enter`]); otherwise spans on a worker thread start a
+//! fresh path there.
 //!
 //! ## Example
 //!
@@ -189,6 +192,48 @@ impl Drop for SpanGuard {
     }
 }
 
+/// A captured span path: the names of the spans a thread had open,
+/// outermost first. Empty when captured with collection disabled.
+#[derive(Debug, Default)]
+pub struct SpanPath(Vec<&'static str>);
+
+/// Captures the calling thread's open span path, so work handed to another
+/// thread can record its spans under it. With collection disabled this is
+/// one relaxed load and no allocation.
+pub fn current_path() -> SpanPath {
+    if !enabled() {
+        return SpanPath::default();
+    }
+    SpanPath(STACK.with(|s| s.borrow().clone()))
+}
+
+impl SpanPath {
+    /// Makes this the calling thread's span path until the returned guard
+    /// drops, which restores the thread's own path. Inert when collection
+    /// is disabled.
+    pub fn enter(&self) -> PathGuard {
+        if !enabled() {
+            return PathGuard { saved: None };
+        }
+        let saved = STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), self.0.clone()));
+        PathGuard { saved: Some(saved) }
+    }
+}
+
+/// Restores a thread's own span path when dropped; see [`SpanPath::enter`].
+#[derive(Debug)]
+pub struct PathGuard {
+    saved: Option<Vec<&'static str>>,
+}
+
+impl Drop for PathGuard {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            STACK.with(|s| *s.borrow_mut() = saved);
+        }
+    }
+}
+
 /// Adds `delta` to the monotonic counter `name` (no-op when disabled).
 pub fn counter(name: &'static str, delta: u64) {
     if !enabled() {
@@ -204,7 +249,7 @@ pub fn counter(name: &'static str, delta: u64) {
 
 /// Records `value` into the max-keeping gauge `name` — the report shows
 /// the high-water mark across the run (no-op when disabled). Used for
-/// instantaneous quantities like the thread pool's queue depth, where a
+/// instantaneous quantities like the serve cache's size, where a
 /// monotonic counter would be meaningless.
 pub fn gauge_max(name: &'static str, value: u64) {
     if !enabled() {
@@ -463,6 +508,30 @@ mod tests {
         gauge_max("unit_gauge_disabled", 1);
         set_enabled(true);
         assert!(!report_json().contains("unit_gauge_disabled"));
+    }
+
+    #[test]
+    fn entered_path_nests_spans_of_another_thread() {
+        let _l = locked();
+        set_enabled(true);
+        let path = {
+            let _outer = span("unit_handoff");
+            current_path()
+        };
+        std::thread::spawn(move || {
+            let _own = span("unit_worker_own");
+            {
+                let _entered = path.enter();
+                let _g = span("unit_handed");
+            }
+            let _after = span("unit_after");
+        })
+        .join()
+        .unwrap();
+        let json = report_json();
+        assert!(json.contains("\"unit_handoff/unit_handed\""), "{json}");
+        assert!(json.contains("\"unit_worker_own/unit_after\""), "{json}");
+        assert!(!json.contains("\"unit_handed\""), "{json}");
     }
 
     #[test]

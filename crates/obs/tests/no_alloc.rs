@@ -1,7 +1,7 @@
 //! A disabled collector must add zero allocations to the span path, so
 //! instrumentation can live permanently in hot loops. The test binary
-//! installs a counting global allocator and drives the span/counter API
-//! with collection off.
+//! installs a counting global allocator and drives the span, counter,
+//! gauge and span-path capture API with collection off.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,12 +33,16 @@ fn disabled_span_path_does_not_allocate() {
     }
     moss_obs::counter("warmup", 1);
     moss_obs::gauge_max("warmup_gauge", 1);
+    drop(moss_obs::current_path().enter());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
+        let path = moss_obs::current_path();
+        let entered = path.enter();
         let mut g = moss_obs::span_items("hot_stage", 64);
         g.add_items(i & 7);
         drop(g);
+        drop(entered);
         moss_obs::counter("hot_counter", 1);
         moss_obs::gauge_max("hot_gauge", i);
         assert!(!moss_obs::enabled());

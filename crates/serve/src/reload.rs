@@ -8,9 +8,12 @@
 //! 1. **decode + CRC** — `moss::load_checkpoint_file_validated` rejects
 //!    bad magic, truncation, CRC-footer mismatches, and non-finite
 //!    weights (a diverged training run with an intact footer);
-//! 2. **shape match** — the new embedder's alignment dimension must equal
-//!    the serving generation's, so clients never see the embedding width
-//!    change mid-stream;
+//! 2. **shape match** — every parameter must have the shape the
+//!    checkpoint's own header config gives it (`NetlistEmbedder::new`
+//!    rejects a mismatch as `InvalidData` before binding anything), and the
+//!    new embedder's alignment dimension must equal the serving
+//!    generation's, so clients never see the embedding width change
+//!    mid-stream;
 //! 3. **golden forward** — one fixed netlist is embedded end-to-end and
 //!    the output checked finite and correctly sized, proving the weights
 //!    actually drive the model (a checkpoint missing parameters binds
@@ -54,7 +57,7 @@ pub(crate) fn validate_checkpoint(
 ) -> Result<NetlistEmbedder, String> {
     let _sp = moss_obs::span("serve.reload.validate");
     let (config, store) = moss::load_checkpoint_file_validated(path).map_err(|e| e.to_string())?;
-    let embedder = NetlistEmbedder::new(config, store);
+    let embedder = NetlistEmbedder::new(config, store).map_err(|e| e.to_string())?;
     if let Some(dim) = expect_dim {
         if embedder.embedding_dim() != dim {
             return Err(format!(

@@ -196,6 +196,18 @@ fn bad_checkpoints_are_rejected_and_old_generation_keeps_serving() {
         let _model = moss::MossModel::new(config, &mut store, 2);
         moss::save_checkpoint_file(&misshaped, &config, &store).expect("write misshaped");
     }
+    // Valid, finite, but the header's config disagrees with the payload:
+    // a narrower GNN than the parameters carry, and an LLM width the
+    // encoder's attention heads do not divide.
+    let header_mismatch = |tag: &str, edit: fn(&mut MossConfig)| {
+        let (mut config, store) = moss::load_checkpoint_file(&a).expect("load A");
+        edit(&mut config);
+        let path = temp_path(tag);
+        moss::save_checkpoint_file(&path, &config, &store).expect("write header mismatch");
+        path
+    };
+    let narrow_hidden = header_mismatch("hidden8", |c| c.d_hidden = 8);
+    let odd_llm = header_mismatch("llm15", |c| c.d_llm = 15);
 
     let server =
         Server::start("127.0.0.1:0", embedder_from(&a), ServeConfig::default()).expect("start");
@@ -207,6 +219,8 @@ fn bad_checkpoints_are_rejected_and_old_generation_keeps_serving() {
         ("truncated", &truncated),
         ("NaN-weight", &nan),
         ("shape-mismatched", &misshaped),
+        ("d_hidden-header-mismatch", &narrow_hidden),
+        ("odd-d_llm-header", &odd_llm),
         ("nonexistent", &temp_path("missing")),
     ] {
         match client
@@ -230,7 +244,7 @@ fn bad_checkpoints_are_rejected_and_old_generation_keeps_serving() {
         );
     }
     let health = client.health().expect("health");
-    assert_eq!(field_u64(&health, "reload_failures"), 5);
+    assert_eq!(field_u64(&health, "reload_failures"), 7);
     assert_eq!(field_u64(&health, "reloads"), 0);
 }
 

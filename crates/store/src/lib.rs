@@ -100,12 +100,16 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
+/// Extends `crc`, the CRC32 (IEEE 802.3, reflected) of some bytes, over
+/// `bytes`: `crc32_update(0, b)` is the CRC32 of `b` alone, and
+/// `crc32_update(crc32_update(0, a), b)` that of `a` followed by `b`. The
+/// label records' and the MOSSCKP2 checkpoints' footers use it.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xffff_ffff
+    !crc
 }
 
 // ---- keys ----------------------------------------------------------------
@@ -195,7 +199,7 @@ impl LabelRecord {
         }
         out.extend_from_slice(&self.total_power_nw.to_le_bytes());
         out.extend_from_slice(&self.leakage_nw.to_le_bytes());
-        let crc = crc32(&out);
+        let crc = crc32_update(0, &out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -212,7 +216,7 @@ impl LabelRecord {
         }
         let (payload, footer) = bytes.split_at(bytes.len() - 4);
         let want = u32::from_le_bytes(footer.try_into().expect("4-byte footer"));
-        if crc32(payload) != want {
+        if crc32_update(0, payload) != want {
             return Err(invalid("label record crc mismatch"));
         }
         let mut r = Cursor {
@@ -489,6 +493,15 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crc32_matches_the_ieee_check_value_and_chains() {
+        assert_eq!(crc32_update(0, b"123456789"), 0xcbf4_3926);
+        assert_eq!(
+            crc32_update(crc32_update(0, b"1234"), b"56789"),
+            0xcbf4_3926
+        );
+    }
+
     fn temp_store(tag: &str) -> LabelStore {
         let dir = std::env::temp_dir().join(format!("moss_store_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -554,7 +567,7 @@ mod tests {
         forged.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
         forged.extend_from_slice(&(1u32 << 31).to_le_bytes());
         forged.extend_from_slice(&0u32.to_le_bytes());
-        let crc = crc32(&forged);
+        let crc = crc32_update(0, &forged);
         forged.extend_from_slice(&crc.to_le_bytes());
         assert!(LabelRecord::decode(&forged).is_err());
     }

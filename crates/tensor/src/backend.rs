@@ -7,7 +7,7 @@
 //! implementation of each kernel: the matmuls call the SIMD microkernels
 //! of [`crate::simd`] (level chosen by CPU detection), and every kernel
 //! splits its output into fixed-size blocks that fan out over the
-//! persistent work-stealing pool of [`crate::pool`] once the problem
+//! persistent thread pool of [`crate::pool`] once the problem
 //! clears a size threshold. Below the threshold — a pool dispatch costs a
 //! few microseconds, more than a small op — the kernel runs inline on the
 //! caller without touching, or starting, any pool.

@@ -13,7 +13,7 @@
 //!   cross-entropy for the CLIP-style RNC loss of Fig. 6);
 //! - [`Kernels`]: the one set of dense kernels every op runs through — see
 //!   [`backend`]. They run runtime-dispatched SIMD microkernels ([`simd`])
-//!   and fan large problems out over a persistent work-stealing thread
+//!   and fan large problems out over a persistent thread
 //!   pool ([`pool`]) sized by `MOSS_THREADS`;
 //! - [`ParamStore`]/[`Adam`]: named parameters and the optimizer;
 //! - [`max_gradient_error`]: finite-difference gradient checking;

@@ -1,4 +1,4 @@
-//! A persistent work-stealing thread pool for the compute kernels.
+//! A persistent thread pool for the compute kernels.
 //!
 //! Spawning fresh workers through `std::thread::scope` on every kernel
 //! call cost tens of microseconds per matmul — more than the multiply
@@ -8,80 +8,102 @@
 //!
 //! ## Architecture
 //!
-//! - One bounded-size deque (`Mutex<VecDeque<Task>>`) per worker. A batch
-//!   submission splits its index range into chunk tasks and deals them
-//!   round-robin across the deques.
-//! - Workers pop their own deque front-first; an empty deque makes the
-//!   worker *steal* from the back of a sibling's deque before parking.
-//! - The submitting thread participates: it drains tasks alongside the
-//!   workers and only blocks (on the batch's completion condvar) when no
-//!   queued work is left. A pool sized for `t` configured threads therefore
-//!   runs `t - 1` dedicated workers — the caller is the `t`-th.
-//! - Nested submissions are fine: a worker that submits a batch from
-//!   inside a task helps drain queues (its own sub-tasks included) until
-//!   its batch completes, so the pool cannot deadlock on recursion.
+//! - The pool keeps one list of open batches. A batch is one
+//!   `run_indexed` call: the closure, an atomic claim cursor over its
+//!   chunk indices, and a count of chunks not yet finished.
+//! - Any thread claims the next chunk of a batch with one `fetch_add` on
+//!   its cursor. A claim that lands past the last chunk means the batch is
+//!   fully claimed; that thread unlists it.
+//! - An idle worker takes the newest open batch and claims its chunks
+//!   until none are left, then looks again, or parks when the list is
+//!   empty.
+//! - The submitting thread lists its batch, wakes the workers and claims
+//!   chunks of *its own batch only*. Once every chunk is claimed it waits
+//!   for the chunks other threads are still running. A pool sized for `t`
+//!   configured threads therefore runs `t - 1` dedicated workers — the
+//!   caller is the `t`-th.
+//!
+//! ## Why nesting cannot deadlock
+//!
+//! A submitter waits only after it has claimed every chunk of its batch
+//! that nobody else claimed, so it waits only on chunks that are already
+//! running on some other thread. A worker that submits from inside a chunk
+//! is itself a submitter: it resolves its nested batch the same way before
+//! its outer chunk can finish. So a running chunk waits only on batches
+//! one nesting depth further in, the deepest batches wait on nothing, and
+//! every wait ends.
 //!
 //! ## Determinism
 //!
 //! The pool never influences numerics. Batches are decomposed by *shape
 //! only* (fixed chunk sizes, never derived from the worker count), every
-//! output element is written by exactly one task, and tasks carry their
-//! logical chunk index — which worker executes a chunk, and in what order,
+//! output element is written by exactly one chunk, and each chunk receives
+//! its logical index — which thread executes a chunk, and in what order,
 //! is invisible in the result. `crates/tensor/tests/pool_determinism.rs`
 //! pins bit-identical kernel outputs across `MOSS_THREADS` ∈ {1, 2, 4, 8}.
 //!
 //! ## Observability
 //!
-//! Submissions, steals, and a queue-depth high-water mark are counted on
-//! relaxed atomics (readable via [`ThreadPool::stats`]) and mirrored into
-//! `moss-obs` (`pool.tasks_submitted` / `pool.tasks_stolen` counters and
-//! the `pool.queue_depth` gauge) so `MOSS_OBS=1` run reports show pool
-//! behaviour. When observability is disabled the extra cost per batch is
-//! one relaxed atomic load per moss-obs call site.
+//! Submitted chunks are counted on a relaxed atomic (readable via
+//! [`ThreadPool::stats`]) and mirrored into the `moss-obs`
+//! `pool.tasks_submitted` counter. A batch captures its submitter's span
+//! path ([`moss_obs::current_path`]), and a worker runs the batch's chunks
+//! under that path, so a stage's spans report under the stage that
+//! submitted them whichever thread ran them. When observability is
+//! disabled the extra cost per batch is one relaxed atomic load per
+//! moss-obs call site.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-
-/// One unit of queued work: a chunk index of some in-flight batch.
-struct Task {
-    batch: Arc<Batch>,
-    chunk: usize,
-}
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
 /// An in-flight `run_indexed` call. The closure pointer's lifetime is
 /// erased; see the safety argument on [`ThreadPool::run_indexed`].
 struct Batch {
     run: *const (dyn Fn(usize) + Sync),
+    chunks: usize,
+    /// The next unclaimed chunk index; at or past `chunks` once every
+    /// chunk is claimed.
+    next: AtomicUsize,
     remaining: AtomicUsize,
     panicked: AtomicBool,
-    done_lock: Mutex<()>,
-    done: Condvar,
+    /// The submitter's span path, entered by the workers that run chunks.
+    path: moss_obs::SpanPath,
+    /// Unparked when `remaining` reaches zero.
+    submitter: Thread,
 }
 
 // SAFETY: `run` points at a `Sync` closure that `run_indexed` keeps alive
 // (and borrows valid) until `remaining` reaches zero — it blocks before
-// returning. Tasks only dereference `run` while `remaining > 0`.
+// returning. `run` is dereferenced only for a claimed chunk, and a chunk
+// stays unfinished (so `remaining > 0`) until its call returns. Every
+// other field is `Send + Sync` on its own.
 unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
-    /// Executes one chunk and signals completion. Panics in the closure
-    /// are caught so `remaining` always reaches zero (a poisoned batch
-    /// re-panics on the submitting thread).
-    fn execute(&self, chunk: usize) {
-        // SAFETY: remaining > 0 (this task exists), so the closure borrow
-        // is still live per the contract above.
-        let run = unsafe { &*self.run };
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(chunk))).is_err() {
-            self.panicked.store(true, Ordering::Release);
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Lock pairs with the waiter's check-then-wait so the final
-            // notify cannot slip between its load and its `wait`.
-            let _g = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.done.notify_all();
+    /// Claims and executes chunks until the cursor passes the last one.
+    /// Panics in the closure are caught so `remaining` always reaches zero
+    /// (a poisoned batch re-panics on the submitting thread).
+    fn drain(&self) {
+        loop {
+            // Relaxed: the cursor only hands out distinct indices. The
+            // batch and its closure reached this thread through the `open`
+            // mutex (or were built on it), and `remaining`'s AcqRel
+            // decrement publishes the chunk's writes to the submitter.
+            let chunk = self.next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= self.chunks {
+                return;
+            }
+            // SAFETY: `chunk` is claimed and unfinished, so the closure
+            // borrow is still live per the contract above.
+            let run = unsafe { &*self.run };
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(chunk))).is_err() {
+                self.panicked.store(true, Ordering::Release);
+            }
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.submitter.unpark();
+            }
         }
     }
 }
@@ -89,89 +111,50 @@ impl Batch {
 /// Counters the pool maintains unconditionally (relaxed atomics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks ever submitted to worker deques.
+    /// Chunks ever submitted, including those run inline.
     pub tasks_submitted: u64,
-    /// Tasks executed by a thread other than the deque's owner (stolen),
-    /// including tasks drained by the submitting thread.
-    pub tasks_stolen: u64,
-    /// High-water mark of queued (not yet claimed) tasks.
-    pub max_queue_depth: u64,
     /// Dedicated worker threads currently alive.
     pub live_workers: usize,
 }
 
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Guards the park/unpark handshake (`wake` waits on it).
-    park_lock: Mutex<()>,
+    /// Batches that may still have unclaimed chunks, oldest first.
+    open: Mutex<Vec<Arc<Batch>>>,
+    /// Idle workers wait on it (with `open` held).
     wake: Condvar,
     shutdown: AtomicBool,
     live: AtomicUsize,
     submitted: AtomicU64,
-    stolen: AtomicU64,
-    queued: AtomicU64,
-    max_depth: AtomicU64,
 }
 
 impl Shared {
-    /// Pops a task: own deque front first, then steal from siblings'
-    /// backs. `me` is the worker index, or `None` for the submitting
-    /// thread (everything it takes counts as a steal).
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(me) = me {
-            if let Some(t) = self.queues[me]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        let n = self.queues.len();
-        let start = me.map_or(0, |m| m + 1);
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_back()
-            {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                moss_obs::counter("pool.tasks_stolen", 1);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        self.queued.load(Ordering::Acquire) > 0
+    fn open(&self) -> MutexGuard<'_, Vec<Arc<Batch>>> {
+        self.open.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, me: usize) {
+/// Removes a fully claimed batch from the open list (idempotent).
+fn unlist(open: &mut Vec<Arc<Batch>>, batch: &Arc<Batch>) {
+    open.retain(|b| !Arc::ptr_eq(b, batch));
+}
+
+fn worker_loop(shared: Arc<Shared>) {
     shared.live.fetch_add(1, Ordering::SeqCst);
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(task) = shared.find_task(Some(me)) {
-            task.batch.execute(task.chunk);
+    let mut open = shared.open();
+    while !shared.shutdown.load(Ordering::Acquire) {
+        let Some(batch) = open.last().cloned() else {
+            open = shared.wake.wait(open).unwrap_or_else(|e| e.into_inner());
             continue;
+        };
+        drop(open);
+        {
+            let _path = batch.path.enter();
+            batch.drain();
         }
-        // Park. The re-check under `park_lock` pairs with submitters
-        // notifying under the same lock, so a push cannot be missed.
-        let guard = shared.park_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if shared.shutdown.load(Ordering::Acquire) || shared.has_work() {
-            continue;
-        }
-        drop(shared.wake.wait(guard));
+        open = shared.open();
+        unlist(&mut open, &batch);
     }
+    drop(open);
     shared.live.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -196,24 +179,19 @@ impl ThreadPool {
     /// of 0 or 1 gives a pool with no workers; every submission then runs
     /// inline on the caller.
     pub fn new(threads: usize) -> ThreadPool {
-        let workers = threads.saturating_sub(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            park_lock: Mutex::new(()),
+            open: Mutex::new(Vec::new()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..threads.saturating_sub(1))
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("moss-pool-{me}"))
-                    .spawn(move || worker_loop(shared, me))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -230,8 +208,6 @@ impl ThreadPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             tasks_submitted: self.shared.submitted.load(Ordering::Relaxed),
-            tasks_stolen: self.shared.stolen.load(Ordering::Relaxed),
-            max_queue_depth: self.shared.max_depth.load(Ordering::Relaxed),
             live_workers: self.shared.live.load(Ordering::SeqCst),
         }
     }
@@ -253,15 +229,14 @@ impl ThreadPool {
         if chunks == 0 {
             return;
         }
-        let workers = self.shared.queues.len();
-        if workers == 0 || chunks == 1 {
-            // Still counted as submitted work: on a zero-worker pool (one
-            // core, or `MOSS_THREADS=1`) the report should show how much
-            // traffic the pool *would* carry, not read as idle.
-            self.shared
-                .submitted
-                .fetch_add(chunks as u64, Ordering::Relaxed);
-            moss_obs::counter("pool.tasks_submitted", chunks as u64);
+        // Counted on the inline path too: on a zero-worker pool (one core,
+        // or `MOSS_THREADS=1`) the report should show how much traffic the
+        // pool *would* carry, not read as idle.
+        self.shared
+            .submitted
+            .fetch_add(chunks as u64, Ordering::Relaxed);
+        moss_obs::counter("pool.tasks_submitted", chunks as u64);
+        if self.handles.is_empty() || chunks == 1 {
             for chunk in 0..chunks {
                 f(chunk);
             }
@@ -269,65 +244,28 @@ impl ThreadPool {
         }
 
         // SAFETY: erase the borrow's lifetime to store it in the 'static
-        // task queue. The loop below does not return until `remaining`
-        // hits zero, and no task dereferences the pointer afterwards, so
-        // the borrow outlives every use.
+        // open list. This call does not return until `remaining` hits
+        // zero, and only a claimed, unfinished chunk dereferences the
+        // pointer, so the borrow outlives every use.
         let run: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(f) };
         let batch = Arc::new(Batch {
             run,
+            chunks,
+            next: AtomicUsize::new(0),
             remaining: AtomicUsize::new(chunks),
             panicked: AtomicBool::new(false),
-            done_lock: Mutex::new(()),
-            done: Condvar::new(),
+            path: moss_obs::current_path(),
+            submitter: std::thread::current(),
         });
+        self.shared.open().push(Arc::clone(&batch));
+        self.shared.wake.notify_all();
 
-        self.shared
-            .submitted
-            .fetch_add(chunks as u64, Ordering::Relaxed);
-        moss_obs::counter("pool.tasks_submitted", chunks as u64);
-        let depth = self
-            .shared
-            .queued
-            .fetch_add(chunks as u64, Ordering::AcqRel)
-            + chunks as u64;
-        self.shared.max_depth.fetch_max(depth, Ordering::Relaxed);
-        moss_obs::gauge_max("pool.queue_depth", depth);
-        for chunk in 0..chunks {
-            self.shared.queues[chunk % workers]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(Task {
-                    batch: Arc::clone(&batch),
-                    chunk,
-                });
-        }
-        {
-            let _g = self
-                .shared
-                .park_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            self.shared.wake.notify_all();
-        }
-
-        // Participate until this batch is done. Any queued task (ours or a
-        // nested batch's) is progress; block only when the queues are dry.
+        batch.drain();
+        unlist(&mut self.shared.open(), &batch);
+        // Every chunk is claimed; wait for the ones other threads run.
         while batch.remaining.load(Ordering::Acquire) != 0 {
-            match self.shared.find_task(None) {
-                Some(task) => task.batch.execute(task.chunk),
-                None => {
-                    let mut g = batch.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    while batch.remaining.load(Ordering::Acquire) != 0 {
-                        if self.shared.has_work() {
-                            // A nested batch landed while we slept; go
-                            // help instead of idling.
-                            break;
-                        }
-                        g = batch.done.wait(g).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
+            std::thread::park();
         }
         if batch.panicked.load(Ordering::Acquire) {
             panic!("moss-tensor pool task panicked");
@@ -339,11 +277,7 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _g = self
-                .shared
-                .park_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let _open = self.shared.open();
             self.shared.wake.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -404,9 +338,7 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        let stats = pool.stats();
-        assert_eq!(stats.tasks_submitted, 1000);
-        assert!(stats.max_queue_depth > 0);
+        assert_eq!(pool.stats().tasks_submitted, 1000);
     }
 
     #[test]
@@ -429,6 +361,38 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn concurrent_submitters_with_nested_batches_run_each_index_once() {
+        const SUBMITTERS: usize = 8;
+        const OUTER: usize = 6;
+        const INNER: usize = 5;
+        let pool = ThreadPool::new(3);
+        let hits: Vec<AtomicUsize> = (0..SUBMITTERS * OUTER * INNER)
+            .map(|_| AtomicUsize::new(0))
+            .collect();
+        let start = std::sync::Barrier::new(SUBMITTERS);
+        std::thread::scope(|s| {
+            for t in 0..SUBMITTERS {
+                let (pool, hits, start) = (&pool, &hits, &start);
+                s.spawn(move || {
+                    start.wait();
+                    pool.run_indexed(OUTER, &|o| {
+                        pool.run_indexed(INNER, &|i| {
+                            hits[(t * OUTER + o) * INNER + i].fetch_add(1, Ordering::Relaxed);
+                        });
+                    });
+                });
+            }
+        });
+        let counts: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, vec![1; SUBMITTERS * OUTER * INNER]);
+        let per_submitter = (OUTER + OUTER * INNER) as u64;
+        assert_eq!(
+            pool.stats().tasks_submitted,
+            SUBMITTERS as u64 * per_submitter
+        );
     }
 
     #[test]

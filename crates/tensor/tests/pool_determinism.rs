@@ -1,5 +1,5 @@
 //! The pool determinism matrix: every kernel routed through the
-//! work-stealing pool must produce **bit-identical** outputs across
+//! thread pool must produce **bit-identical** outputs across
 //! `MOSS_THREADS` ∈ {1, 2, 4, 8}, because work decomposition is a function
 //! of shape alone and every output element has exactly one writer.
 //!

@@ -1,6 +1,7 @@
 //! Early power estimation without simulation: predict circuit power from
 //! structure + RTL context, then validate against the full
-//! simulate-then-PrimePower-style flow.
+//! simulate-then-PrimePower-style flow (the label pipeline's power ground
+//! truth).
 //!
 //! Run with: `cargo run -p moss-bench --example power_estimation --release`
 
@@ -10,8 +11,6 @@ use moss::{
 };
 use moss_llm::{EncoderConfig, TextEncoder};
 use moss_netlist::CellLibrary;
-use moss_power::{total_area_um2, PowerReport};
-use moss_sim::toggle_rates;
 use moss_tensor::ParamStore;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,22 +21,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         moss_datagen::error_logger(8, 8),
     ];
 
-    // Reference flow: simulate → activity → power (the "slow" path).
+    // Reference flow: simulate → activity → power (the "slow" path), as
+    // the label pipeline runs it when building each sample.
     println!("reference flow (simulate 2k cycles → activity-based power):");
     let mut samples = Vec::new();
     for m in &designs {
         let sample = CircuitSample::build(&m.clone(), &lib, &SampleOptions::default())?;
-        let resets: Vec<_> = sample.bindings.iter().map(|b| (b.dff, b.reset)).collect();
-        let toggles = toggle_rates(&sample.netlist, &resets, 2048, 7)?;
-        let report = PowerReport::estimate(&sample.netlist, &lib, &toggles, 500.0);
+        let labels = &sample.labels;
         println!(
-            "  {:<16} {:>5} cells  {:>8.1} µm²  dyn {:>9.1} nW  leak {:>8.1} nW  total {:>9.1} nW",
+            "  {:<16} {:>5} cells  dyn {:>9.1} nW  leak {:>8.1} nW  total {:>9.1} nW",
             sample.name,
             sample.cell_count(),
-            total_area_um2(&sample.netlist, &lib),
-            report.total_dynamic_nw(),
-            report.total_leakage_nw(),
-            report.total_nw(),
+            labels.dynamic_nw.iter().map(|&d| f64::from(d)).sum::<f64>(),
+            labels.leakage_nw,
+            labels.total_power_nw,
         );
         samples.push(sample);
     }

@@ -5,7 +5,7 @@
 //! detected, recomputed, and rewritten rather than served.
 //!
 //! Everything runs through subprocesses (`CARGO_BIN_EXE_labelgen`): the
-//! work-stealing pool sizes itself from `MOSS_THREADS` once per process,
+//! thread pool sizes itself from `MOSS_THREADS` once per process,
 //! and an `--abort-after` exit is a process death by design.
 
 use std::path::PathBuf;

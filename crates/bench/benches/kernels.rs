@@ -1,6 +1,7 @@
-//! Dense-kernel timings at GNN-realistic matmul shapes: one row per
+//! Dense-kernel timings at GNN-realistic shapes: one row per
 //! (kernel, shape) on the global-pool kernels that the tape and
-//! `Tensor::matmul` run.
+//! `Tensor::matmul` run, plus the `tanh` kernel at the size of one
+//! inference pass's input projection.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root so the perf
 //! trajectory of the kernels is recorded change over change.
@@ -42,6 +43,14 @@ fn main() {
             std::hint::black_box(kernels.matmul_at_b(&a, &g));
         });
     }
+
+    // The tape-free pass's input projection on `mult_16x32_to_48`: 5,090
+    // nodes × d_hidden 16.
+    let (rows, cols) = (5090, 16);
+    let proj = Tensor::xavier(rows, cols, 4);
+    suite.bench_with_items(&format!("tanh/{rows}x{cols}"), (rows * cols) as u64, || {
+        std::hint::black_box(kernels.tanh(&proj));
+    });
 
     let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string()

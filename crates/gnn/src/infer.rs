@@ -23,14 +23,15 @@
 //!   zero, which is what the tape's `(q∘k)·1` matmul computes (a fused
 //!   multiply-add by 1 rounds like a plain add), then scales by `1/√d` and
 //!   adds the pin bias; the softmax is the tape's [`softmax_row`];
-//! - the activations are the tape's [`sigmoid`] and `f32::tanh`, and the
-//!   readout mean folds [`Kernels::col_sums`].
+//! - the activations are the tape's [`sigmoid`] and its `tanh` kernel,
+//!   [`simd::tanh`] (glibc's `tanhf`, bit for bit, many lanes at a time),
+//!   and the readout mean folds [`Kernels::col_sums`].
 //!
 //! A group gathers all of its inputs before it writes any output: a DFF
 //! group can read a DFF it also updates (the stages of a shift register),
 //! and the tape reads the pre-group state there too.
 
-use moss_tensor::{sigmoid, softmax_row, Kernels, ParamId, ParamStore, Tensor};
+use moss_tensor::{sigmoid, simd, softmax_row, Kernels, ParamId, ParamStore, Tensor};
 
 use crate::circuit::{CircuitGraph, Group};
 use crate::model::CircuitGnn;
@@ -163,7 +164,7 @@ impl CircuitGnn {
             let _sp = moss_obs::span("gnn.input");
             let mut proj = Kernels::GLOBAL.matmul(&circuit.features, store.get(self.w_in));
             add_row(proj.data_mut(), w(self.b_in));
-            Kernels::GLOBAL.map(&proj, f32::tanh)
+            Kernels::GLOBAL.tanh(&proj)
         };
 
         let s = &mut Scratch::default();
@@ -195,7 +196,7 @@ impl CircuitGnn {
             .collect();
         let mut ro = Kernels::GLOBAL.matmul(&Tensor::from_vec(pooled, 1, d), store.get(self.w_ro));
         add_row(ro.data_mut(), w(self.b_ro));
-        let graph_embedding = Kernels::GLOBAL.map(&ro, f32::tanh);
+        let graph_embedding = Kernels::GLOBAL.tanh(&ro);
         Inference {
             states,
             graph_embedding,
@@ -317,9 +318,7 @@ impl Gate {
         for x in &mut self.z {
             *x = sigmoid(*x);
         }
-        for x in &mut self.cand {
-            *x = x.tanh();
-        }
+        simd::tanh(&mut self.cand);
     }
 
     /// Writes `h' = (1 − z)·h + z·h̃` for each row into its node's row of

@@ -237,13 +237,14 @@ impl Graph {
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        let v = Kernels::GLOBAL.map(self.value(a), gelu);
+        let x = self.value(a);
+        let v = Kernels::GLOBAL.zip_map(x, &gelu_tanh(x), |x, t| 0.5 * x * (1.0 + t));
         self.push(Op::Gelu(a), v)
     }
 
     /// Tanh activation.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = Kernels::GLOBAL.map(self.value(a), f32::tanh);
+        let v = Kernels::GLOBAL.tanh(self.value(a));
         self.push(Op::Tanh(a), v)
     }
 
@@ -543,8 +544,9 @@ impl Graph {
                 }
                 Op::Transpose(a) => accumulate(&mut grads, a.0, grad.transpose()),
                 Op::Gelu(a) => {
-                    let dx = Kernels::GLOBAL
-                        .zip_map(&grad, &self.nodes[a.0].value, |g, x| g * gelu_grad(x));
+                    let x = &self.nodes[a.0].value;
+                    let slope = Kernels::GLOBAL.zip_map(x, &gelu_tanh(x), gelu_grad);
+                    let dx = Kernels::GLOBAL.zip_map(&grad, &slope, |g, s| g * s);
                     accumulate(&mut grads, a.0, dx);
                 }
                 Op::Tanh(a) => {
@@ -786,13 +788,14 @@ pub fn sigmoid(x: f32) -> f32 {
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh())
+/// `tanh(√(2/π)·(x + 0.044715·x³))` for every element: the tanh inside
+/// GELU and its derivative.
+fn gelu_tanh(x: &Tensor) -> Tensor {
+    Kernels::GLOBAL.tanh(&Kernels::GLOBAL.map(x, |x| GELU_C * (x + GELU_A * x * x * x)))
 }
 
-fn gelu_grad(x: f32) -> f32 {
-    let u = GELU_C * (x + GELU_A * x * x * x);
-    let t = u.tanh();
+/// GELU's derivative at `x`, given `t = gelu_tanh(x)`.
+fn gelu_grad(x: f32, t: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 }
 

@@ -93,6 +93,10 @@ fn reductions_and_elementwise_are_bit_identical_across_the_thread_matrix() {
                 == p.zip_map(&wide, &wide, |x, y| x * y + 0.5).data(),
             "zip_map drifted at {threads} threads"
         );
+        assert!(
+            one.tanh(&wide).data() == p.tanh(&wide).data(),
+            "tanh drifted at {threads} threads"
+        );
     }
 }
 

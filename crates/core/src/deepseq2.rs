@@ -181,6 +181,7 @@ impl TaskModel for DeepSeq2 {
         lib: &CellLibrary,
         clock_mhz: f64,
     ) -> Result<Prepared, NetlistError> {
+        let _obs = moss_obs::span_items("prepare", sample.netlist.node_count() as u64);
         let features = build_node_features(
             &sample.netlist,
             encoder,

@@ -13,8 +13,12 @@
 //!   and settles everything else 64 consecutive cycles per `u64` word.
 //!   Results are bit-identical to [`GateSim`];
 //! - [`simulate_random`] / [`simulate_random_compiled`] / [`toggle_rates`]:
-//!   random-stimulus runs producing per-cell [`ToggleReport`]s, the
-//!   supervision signal for the paper's toggle-rate prediction task.
+//!   random-stimulus runs (inputs drawn from `StdRng`) producing per-cell
+//!   [`ToggleReport`]s, for tests and examples. The label pipeline
+//!   (`moss::CircuitSample`) does not use them: it drives
+//!   [`CompiledSim::count_toggles`] with its own xorshift draw, and those
+//!   counts are the supervision signal for the paper's toggle-rate
+//!   prediction task.
 //!
 //! ## Example
 //!

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use moss_benchkit::Suite;
 use moss_gnn::{CircuitGnn, CircuitGraph, Clustering, GnnConfig};
+use moss_netlist::Levelization;
 use moss_tensor::{Graph, ParamStore, Tensor};
 
 fn prepared_circuit() -> CircuitGraph {
@@ -19,7 +20,8 @@ fn prepared_circuit() -> CircuitGraph {
         assignment: (0..n).map(|i| i % 3).collect(),
         count: 3,
     };
-    CircuitGraph::new(&synth.netlist, features, clusters).unwrap()
+    let levels = Levelization::of(&synth.netlist).unwrap();
+    CircuitGraph::new(&synth.netlist, &levels, features, clusters).unwrap()
 }
 
 fn forward_time(suite: &mut Suite, name: &str, config: GnnConfig, circuit: &CircuitGraph) {

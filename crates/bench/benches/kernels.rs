@@ -1,7 +1,7 @@
 //! Dense-kernel timings at GNN-realistic shapes: one row per
 //! (kernel, shape) on the global-pool kernels that the tape and
-//! `Tensor::matmul` run, plus the `tanh` kernel at the size of one
-//! inference pass's input projection.
+//! `Tensor::matmul` run, plus the `tanh` and `sigmoid` kernels at the size
+//! of one inference pass's input projection.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root so the perf
 //! trajectory of the kernels is recorded change over change.
@@ -48,8 +48,13 @@ fn main() {
     // nodes × d_hidden 16.
     let (rows, cols) = (5090, 16);
     let proj = Tensor::xavier(rows, cols, 4);
-    suite.bench_with_items(&format!("tanh/{rows}x{cols}"), (rows * cols) as u64, || {
+    let items = (rows * cols) as u64;
+    suite.bench_with_items(&format!("tanh/{rows}x{cols}"), items, || {
         std::hint::black_box(kernels.tanh(&proj));
+    });
+    // The same block through `sigmoid`, the `exp` kernel's tape op.
+    suite.bench_with_items(&format!("sigmoid/{rows}x{cols}"), items, || {
+        std::hint::black_box(kernels.sigmoid(&proj));
     });
 
     let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {

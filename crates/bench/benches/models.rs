@@ -2,8 +2,8 @@
 //! the tape (`gnn_forward/<circuit>`, the full `predict`: trunk plus the
 //! toggle, arrival and power heads) beside the tape-free pass on the same
 //! circuit (`gnn_infer/<circuit>`, the `netlist_align` every served miss
-//! runs: trunk plus the alignment projection), and a full training step
-//! (moss-benchkit harness).
+//! runs: trunk plus the alignment projection; also alone on the 5k-node
+//! `mult_16x32_to_48`), and a full training step (moss-benchkit harness).
 //!
 //! Emits `BENCH_models.json` at the workspace root. Run with
 //! `cargo bench -p moss-bench --bench models`. `MOSS_BENCH_OUT=path`
@@ -65,10 +65,17 @@ fn bench_gnn_forward(suite: &mut Suite) {
         suite.bench(&format!("gnn_forward/{}", fx.prep.name), || {
             std::hint::black_box(fx.model.predict(&fx.store, &fx.prep));
         });
-        suite.bench(&format!("gnn_infer/{}", fx.prep.name), || {
-            std::hint::black_box(fx.model.netlist_align(&fx.store, &fx.prep.circuit));
-        });
+        bench_gnn_infer(suite, &fx);
     }
+    // The largest Table I circuit (4,144 cells, 5,090 nodes): the pass
+    // alone, where a served miss spends most of its time.
+    bench_gnn_infer(suite, &fixture(moss_datagen::mult_16x32_to_48()));
+}
+
+fn bench_gnn_infer(suite: &mut Suite, fx: &Fixture) {
+    suite.bench(&format!("gnn_infer/{}", fx.prep.name), || {
+        std::hint::black_box(fx.model.netlist_align(&fx.store, &fx.prep.circuit));
+    });
 }
 
 fn bench_train_step(suite: &mut Suite) {

@@ -19,12 +19,13 @@
 //! per-record publishes are atomic renames, so stopping between circuits
 //! is the same as `SIGKILL` between record writes.
 //!
-//! `--bench` times a cold pass (fresh store) and a warm pass (same store)
-//! over the same plan and writes a `BENCH_labels.json` artifact in the
-//! moss-benchkit shape for `cargo xtask bench-check`; it exits nonzero if
-//! the two passes disagree on the digest or the warm pass is not at least
-//! 2x faster (the committed baseline records well above 5x — the 2x floor
-//! just keeps noisy CI boxes from flaking).
+//! `--bench` times a cold pass (fresh store) and five warm passes (same
+//! store) over the same plan and writes a `BENCH_labels.json` artifact in
+//! the moss-benchkit shape for `cargo xtask bench-check`; it exits nonzero
+//! if any warm pass disagrees with the cold one on the digest or the
+//! median warm pass is not at least 2x faster (the committed baseline
+//! records well above 5x — the 2x floor just keeps noisy CI boxes from
+//! flaking).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -123,6 +124,11 @@ fn json_result(name: &str, iters: u64, mean_ns: f64, per_sec: f64) -> String {
     )
 }
 
+/// Warm passes `--bench` times over the same store. The floor and the
+/// `labels/warm_per_circuit` row take their median, so one scheduler stall
+/// in a few-millisecond pass cannot decide the gate.
+const WARM_PASSES: usize = 5;
+
 fn run_bench(opt: &Options, plan: &CorpusPlan) -> ExitCode {
     let dir = std::env::temp_dir().join(format!("moss-labelgen-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,28 +162,34 @@ fn run_bench(opt: &Options, plan: &CorpusPlan) -> ExitCode {
     let Some((cold, cold_wall)) = pass("cold") else {
         return ExitCode::FAILURE;
     };
-    let Some((warm, warm_wall)) = pass("warm") else {
-        return ExitCode::FAILURE;
-    };
+    let mut warm_walls = Vec::with_capacity(WARM_PASSES);
+    for _ in 0..WARM_PASSES {
+        let Some((warm, wall)) = pass("warm") else {
+            return ExitCode::FAILURE;
+        };
+        if cold.digest != warm.digest || cold.labeled != warm.labeled {
+            eprintln!(
+                "labelgen: cold/warm mismatch: {} vs {} circuits, digest 0x{:016x} vs 0x{:016x}",
+                cold.labeled, warm.labeled, cold.digest, warm.digest
+            );
+            return ExitCode::FAILURE;
+        }
+        if warm.cache_hits != warm.labeled {
+            eprintln!(
+                "labelgen: warm pass recomputed {} circuits that should have hit",
+                warm.labeled - warm.cache_hits
+            );
+            return ExitCode::FAILURE;
+        }
+        warm_walls.push(wall);
+    }
     let _ = std::fs::remove_dir_all(&dir);
+    warm_walls.sort_by(f64::total_cmp);
+    let warm_wall = warm_walls[WARM_PASSES / 2];
 
-    if cold.digest != warm.digest || cold.labeled != warm.labeled {
-        eprintln!(
-            "labelgen: cold/warm mismatch: {} vs {} circuits, digest 0x{:016x} vs 0x{:016x}",
-            cold.labeled, warm.labeled, cold.digest, warm.digest
-        );
-        return ExitCode::FAILURE;
-    }
-    if warm.cache_hits != warm.labeled {
-        eprintln!(
-            "labelgen: warm pass recomputed {} circuits that should have hit",
-            warm.labeled - warm.cache_hits
-        );
-        return ExitCode::FAILURE;
-    }
     let n = cold.labeled.max(1) as f64;
     let speedup = cold_wall / warm_wall.max(1e-9);
-    eprintln!("labelgen: warm speedup {speedup:.1}x");
+    eprintln!("labelgen: warm speedup {speedup:.1}x (median of {WARM_PASSES} warm passes)");
 
     let mut json = String::from("{\n  \"bench\": \"labels\",\n  \"results\": [");
     json.push_str(&json_result(
@@ -189,7 +201,7 @@ fn run_bench(opt: &Options, plan: &CorpusPlan) -> ExitCode {
     json.push(',');
     json.push_str(&json_result(
         "labels/warm_per_circuit",
-        warm.labeled as u64,
+        cold.labeled as u64,
         warm_wall * 1e9 / n,
         n / warm_wall.max(1e-9),
     ));

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use moss_gnn::{CircuitGraph, Clustering, StateTable};
 use moss_llm::TextEncoder;
-use moss_netlist::{CellLibrary, NetlistError};
+use moss_netlist::{CellLibrary, Levelization, NetlistError};
 use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::features::{build_node_features, FeatureOptions, STRUCT_DIM};
@@ -182,8 +182,10 @@ impl TaskModel for DeepSeq2 {
         clock_mhz: f64,
     ) -> Result<Prepared, NetlistError> {
         let _obs = moss_obs::span_items("prepare", sample.netlist.node_count() as u64);
+        let levels = Levelization::of(&sample.netlist)?;
         let features = build_node_features(
             &sample.netlist,
+            &levels,
             encoder,
             store,
             &HashMap::new(),
@@ -192,10 +194,11 @@ impl TaskModel for DeepSeq2 {
             &FeatureOptions {
                 llm_enhancement: false,
             },
-        )?;
+        );
         let n = sample.netlist.node_count();
         let circuit = CircuitGraph::new(
             &sample.netlist,
+            &levels,
             features,
             Clustering {
                 assignment: vec![0; n],

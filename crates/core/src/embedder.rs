@@ -19,7 +19,7 @@ use std::path::Path;
 
 use moss_gnn::CircuitGraph;
 use moss_llm::{EncoderConfig, TextEncoder};
-use moss_netlist::{Netlist, NetlistError};
+use moss_netlist::{Levelization, Netlist, NetlistError};
 use moss_tensor::ParamStore;
 
 use crate::checkpoint::load_checkpoint_file;
@@ -154,15 +154,17 @@ impl NetlistEmbedder {
         let options = FeatureOptions {
             llm_enhancement: config.variant.llm_features(),
         };
+        let levels = Levelization::of(netlist)?;
         let features = build_node_features_with(
             netlist,
+            &levels,
             config.d_llm,
             self.kinds.embeddings(),
             &self.no_regs,
             &self.no_bindings,
             &options,
-        )?;
-        CircuitGraph::new(netlist, features, self.kinds.clustering(netlist))
+        );
+        CircuitGraph::new(netlist, &levels, features, self.kinds.clustering(netlist))
     }
 
     /// Embeds one prepared circuit with the tape-free GNN pass: the

@@ -36,25 +36,27 @@ impl Default for FeatureOptions {
 /// Builds the node feature matrix of a synthesized netlist,
 /// `node_count × (STRUCT_DIM + d_llm)`.
 ///
-/// `kind_emb` is the cell-description embedding of every [`CellKind`]
-/// (circuit-independent, so callers compute it once per encoder snapshot;
-/// read only with LLM enhancement on). `register_descs` are the RTL
-/// register prompts (from [`moss_rtl::describe_registers`]) and `bindings`
-/// map DFFs to register bits (from synthesis); both come from the same
-/// design.
-///
-/// # Errors
-///
-/// Returns an error if the netlist cannot be levelized.
+/// `levels` is the netlist's levelization, which the caller shares with
+/// [`moss_gnn::CircuitGraph::new`]. `kind_emb` is the cell-description
+/// embedding of every [`CellKind`] (circuit-independent, so callers
+/// compute it once per encoder snapshot; read only with LLM enhancement
+/// on). `register_descs` are the RTL register prompts (from
+/// [`moss_rtl::describe_registers`]) and `bindings` map DFFs to register
+/// bits (from synthesis); both come from the same design.
+// The netlist, its levelization, the encoder and its store, the kind
+// table, the design's two register tables and the options are all
+// independent inputs.
+#[allow(clippy::too_many_arguments)]
 pub fn build_node_features(
     netlist: &Netlist,
+    levels: &Levelization,
     encoder: &TextEncoder,
     store: &ParamStore,
     kind_emb: &HashMap<CellKind, Vec<f32>>,
     register_descs: &[RegisterDescription],
     bindings: &[DffBinding],
     options: &FeatureOptions,
-) -> Result<Tensor, moss_netlist::NetlistError> {
+) -> Tensor {
     let d_llm = encoder.config().d_model;
 
     // Register-prompt embeddings per register name.
@@ -71,7 +73,15 @@ pub fn build_node_features(
         .map(|b| (b.dff.index(), b.register_name.clone()))
         .collect();
 
-    build_node_features_with(netlist, d_llm, kind_emb, &reg_emb, &dff_to_reg, options)
+    build_node_features_with(
+        netlist,
+        levels,
+        d_llm,
+        kind_emb,
+        &reg_emb,
+        &dff_to_reg,
+        options,
+    )
 }
 
 /// The table-driven core of [`build_node_features`]: structural features
@@ -82,17 +92,25 @@ pub fn build_node_features(
 /// bit-identical.
 pub(crate) fn build_node_features_with(
     netlist: &Netlist,
+    levels: &Levelization,
     d_llm: usize,
     kind_emb: &HashMap<CellKind, Vec<f32>>,
     reg_emb: &HashMap<String, Vec<f32>>,
     dff_to_reg: &HashMap<usize, String>,
     options: &FeatureOptions,
-) -> Result<Tensor, moss_netlist::NetlistError> {
-    let levels = Levelization::of(netlist)?;
+) -> Tensor {
     let n = netlist.node_count();
     let max_level = levels.max_level().max(1) as f32;
+    // Each cell kind's embedding, unit-normalized once per call.
+    let mut kind_unit: Vec<Option<Vec<f32>>> = vec![None; CellKind::ALL.len()];
+    if options.llm_enhancement {
+        for (kind, v) in kind_emb {
+            kind_unit[kind.index()] = Some(normalized(v));
+        }
+    }
 
-    let mut matrix = Tensor::zeros(n, STRUCT_DIM + d_llm);
+    let width = STRUCT_DIM + d_llm;
+    let mut matrix = Tensor::zeros(n, width);
     for id in netlist.node_ids() {
         let i = id.index();
         let fan_in = netlist.fanins(id).len() as f32;
@@ -129,11 +147,13 @@ pub(crate) fn build_node_features_with(
         // Each embedding is L2-normalized before use so unseen designs'
         // register prompts cannot push DFF features outside the scale the
         // GNN trained on.
-        let mut llm = vec![0.0f32; d_llm];
+        let llm = &mut matrix.data_mut()[i * width + STRUCT_DIM..(i + 1) * width];
         if options.llm_enhancement {
             if let NodeKind::Cell(kind) = netlist.kind(id) {
-                let cell_vec = normalized(&kind_emb[&kind]);
-                for (slot, v) in llm.iter_mut().zip(cell_vec) {
+                let cell_vec = kind_unit[kind.index()]
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("no embedding for cell kind {kind:?}"));
+                for (slot, &v) in llm.iter_mut().zip(cell_vec) {
                     *slot = v;
                 }
                 if kind.is_sequential() {
@@ -151,12 +171,9 @@ pub(crate) fn build_node_features_with(
             // one-hot class signal.
             llm[kind.index() % d_llm] = 1.0;
         }
-        for (j, &v) in llm.iter().enumerate() {
-            matrix.set(i, STRUCT_DIM + j, v);
-        }
     }
 
-    Ok(matrix)
+    matrix
 }
 
 /// Unit-normalizes a vector (returns zeros for a zero vector).
@@ -214,14 +231,14 @@ mod tests {
         let descs = moss_rtl::describe_registers(&m);
         let f = build_node_features(
             &nl,
+            &Levelization::of(&nl).unwrap(),
             &enc,
             &store,
             &kind_embeddings(&enc, &store),
             &descs,
             &bindings,
             &FeatureOptions::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(f.rows(), nl.node_count());
         assert_eq!(f.cols(), STRUCT_DIM + 16);
         // DFF flag set exactly on DFFs.
@@ -245,14 +262,14 @@ mod tests {
         let descs = moss_rtl::describe_registers(&m);
         let f = build_node_features(
             &nl,
+            &Levelization::of(&nl).unwrap(),
             &enc,
             &store,
             &kind_embeddings(&enc, &store),
             &descs,
             &bindings,
             &FeatureOptions::default(),
-        )
-        .unwrap();
+        );
         let dff = nl.dffs()[0];
         let plain_dff_emb = enc.embed_text(&store, CellKind::Dff.description());
         let stored = llm_slice(&f, dff.index());
@@ -269,6 +286,7 @@ mod tests {
         let (nl, enc, store, bindings) = setup();
         let f = build_node_features(
             &nl,
+            &Levelization::of(&nl).unwrap(),
             &enc,
             &store,
             &HashMap::new(),
@@ -277,8 +295,7 @@ mod tests {
             &FeatureOptions {
                 llm_enhancement: false,
             },
-        )
-        .unwrap();
+        );
         // Fallback one-hot: each llm slice sums to ≤ 1.
         for id in nl.node_ids() {
             let sum: f32 = llm_slice(&f, id.index()).iter().sum();

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use moss_gnn::{CircuitGnn, CircuitGraph, GnnConfig};
 use moss_llm::TextEncoder;
-use moss_netlist::{CellLibrary, NetlistError, NodeId, NodeKind};
+use moss_netlist::{CellLibrary, Levelization, NetlistError, NodeId, NodeKind};
 use moss_tensor::{l2_normalize_rows, Graph, Kernels, ParamId, ParamStore, Tensor, Var};
 
 use crate::features::{build_node_features, FeatureOptions, STRUCT_DIM};
@@ -549,17 +549,19 @@ impl TaskModel for MossModel {
             llm_enhancement: self.config.variant.llm_features(),
         };
         let kinds = KindTable::new(&self.config, encoder, store);
+        let levels = Levelization::of(&sample.netlist)?;
         let features = build_node_features(
             &sample.netlist,
+            &levels,
             encoder,
             store,
             kinds.embeddings(),
             &sample.register_descs,
             &sample.bindings,
             &options,
-        )?;
+        );
         let clusters = kinds.clustering(&sample.netlist);
-        let circuit = CircuitGraph::new(&sample.netlist, features, clusters)?;
+        let circuit = CircuitGraph::new(&sample.netlist, &levels, features, clusters)?;
         let d_llm = self.config.d_llm;
         let mut prep = Prepared::new(sample, circuit, lib, clock_mhz, d_llm);
 

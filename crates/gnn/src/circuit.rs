@@ -41,21 +41,24 @@ pub struct CircuitGraph {
 }
 
 impl CircuitGraph {
-    /// Builds the propagation schedule.
+    /// Builds the propagation schedule from the netlist's levelization
+    /// (which the caller computes once and shares with the feature
+    /// builder).
     ///
     /// `features` must have one row per netlist node; `clusters` must assign
     /// every node.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Empty`] for a netlist with no nodes, and an
-    /// error if the netlist is invalid or combinationally cyclic.
+    /// Returns [`NetlistError::Empty`] for a netlist with no nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `features`/`clusters` sizes do not match the netlist.
+    /// Panics if `levels`/`features`/`clusters` sizes do not match the
+    /// netlist.
     pub fn new(
         netlist: &Netlist,
+        levels: &Levelization,
         features: Tensor,
         clusters: Clustering,
     ) -> Result<CircuitGraph, NetlistError> {
@@ -63,9 +66,9 @@ impl CircuitGraph {
         if n == 0 {
             return Err(NetlistError::Empty);
         }
+        assert_eq!(levels.levels().len(), n, "one level per node");
         assert_eq!(features.rows(), n, "one feature row per node");
         assert_eq!(clusters.assignment.len(), n, "one cluster per node");
-        let levels = Levelization::of(netlist)?;
 
         // Forward phase: combinational cells in level order, grouped by
         // (level, cluster, arity). Primary outputs ride along as arity-1
@@ -162,7 +165,13 @@ mod tests {
     fn schedule_covers_all_comb_cells_and_outputs() {
         let nl = pipeline_netlist();
         let n = nl.node_count();
-        let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
+        let cg = CircuitGraph::new(
+            &nl,
+            &Levelization::of(&nl).unwrap(),
+            Tensor::zeros(n, 4),
+            trivial_clustering(n),
+        )
+        .unwrap();
         let scheduled: usize = cg.comb_schedule.iter().map(|g| g.nodes.len()).sum();
         // 3 comb cells + 1 primary output.
         assert_eq!(scheduled, 4);
@@ -175,7 +184,13 @@ mod tests {
     fn groups_respect_level_order() {
         let nl = pipeline_netlist();
         let n = nl.node_count();
-        let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
+        let cg = CircuitGraph::new(
+            &nl,
+            &Levelization::of(&nl).unwrap(),
+            Tensor::zeros(n, 4),
+            trivial_clustering(n),
+        )
+        .unwrap();
         // u1 (level 1) must be scheduled before u2 (level 2).
         let pos = |name: &str| {
             let id = nl.find(name).unwrap().index();
@@ -191,7 +206,13 @@ mod tests {
     fn fanins_align_with_nodes() {
         let nl = pipeline_netlist();
         let n = nl.node_count();
-        let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
+        let cg = CircuitGraph::new(
+            &nl,
+            &Levelization::of(&nl).unwrap(),
+            Tensor::zeros(n, 4),
+            trivial_clustering(n),
+        )
+        .unwrap();
         for g in &cg.comb_schedule {
             for p in 0..g.arity {
                 assert_eq!(g.fanins[p].len(), g.nodes.len(), "pin {p} aligned");
@@ -218,7 +239,13 @@ mod tests {
                 structure_weight: 0.0,
             },
         );
-        let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), clusters.clone()).unwrap();
+        let cg = CircuitGraph::new(
+            &nl,
+            &Levelization::of(&nl).unwrap(),
+            Tensor::zeros(n, 4),
+            clusters.clone(),
+        )
+        .unwrap();
         for g in &cg.comb_schedule {
             for &node in &g.nodes {
                 assert_eq!(clusters.assignment[node], g.cluster);

@@ -5,8 +5,9 @@
 //! serving lookup or a frozen trunk needs only the values.
 //! [`CircuitGnn::infer`] walks the same [`CircuitGraph`] schedule over one
 //! `n × d` state matrix and a few scratch buffers reused from group to
-//! group: each group gathers its rows, runs the [`Kernels`] matmuls on
-//! slices, and writes its gated update back in place.
+//! group: each group gathers its rows, runs the aggregation's [`Kernels`]
+//! matmuls on slices, and hands its gated update to one fused kernel,
+//! [`simd::gated_update`], which writes the new states in place.
 //!
 //! # Bit-identity with the tape
 //!
@@ -14,24 +15,28 @@
 //! order, so every output is bit-identical to `forward`
 //! (`tests/infer_equivalence.rs` pins it):
 //!
-//! - matmuls run through [`Kernels::matmul_into`], the slice entry point
-//!   behind [`Kernels::matmul`], on the tape's shapes (the per-pin value
-//!   and key projections stay one stacked matmul each);
-//! - sums keep the tape's association, `(h·W + m·U) + h0·V` and then the
-//!   bias row, and the update is `(1 − z)·h + z·h̃`;
+//! - the aggregation's matmuls run through [`Kernels::matmul_into`], the
+//!   slice entry point behind [`Kernels::matmul`], on the tape's shapes
+//!   (the per-pin value and key projections stay one stacked matmul each);
 //! - an attention score adds the `q∘k` products in ascending order from
 //!   zero, which is what the tape's `(q∘k)·1` matmul computes (a fused
 //!   multiply-add by 1 rounds like a plain add), then scales by `1/√d` and
-//!   adds the pin bias; the softmax is the tape's [`softmax_row`];
-//! - the activations are the tape's [`sigmoid`] and its `tanh` kernel,
-//!   [`simd::tanh`] (glibc's `tanhf`, bit for bit, many lanes at a time),
-//!   and the readout mean folds [`Kernels::col_sums`].
+//!   adds the pin bias; the softmax is the tape's, [`softmax_in_place`],
+//!   run once over the group's score block;
+//! - the gated update's six products accumulate like the tape's matmuls
+//!   at the process's SIMD level, its sums keep the tape's association,
+//!   `(h·W + m·U) + h0·V` and then the bias row, its activations are the
+//!   tape's `sigmoid` and `tanh` kernels (glibc's `expf` and `tanhf`, bit
+//!   for bit) and the blend is `(1 − z)·h + z·h̃` unfused — the kernel's
+//!   own test pins it against that op-by-op sequence at every level;
+//! - the readout mean folds [`Kernels::col_sums`].
 //!
 //! A group gathers all of its inputs before it writes any output: a DFF
 //! group can read a DFF it also updates (the stages of a shift register),
 //! and the tape reads the pre-group state there too.
 
-use moss_tensor::{sigmoid, simd, softmax_row, Kernels, ParamId, ParamStore, Tensor};
+use moss_tensor::simd::{self, Gate, GatePack};
+use moss_tensor::{softmax_in_place, Kernels, ParamId, ParamStore, Tensor};
 
 use crate::circuit::{CircuitGraph, Group};
 use crate::model::CircuitGnn;
@@ -43,19 +48,6 @@ pub struct Inference {
     pub states: Tensor,
     /// Mean-pooled graph embedding (`1 × d_hidden`).
     pub graph_embedding: Tensor,
-}
-
-/// One gated update's weights as row-major slices (`d × d` matrices, `1 × d`
-/// biases); the turnaround update has no `h0` term.
-struct GateSlices<'a> {
-    wz: &'a [f32],
-    uz: &'a [f32],
-    vz: Option<&'a [f32]>,
-    bz: &'a [f32],
-    wh: &'a [f32],
-    uh: &'a [f32],
-    vh: Option<&'a [f32]>,
-    bh: &'a [f32],
 }
 
 /// Buffers reused by every group of a pass; each is resized to the group
@@ -79,18 +71,6 @@ struct Scratch {
     q: Vec<f32>,
     /// Attention scores, then weights (`rows × arity`).
     alpha: Vec<f32>,
-    gate: Gate,
-}
-
-/// The gated update's buffers.
-#[derive(Default)]
-struct Gate {
-    /// Update-gate pre-activation, then `z` (`rows × d`).
-    z: Vec<f32>,
-    /// Candidate pre-activation, then `h̃` (`rows × d`).
-    cand: Vec<f32>,
-    /// One matmul product before it is added in (`rows × d`).
-    prod: Vec<f32>,
 }
 
 /// Copies rows `idx` of the row-major `src` (width `d`) into `dst`.
@@ -139,26 +119,30 @@ impl CircuitGnn {
         );
         let d = self.config.d_hidden;
         let w = |id: ParamId| store.get(id).data();
-        let up = GateSlices {
-            wz: w(self.wz),
-            uz: w(self.uz),
-            vz: Some(w(self.vz)),
-            bz: w(self.bz),
-            wh: w(self.wh),
-            uh: w(self.uh),
-            vh: Some(w(self.vh)),
-            bh: w(self.bh),
-        };
-        let dff_up = GateSlices {
-            wz: w(self.wdz),
-            uz: w(self.udz),
-            vz: None,
-            bz: w(self.bdz),
-            wh: w(self.wdh),
-            uh: w(self.udh),
-            vh: None,
-            bh: w(self.bdh),
-        };
+        let up = GatePack::new(
+            &Gate {
+                wz: w(self.wz),
+                uz: w(self.uz),
+                bz: w(self.bz),
+                wh: w(self.wh),
+                uh: w(self.uh),
+                bh: w(self.bh),
+                v: Some((w(self.vz), w(self.vh))),
+            },
+            d,
+        );
+        let dff_up = GatePack::new(
+            &Gate {
+                wz: w(self.wdz),
+                uz: w(self.udz),
+                bz: w(self.bdz),
+                wh: w(self.wdh),
+                uh: w(self.udh),
+                bh: w(self.bdh),
+                v: None,
+            },
+            d,
+        );
 
         let h0 = {
             let _sp = moss_obs::span("gnn.input");
@@ -181,8 +165,8 @@ impl CircuitGnn {
                 for group in &circuit.dff_schedule {
                     gather(&mut s.h, states.data(), d, &group.nodes);
                     gather(&mut s.m, states.data(), d, &group.fanins[0]);
-                    s.gate.update(&s.h, &s.m, None, &dff_up, d);
-                    s.gate.write(states.data_mut(), &s.h, &group.nodes, d);
+                    let nodes = &group.nodes;
+                    simd::gated_update(&dff_up, &s.h, &s.m, None, states.data_mut(), nodes);
                 }
             }
         }
@@ -210,7 +194,7 @@ impl CircuitGnn {
         group: &Group,
         states: &mut Tensor,
         h0: &Tensor,
-        up: &GateSlices,
+        up: &GatePack,
         s: &mut Scratch,
     ) {
         assert!(
@@ -257,8 +241,8 @@ impl CircuitGnn {
                         }
                         *score = dot * scale + pin_bias[p];
                     }
-                    softmax_row(scores);
                 }
+                softmax_in_place(&mut s.alpha, arity);
                 // m = Σ_p α_p·v_p, accumulated pin by pin.
                 s.m.resize(block, 0.0);
                 for p in 0..arity {
@@ -293,46 +277,6 @@ impl CircuitGnn {
             }
         }
 
-        s.gate.update(&s.h, &s.m, Some(&s.h0), up, d);
-        s.gate.write(states.data_mut(), &s.h, &group.nodes, d);
-    }
-}
-
-impl Gate {
-    /// Computes `z = σ((h·Wz + m·Uz) [+ h0·Vz] + bz)` and
-    /// `h̃ = tanh((h·Wh + m·Uh) [+ h0·Vh] + bh)` for the rows of `h`.
-    fn update(&mut self, h: &[f32], m: &[f32], h0: Option<&[f32]>, w: &GateSlices, d: usize) {
-        for (out, wx, ux, vx, bx) in [
-            (&mut self.z, w.wz, w.uz, w.vz, w.bz),
-            (&mut self.cand, w.wh, w.uh, w.vh, w.bh),
-        ] {
-            matmul(h, wx, d, out);
-            matmul(m, ux, d, &mut self.prod);
-            add_into(out, &self.prod);
-            if let (Some(h0), Some(vx)) = (h0, vx) {
-                matmul(h0, vx, d, &mut self.prod);
-                add_into(out, &self.prod);
-            }
-            add_row(out, bx);
-        }
-        for x in &mut self.z {
-            *x = sigmoid(*x);
-        }
-        simd::tanh(&mut self.cand);
-    }
-
-    /// Writes `h' = (1 − z)·h + z·h̃` for each row into its node's row of
-    /// `states`.
-    fn write(&self, states: &mut [f32], h: &[f32], nodes: &[usize], d: usize) {
-        for (r, &node) in nodes.iter().enumerate() {
-            let (z, h, cand) = (
-                &self.z[r * d..(r + 1) * d],
-                &h[r * d..(r + 1) * d],
-                &self.cand[r * d..(r + 1) * d],
-            );
-            for (j, out) in states[node * d..(node + 1) * d].iter_mut().enumerate() {
-                *out = (1.0 - z[j]) * h[j] + z[j] * cand[j];
-            }
-        }
+        simd::gated_update(up, &s.h, &s.m, Some(&s.h0), states.data_mut(), &group.nodes);
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use moss_gnn::{CircuitGnn, CircuitGraph, Clustering, GnnConfig};
-//! use moss_netlist::{CellKind, Netlist};
+//! use moss_netlist::{CellKind, Levelization, Netlist};
 //! use moss_tensor::{Graph, ParamStore, Tensor};
 //!
 //! let mut nl = Netlist::new("t");
@@ -30,7 +30,8 @@
 //! nl.add_output("q", ff);
 //! let n = nl.node_count();
 //! let clusters = Clustering { assignment: vec![0; n], count: 1 };
-//! let circuit = CircuitGraph::new(&nl, Tensor::zeros(n, 4), clusters)?;
+//! let levels = Levelization::of(&nl)?;
+//! let circuit = CircuitGraph::new(&nl, &levels, Tensor::zeros(n, 4), clusters)?;
 //!
 //! let mut store = ParamStore::new();
 //! let gnn = CircuitGnn::new(GnnConfig::small(4), &mut store, 1);

@@ -388,7 +388,7 @@ mod tests {
     use super::*;
     use crate::circuit::CircuitGraph;
     use crate::clustering::Clustering;
-    use moss_netlist::{CellKind, Netlist};
+    use moss_netlist::{CellKind, Levelization, Netlist};
     use moss_tensor::Adam;
 
     fn ring_counter() -> Netlist {
@@ -414,7 +414,7 @@ mod tests {
             assignment: (0..n).map(|i| i % 2).collect(),
             count: 2,
         };
-        CircuitGraph::new(nl, features, clusters).unwrap()
+        CircuitGraph::new(nl, &Levelization::of(nl).unwrap(), features, clusters).unwrap()
     }
 
     #[test]

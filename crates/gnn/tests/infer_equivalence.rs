@@ -8,10 +8,11 @@
 //! cells, primary outputs, and every fanin arity. Clusterings are random
 //! and put the DFFs of a chain in different clusters, so one turnaround
 //! group can read a DFF another group updates. Weights include nonzero
-//! attention keys and pin biases, so the softmax is not uniform.
+//! attention keys and pin biases, so the softmax is not uniform, and
+//! nonzero state biases.
 
 use moss_gnn::{CircuitGnn, CircuitGraph, Clustering, GnnConfig};
-use moss_netlist::{CellKind, Netlist, NodeId};
+use moss_netlist::{CellKind, Levelization, Netlist, NodeId};
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
 use moss_tensor::{Graph, ParamStore, Tensor};
@@ -113,10 +114,12 @@ fn circuit_for(
         assignment,
         count: clusters,
     };
-    CircuitGraph::new(nl, features, clustering).unwrap()
+    CircuitGraph::new(nl, &Levelization::of(nl).unwrap(), features, clustering).unwrap()
 }
 
-/// A model whose attention keys and pin biases are nonzero.
+/// A model whose attention keys, pin biases and state biases are nonzero
+/// (they start at zero, where the order in which a bias is added cannot
+/// show).
 fn model(config: GnnConfig, seed: u64) -> (CircuitGnn, ParamStore) {
     let mut store = ParamStore::new();
     let gnn = CircuitGnn::new(config, &mut store, seed);
@@ -127,6 +130,11 @@ fn model(config: GnnConfig, seed: u64) -> (CircuitGnn, ParamStore) {
         let bias = store.find(&format!("gnn.agg{a}.pin_bias")).unwrap();
         let b = Tensor::xavier(1, 3, seed ^ (0x200 + a as u64));
         store.set(bias, b);
+    }
+    let biases = ["b_in", "up.bz", "up.bh", "dff.bz", "dff.bh", "b_ro"];
+    for (i, name) in biases.into_iter().enumerate() {
+        let id = store.find(&format!("gnn.{name}")).unwrap();
+        store.set(id, Tensor::xavier(1, d, seed ^ (0x300 + i as u64)));
     }
     (gnn, store)
 }

@@ -1,7 +1,8 @@
 //! The dense compute kernels.
 //!
 //! Every numeric op the autograd tape records — matmuls (forward and both
-//! backward forms), elementwise `map`/`zip_map` and `tanh`, and the
+//! backward forms), elementwise `map`/`zip_map`, `tanh`, `exp` and
+//! `sigmoid`, and the
 //! `col_sums`/`sum` reductions — runs through [`Kernels`], and the pipeline's
 //! embarrassingly parallel loops run through [`par_map`]. There is one
 //! implementation of each kernel: the matmuls call the SIMD microkernels
@@ -254,11 +255,27 @@ impl Kernels {
     /// Elementwise `tanh` through [`simd::tanh`], glibc's `tanhf` bit for
     /// bit.
     pub fn tanh(self, a: &Tensor) -> Tensor {
+        self.slice_map(a, simd::tanh)
+    }
+
+    /// Elementwise `e^x` through [`simd::exp`], glibc's FMA `expf` bit for
+    /// bit.
+    pub fn exp(self, a: &Tensor) -> Tensor {
+        self.slice_map(a, simd::exp)
+    }
+
+    /// Elementwise logistic sigmoid `1 / (1 + e^(−x))` through
+    /// [`simd::sigmoid`].
+    pub fn sigmoid(self, a: &Tensor) -> Tensor {
+        self.slice_map(a, simd::sigmoid)
+    }
+
+    /// A copy of `a` with the in-place slice kernel `kernel` run over it,
+    /// in `SUM_BLOCK`-element blocks on the pool once it is large.
+    fn slice_map(self, a: &Tensor, kernel: fn(&mut [f32])) -> Tensor {
         let mut out = a.data().to_vec();
         let parallel = out.len() >= PAR_ELEMWISE_MIN;
-        self.fill(&mut out, 1, SUM_BLOCK, parallel, |_, block| {
-            simd::tanh(block)
-        });
+        self.fill(&mut out, 1, SUM_BLOCK, parallel, |_, block| kernel(block));
         Tensor::from_vec(out, a.rows(), a.cols())
     }
 

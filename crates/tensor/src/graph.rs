@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use crate::backend::Kernels;
 use crate::params::{ParamId, ParamStore};
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -250,13 +251,13 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = Kernels::GLOBAL.map(self.value(a), sigmoid);
+        let v = Kernels::GLOBAL.sigmoid(self.value(a));
         self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = Kernels::GLOBAL.map(self.value(a), f32::exp);
+        let v = Kernels::GLOBAL.exp(self.value(a));
         self.push(Op::Exp(a), v)
     }
 
@@ -779,12 +780,6 @@ fn accumulate_rows(
     }
 }
 
-/// The logistic sigmoid `1 / (1 + e^(−x))` that [`Graph::sigmoid`] applies
-/// elementwise (public so tape-free passes compute the same bits).
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
@@ -803,21 +798,30 @@ fn gelu_grad(x: f32, t: f32) -> f32 {
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = x.clone();
     let c = out.cols();
-    if c > 0 {
-        out.data_mut().chunks_exact_mut(c).for_each(softmax_row);
-    }
+    softmax_in_place(out.data_mut(), c);
     out
 }
 
-/// Softmax of one row, in place: the per-row step of [`softmax_rows`].
-pub fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
+/// Row-wise softmax of a row-major block of `cols`-wide rows, in place:
+/// each row has its max subtracted, one [`simd::exp`] runs over the whole
+/// block, and each row is divided by its sum. [`softmax_rows`] is this on
+/// a copy; the tape-free pass runs it on a group's attention scores.
+pub fn softmax_in_place(block: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
     }
-    let sum: f32 = row.iter().sum::<f32>().max(1e-12);
-    for v in row.iter_mut() {
-        *v /= sum;
+    for row in block.chunks_exact_mut(cols) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for v in row.iter_mut() {
+            *v -= max;
+        }
+    }
+    simd::exp(block);
+    for row in block.chunks_exact_mut(cols) {
+        let sum: f32 = row.iter().sum::<f32>().max(1e-12);
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
     }
 }
 

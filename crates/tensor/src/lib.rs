@@ -53,7 +53,7 @@ mod tensor;
 pub use backend::{par_map, Kernels};
 pub use gradcheck::max_gradient_error;
 pub use graph::{
-    l2_normalize_rows, layer_norm_rows, sigmoid, softmax_row, softmax_rows, Gradients, Graph, Var,
+    l2_normalize_rows, layer_norm_rows, softmax_in_place, softmax_rows, Gradients, Graph, Var,
 };
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore};

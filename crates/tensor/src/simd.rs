@@ -1,5 +1,7 @@
 //! SIMD-lane matmul microkernels behind the matmul forms of
-//! [`crate::Kernels`], and the one `tanh` kernel ([`tanh`]).
+//! [`crate::Kernels`], the one `tanh` ([`tanh`]) and the one `exp`
+//! ([`exp`], with [`sigmoid`] on top), and the tape-free pass's fused
+//! gated update ([`gated_update`]).
 //!
 //! Three implementations of each kernel, selected once per process by
 //! [`level`] from CPU feature detection:
@@ -21,6 +23,7 @@
 //! | `matmul` (`a×b`) | 4 out rows × 2 lane chunks | `k`, ascending |
 //! | `matmul_at_b` (`aᵀ×b`) | 8 out rows × 2 lane chunks | `m` rows, ascending |
 //! | `matmul_a_bt` (`a×bᵀ`) | 8 column dot accumulators | shared dim, ascending |
+//! | `gated_update` | 6 products × 4 rows × 16 columns (AVX-512), 6 × 1 × 16 (AVX2, Scalar) | `k`, ascending |
 //!
 //! ## Determinism
 //!
@@ -29,20 +32,33 @@
 //! never changes per-element arithmetic, and nothing here depends on
 //! thread count — blocks of rows handed to different pool workers compute
 //! exactly what the sequential loop computes. Results are therefore
-//! bit-identical for any `MOSS_THREADS`. Across *levels* the guarantee is
-//! weaker: the FMA paths skip the intermediate rounding of separate
-//! mul-then-add, so `Avx2`/`Avx512` agree with `Scalar` (and the naive
-//! oracle) to ~1e-6 relative, not bitwise. A level is fixed for the whole
-//! process, so seeded runs still reproduce exactly on the same machine.
+//! bit-identical for any `MOSS_THREADS`.
 //!
-//! ## tanh
+//! Across *levels* the products follow one rule per level: `matmul` and
+//! [`gated_update`]'s six products start each output element from zero
+//! and add `a[i][k]·b[k][j]` for `k` ascending, with one fused
+//! multiply-add per step at `Avx2` and `Avx512` and a rounded multiply
+//! then an add at `Scalar`. So within a level the fused update gives the
+//! bits of six `matmul`s followed by the adds, the activations and the
+//! blend; across levels the FMA paths agree with `Scalar` (and the naive
+//! oracle) to ~1e-6 relative, not bitwise. (`matmul_a_bt` also groups
+//! its sums by register width, so AVX-512 differs from AVX2 there.) A
+//! level is fixed for the whole process, so seeded runs still reproduce
+//! exactly on the same machine.
+//!
+//! ## tanh and exp
 //!
 //! [`tanh`] is the only hyperbolic tangent the workspace runs: the tape's
 //! `Graph::tanh` and GELU, and the tape-free inference pass. It reproduces
 //! glibc 2.36's `tanhf` on every input, so it replaces libm without moving
-//! a bit. It has one branch-free body, compiled plain and under AVX2 and
-//! AVX-512 `#[target_feature]` wrappers, and unlike the matmuls it gives
-//! the same bits at every level because it never fuses a multiply-add.
+//! a bit. [`exp`] is likewise the only exponential — the tape's
+//! `Graph::exp`, [`sigmoid`] and every softmax — and reproduces glibc
+//! 2.36's FMA `expf` on every input. Each has one branch-free body,
+//! compiled plain and under AVX2 and AVX-512 `#[target_feature]`
+//! wrappers, and unlike the matmuls each gives the same bits at every
+//! level: `tanh` never fuses a multiply-add, and `exp`'s f64 steps are
+//! each one correctly rounded operation whether `f64::mul_add` is an
+//! instruction or libm's `fma`.
 
 // Kernel style: index-based loops over fixed-size accumulator tiles keep
 // the register layout visible (`acc[ri]` ↔ one output row's lanes) and
@@ -317,6 +333,384 @@ fn expm1_lane(u: f32) -> f32 {
         u
     } else {
         r
+    }
+}
+
+/// Replaces every element of `xs` with `e^x`, bit for bit what glibc
+/// 2.36's `expf` returns for it on a CPU with FMA (its `__expf_fma` build;
+/// NaN payloads included).
+///
+/// The kernel is glibc's `e_expf.c` as GCC compiles it for FMA, written
+/// branch-free: every lane runs the general path and a select picks the
+/// special results. The general path works in f64: round `x·32/ln2` to
+/// the integer `k` with the `1.5·2^52` shift, take `2^(k/32)` from a
+/// 32-entry table and the exponent field, and evaluate a cubic in the
+/// remainder. Every step is one correctly rounded f64 operation:
+/// `f64::mul_add` is one `vfmadd` under the AVX2 and AVX-512 wrappers and
+/// libm's correctly rounded `fma` in the plain build, so all three levels
+/// give the same bits. The `exp_digest` tests pin them on all 2^32 inputs.
+pub fn exp(xs: &mut [f32]) {
+    match level() {
+        // SAFETY: `level` returns `Avx512` only when the CPU has AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { x86::exp_avx512(xs) },
+        // SAFETY: `level` returns `Avx2` only when the CPU has AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::exp_avx2(xs) },
+        _ => exp_lanes(xs),
+    }
+}
+
+/// Replaces every element of `xs` with the logistic sigmoid
+/// `1 / (1 + e^(−x))`, with `e^(−x)` from [`exp`]; same bits at every
+/// level.
+pub fn sigmoid(xs: &mut [f32]) {
+    match level() {
+        // SAFETY: `level` returns `Avx512` only when the CPU has AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { x86::sigmoid_avx512(xs) },
+        // SAFETY: `level` returns `Avx2` only when the CPU has AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::sigmoid_avx2(xs) },
+        _ => sigmoid_lanes(xs),
+    }
+}
+
+/// The one body of [`exp`] every level compiles.
+#[inline(always)]
+fn exp_lanes(xs: &mut [f32]) {
+    for x in xs {
+        *x = exp_lane(*x);
+    }
+}
+
+/// The one body of [`sigmoid`] every level compiles.
+#[inline(always)]
+fn sigmoid_lanes(xs: &mut [f32]) {
+    for x in xs {
+        *x = sigmoid_lane(*x);
+    }
+}
+
+#[inline(always)]
+fn sigmoid_lane(x: f32) -> f32 {
+    1.0 / (1.0 + exp_lane(-x))
+}
+
+/// glibc's `__exp2f_data.tab`: entry `i` is the bits of `2^(i/32)` less
+/// `i << 47`, so adding `k << 47` for any `k ≡ i (mod 32)` gives the bits
+/// of `2^(k/32)`.
+const EXP_TABLE: [u64; 32] = [
+    0x3ff0_0000_0000_0000,
+    0x3fef_d9b0_d315_8574,
+    0x3fef_b558_6cf9_890f,
+    0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b,
+    0x3fef_5487_3168_b9aa,
+    0x3fef_387a_6e75_6238,
+    0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715,
+    0x3fee_f1a7_373a_a9cb,
+    0x3fee_dea6_4c12_3422,
+    0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27,
+    0x3fee_b42b_569d_4f82,
+    0x3fee_ab07_dd48_5429,
+    0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd,
+    0x3fee_9f75_e8ec_5f74,
+    0x3fee_a114_73eb_0187,
+    0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db,
+    0x3fee_b737_b0cd_c5e5,
+    0x3fee_c491_82a3_f090,
+    0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad,
+    0x3fee_ff76_f2fb_5e47,
+    0x3fef_199b_dd85_529c,
+    0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487,
+    0x3fef_7c97_337b_9b5f,
+    0x3fef_a4af_a2a4_90da,
+    0x3fef_d076_5b6e_4540,
+];
+
+/// `expf(x)`: the general path for every lane, then the special results
+/// glibc returns once `|x| ≥ 88` (or `x` is not finite), in its order:
+/// −∞ gives +0, NaN and +∞ give `x + x`, `x > 88.72` overflows to +∞,
+/// `x < −103.97` underflows to +0 and `x < −103.28` gives `2^-149`.
+#[inline(always)]
+fn exp_lane(x: f32) -> f32 {
+    const INVLN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe); // 32/ln2
+    const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000); // 1.5·2^52
+    const C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
+    const C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
+    const C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
+
+    let xd = f64::from(x);
+    let kd = INVLN2_N.mul_add(xd, SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - SHIFT;
+    let r = INVLN2_N.mul_add(xd, -kd);
+    let s = f64::from_bits(EXP_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = C0.mul_add(r, C1);
+    let y = C2.mul_add(r, 1.0);
+    let y = z.mul_add(r * r, y);
+    let general = (y * s) as f32;
+
+    let bits = x.to_bits();
+    let r = if x < f32::from_bits(0xc2ce_8ecf) {
+        f32::from_bits(1)
+    } else {
+        general
+    };
+    let r = if x < f32::from_bits(0xc2cf_f1b4) {
+        0.0
+    } else {
+        r
+    };
+    let r = if x > f32::from_bits(0x42b1_7217) {
+        f32::INFINITY
+    } else {
+        r
+    };
+    let r = if bits & 0x7fff_ffff >= 0x7f80_0000 {
+        x + x
+    } else {
+        r
+    };
+    if bits == 0xff80_0000 {
+        0.0
+    } else {
+        r
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fused gated update
+// ---------------------------------------------------------------------
+
+/// Columns per chunk of a [`GatePack`]: one `zmm`, two `ymm`.
+const GATE_LANES: usize = 16;
+
+/// One gated (GRU-style) update's weights as row-major slices: `d × d`
+/// matrices and `1 × d` biases.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate<'a> {
+    /// Update gate: weight on the node's own state `h`.
+    pub wz: &'a [f32],
+    /// Update gate: weight on the message `m`.
+    pub uz: &'a [f32],
+    /// Update gate: bias.
+    pub bz: &'a [f32],
+    /// Candidate: weight on `h`.
+    pub wh: &'a [f32],
+    /// Candidate: weight on `m`.
+    pub uh: &'a [f32],
+    /// Candidate: bias.
+    pub bh: &'a [f32],
+    /// The weights `(Vz, Vh)` on the initial state `h0`, if the update has
+    /// that term (the turnaround update does not).
+    pub v: Option<(&'a [f32], &'a [f32])>,
+}
+
+/// A [`Gate`] laid out for [`gated_update`]: for each chunk of 16 output
+/// columns and each `k`, the `k`-th rows of the gate's matrices side by
+/// side (`Wz, Uz[, Vz], Wh, Uh[, Vh]`), zero past column `d`, so one
+/// chunk's weights stream through in order and every load is a full
+/// register.
+#[derive(Debug, Clone)]
+pub struct GatePack {
+    d: usize,
+    /// Inputs per gate: `h`, `m` and, with the `h0` term, `h0`.
+    inputs: usize,
+    /// `[chunk][k][gate][input][lane]`.
+    w: Vec<f32>,
+    /// `[chunk][gate][lane]`.
+    b: Vec<f32>,
+}
+
+impl GatePack {
+    /// Packs `gate` for a state width of `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a matrix is not `d × d` or a bias not `1 × d`.
+    pub fn new(gate: &Gate, d: usize) -> GatePack {
+        let mats = match gate.v {
+            Some((vz, vh)) => vec![gate.wz, gate.uz, vz, gate.wh, gate.uh, vh],
+            None => vec![gate.wz, gate.uz, gate.wh, gate.uh],
+        };
+        for m in &mats {
+            assert_eq!(m.len(), d * d, "gate matrix is not {d}×{d}");
+        }
+        for b in [gate.bz, gate.bh] {
+            assert_eq!(b.len(), d, "gate bias is not 1×{d}");
+        }
+        let chunks = d.div_ceil(GATE_LANES);
+        let mut w = vec![0.0f32; chunks * d * mats.len() * GATE_LANES];
+        let mut b = vec![0.0f32; chunks * 2 * GATE_LANES];
+        for c in 0..chunks {
+            let (j0, width) = (c * GATE_LANES, (d - c * GATE_LANES).min(GATE_LANES));
+            for k in 0..d {
+                for (p, m) in mats.iter().enumerate() {
+                    let at = ((c * d + k) * mats.len() + p) * GATE_LANES;
+                    w[at..at + width].copy_from_slice(&m[k * d + j0..k * d + j0 + width]);
+                }
+            }
+            for (g, bias) in [gate.bz, gate.bh].into_iter().enumerate() {
+                let at = (c * 2 + g) * GATE_LANES;
+                b[at..at + width].copy_from_slice(&bias[j0..j0 + width]);
+            }
+        }
+        GatePack {
+            d,
+            inputs: mats.len() / 2,
+            w,
+            b,
+        }
+    }
+}
+
+/// The fused gated update: for every row `r` of `h` (`rows × d`), writes
+/// `h' = (1 − z)·h + z·h̃` into row `nodes[r]` of `states` (width `d`), with
+///
+/// - `z = σ((h·Wz + m·Uz) [+ h0·Vz] + bz)` and
+/// - `h̃ = tanh((h·Wh + m·Uh) [+ h0·Vh] + bh)`.
+///
+/// A tile of rows keeps its six products in registers, adds them in that
+/// order, applies [`sigmoid`]'s and [`tanh`]'s lane bodies and blends
+/// without fusing. Each product accumulates `k` in ascending order from
+/// zero under the level's rule for the matmuls (see the module docs), so
+/// every output bit equals [`matmul_block`] ×6, the adds, the activations
+/// and the blend run one after another. `h`, `m` and `h0` must be
+/// gathered before the call: `states` may hold their source rows.
+///
+/// # Panics
+///
+/// Panics if `h0` is given for a pack without the `h0` term or missing
+/// for one with it, if `h`, `m` or `h0` is not `nodes.len() × d`, or if a
+/// node's row is outside `states`.
+pub fn gated_update(
+    pack: &GatePack,
+    h: &[f32],
+    m: &[f32],
+    h0: Option<&[f32]>,
+    states: &mut [f32],
+    nodes: &[usize],
+) {
+    let block = nodes.len() * pack.d;
+    assert_eq!(h0.is_some(), pack.inputs == 3, "h0 term mismatch");
+    assert!(
+        h.len() == block && m.len() == block && h0.is_none_or(|h0| h0.len() == block),
+        "gated update inputs are not {}×{}",
+        nodes.len(),
+        pack.d
+    );
+    match level() {
+        // SAFETY: `level` returns `Avx512` only when the CPU has AVX-512F;
+        // the input lengths were just checked.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { x86::gated_avx512(pack, h, m, h0, states, nodes) },
+        // SAFETY: `level` returns `Avx2` only when the CPU has AVX2 and FMA;
+        // the input lengths were just checked.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::gated_avx2(pack, h, m, h0, states, nodes) },
+        _ => gated_scalar(pack, h, m, h0, states, nodes),
+    }
+}
+
+/// The activations and the blend of one tile: `pre[0]` holds `T` rows'
+/// update-gate pre-activations for the 16 columns from `j0`, `pre[1]`
+/// the candidate's; row `t` of the tile is row `r0 + t` of `h` and is
+/// written to row `nodes[r0 + t]` of `states`. The one body every level
+/// compiles.
+#[inline(always)]
+fn gate_finish<const T: usize>(
+    pre: &mut [[[f32; GATE_LANES]; T]; 2],
+    h: &[f32],
+    d: usize,
+    r0: usize,
+    j0: usize,
+    states: &mut [f32],
+    nodes: &[usize],
+) {
+    let [z, cand] = pre;
+    for x in z.as_flattened_mut() {
+        *x = sigmoid_lane(*x);
+    }
+    for x in cand.as_flattened_mut() {
+        *x = tanh_lane(*x);
+    }
+    let w = (d - j0).min(GATE_LANES);
+    for t in 0..T {
+        let h = &h[(r0 + t) * d + j0..][..w];
+        let out = &mut states[nodes[r0 + t] * d + j0..][..w];
+        for l in 0..w {
+            out[l] = (1.0 - z[t][l]) * h[l] + z[t][l] * cand[t][l];
+        }
+    }
+}
+
+/// `(p0 + p1) [+ p2] + b` per lane: the tape's association.
+#[inline(always)]
+fn gate_sum<const N: usize>(p: &[[f32; GATE_LANES]; N], b: &[f32]) -> [f32; GATE_LANES] {
+    let mut s = [0.0f32; GATE_LANES];
+    for l in 0..GATE_LANES {
+        s[l] = p[0][l] + p[1][l];
+        for q in &p[2..] {
+            s[l] += q[l];
+        }
+        s[l] += b[l];
+    }
+    s
+}
+
+fn gated_scalar(
+    pack: &GatePack,
+    h: &[f32],
+    m: &[f32],
+    h0: Option<&[f32]>,
+    states: &mut [f32],
+    nodes: &[usize],
+) {
+    match h0 {
+        Some(h0) => gated_scalar_rows(pack, [h, m, h0], states, nodes),
+        None => gated_scalar_rows(pack, [h, m], states, nodes),
+    }
+}
+
+/// One row per tile, the products in lane arrays that round the multiply
+/// before the add, as [`matmul_scalar`] does.
+fn gated_scalar_rows<const N: usize>(
+    pack: &GatePack,
+    x: [&[f32]; N],
+    states: &mut [f32],
+    nodes: &[usize],
+) {
+    let d = pack.d;
+    let per_k = 2 * N * GATE_LANES;
+    for r in 0..nodes.len() {
+        for (c, wc) in pack.w.chunks_exact(d * per_k).enumerate() {
+            let mut acc = [[[0.0f32; GATE_LANES]; N]; 2];
+            for (k, wk) in wc.chunks_exact(per_k).enumerate() {
+                for i in 0..N {
+                    let a = x[i][r * d + k];
+                    for g in 0..2 {
+                        let wrow = &wk[(g * N + i) * GATE_LANES..][..GATE_LANES];
+                        for l in 0..GATE_LANES {
+                            acc[g][i][l] += a * wrow[l];
+                        }
+                    }
+                }
+            }
+            let b = &pack.b[c * 2 * GATE_LANES..];
+            let mut pre = [
+                [gate_sum(&acc[0], &b[..GATE_LANES])],
+                [gate_sum(&acc[1], &b[GATE_LANES..])],
+            ];
+            gate_finish::<1>(&mut pre, x[0], d, r, c * GATE_LANES, states, nodes);
+        }
     }
 }
 
@@ -908,7 +1302,160 @@ mod x86 {
     }
 
     // ----------------------------------------------------------------
-    // tanh: the portable body, compiled for wider lanes
+    // gated update: the products in registers, then the portable finish
+    // ----------------------------------------------------------------
+
+    use super::{gate_finish, GatePack, GATE_LANES};
+
+    /// [`super::gated_update`] with `zmm` product tiles of up to 4 rows.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `h`, `m` and `h0` must hold
+    /// `nodes.len() × d` floats.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gated_avx512(
+        pack: &GatePack,
+        h: &[f32],
+        m: &[f32],
+        h0: Option<&[f32]>,
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        match h0 {
+            Some(h0) => gated512_rows(pack, [h, m, h0], states, nodes),
+            None => gated512_rows(pack, [h, m], states, nodes),
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gated512_rows<const N: usize>(
+        pack: &GatePack,
+        x: [&[f32]; N],
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        let rows = nodes.len();
+        let mut r = 0;
+        while r < rows {
+            match rows - r {
+                1 => gated512_tile::<N, 1>(pack, x, r, states, nodes),
+                2 => gated512_tile::<N, 2>(pack, x, r, states, nodes),
+                3 => gated512_tile::<N, 3>(pack, x, r, states, nodes),
+                _ => gated512_tile::<N, 4>(pack, x, r, states, nodes),
+            }
+            r += (rows - r).min(4);
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gated512_tile<const N: usize, const T: usize>(
+        pack: &GatePack,
+        x: [&[f32]; N],
+        r0: usize,
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        let d = pack.d;
+        let per_k = 2 * N * GATE_LANES;
+        let (wp, bp) = (pack.w.as_ptr(), pack.b.as_ptr());
+        for c in 0..d.div_ceil(GATE_LANES) {
+            let wc = wp.add(c * d * per_k);
+            let mut acc = [[[_mm512_setzero_ps(); T]; N]; 2];
+            for k in 0..d {
+                let wk = wc.add(k * per_k);
+                for i in 0..N {
+                    let wz = _mm512_loadu_ps(wk.add(i * GATE_LANES));
+                    let wh = _mm512_loadu_ps(wk.add((N + i) * GATE_LANES));
+                    for t in 0..T {
+                        let a = _mm512_set1_ps(*x[i].as_ptr().add((r0 + t) * d + k));
+                        acc[0][i][t] = _mm512_fmadd_ps(a, wz, acc[0][i][t]);
+                        acc[1][i][t] = _mm512_fmadd_ps(a, wh, acc[1][i][t]);
+                    }
+                }
+            }
+            let mut pre = [[[0.0f32; GATE_LANES]; T]; 2];
+            for g in 0..2 {
+                let b = _mm512_loadu_ps(bp.add((c * 2 + g) * GATE_LANES));
+                for t in 0..T {
+                    let mut s = _mm512_add_ps(acc[g][0][t], acc[g][1][t]);
+                    for i in 2..N {
+                        s = _mm512_add_ps(s, acc[g][i][t]);
+                    }
+                    _mm512_storeu_ps(pre[g][t].as_mut_ptr(), _mm512_add_ps(s, b));
+                }
+            }
+            gate_finish(&mut pre, x[0], d, r0, c * GATE_LANES, states, nodes);
+        }
+    }
+
+    /// [`super::gated_update`] one row at a time, each 16-column chunk of
+    /// a product in two `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `h`, `m` and `h0` must hold
+    /// `nodes.len() × d` floats.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gated_avx2(
+        pack: &GatePack,
+        h: &[f32],
+        m: &[f32],
+        h0: Option<&[f32]>,
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        match h0 {
+            Some(h0) => gated256_rows(pack, [h, m, h0], states, nodes),
+            None => gated256_rows(pack, [h, m], states, nodes),
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gated256_rows<const N: usize>(
+        pack: &GatePack,
+        x: [&[f32]; N],
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        let d = pack.d;
+        let per_k = 2 * N * GATE_LANES;
+        let (wp, bp) = (pack.w.as_ptr(), pack.b.as_ptr());
+        for r in 0..nodes.len() {
+            for c in 0..d.div_ceil(GATE_LANES) {
+                let wc = wp.add(c * d * per_k);
+                let mut acc = [[[_mm256_setzero_ps(); 2]; N]; 2];
+                for k in 0..d {
+                    let wk = wc.add(k * per_k);
+                    for i in 0..N {
+                        let a = _mm256_set1_ps(*x[i].as_ptr().add(r * d + k));
+                        for g in 0..2 {
+                            let wg = wk.add((g * N + i) * GATE_LANES);
+                            for half in 0..2 {
+                                let wv = _mm256_loadu_ps(wg.add(half * 8));
+                                acc[g][i][half] = _mm256_fmadd_ps(a, wv, acc[g][i][half]);
+                            }
+                        }
+                    }
+                }
+                let mut pre = [[[0.0f32; GATE_LANES]; 1]; 2];
+                for g in 0..2 {
+                    for half in 0..2 {
+                        let b = _mm256_loadu_ps(bp.add((c * 2 + g) * GATE_LANES + half * 8));
+                        let mut s = _mm256_add_ps(acc[g][0][half], acc[g][1][half]);
+                        for i in 2..N {
+                            s = _mm256_add_ps(s, acc[g][i][half]);
+                        }
+                        _mm256_storeu_ps(pre[g][0].as_mut_ptr().add(half * 8), _mm256_add_ps(s, b));
+                    }
+                }
+                gate_finish(&mut pre, x[0], d, r, c * GATE_LANES, states, nodes);
+            }
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // tanh, exp and sigmoid: the portable bodies, compiled for wider lanes
     // ----------------------------------------------------------------
 
     /// [`super::tanh`] in 16-lane `zmm` registers.
@@ -929,6 +1476,46 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn tanh_avx2(xs: &mut [f32]) {
         super::tanh_lanes(xs)
+    }
+
+    /// [`super::exp`] in 16-lane `zmm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn exp_avx512(xs: &mut [f32]) {
+        super::exp_lanes(xs)
+    }
+
+    /// [`super::exp`] in 8-lane `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn exp_avx2(xs: &mut [f32]) {
+        super::exp_lanes(xs)
+    }
+
+    /// [`super::sigmoid`] in 16-lane `zmm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn sigmoid_avx512(xs: &mut [f32]) {
+        super::sigmoid_lanes(xs)
+    }
+
+    /// [`super::sigmoid`] in 8-lane `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn sigmoid_avx2(xs: &mut [f32]) {
+        super::sigmoid_lanes(xs)
     }
 }
 
@@ -1106,11 +1693,138 @@ mod tests {
         assert_eq!(full, split, "at_b row-block split drifted");
     }
 
+    /// A `matmul_block` body at one level.
+    type MatmulFn = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+    /// A `gated_update` body at one level.
+    type GatedFn = fn(&GatePack, &[f32], &[f32], Option<&[f32]>, &mut [f32], &[usize]);
+
+    /// The matmul and the fused update at every level this CPU supports.
+    fn gated_levels() -> Vec<(&'static str, MatmulFn, GatedFn)> {
+        let mut levels: Vec<(&'static str, MatmulFn, GatedFn)> =
+            vec![("plain", matmul_scalar, gated_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                // SAFETY: the CPU was just checked for AVX2 and FMA, and the
+                // test passes `rows × d` inputs.
+                levels.push((
+                    "avx2",
+                    |a, m, k, b, n, out| unsafe { x86::matmul_avx2(a, m, k, b, n, out) },
+                    |p, h, m, h0, st, nodes| unsafe { x86::gated_avx2(p, h, m, h0, st, nodes) },
+                ));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU was just checked for AVX-512F, and the
+                // test passes `rows × d` inputs.
+                levels.push((
+                    "avx512",
+                    |a, m, k, b, n, out| unsafe { x86::matmul_avx512(a, m, k, b, n, out) },
+                    |p, h, m, h0, st, nodes| unsafe { x86::gated_avx512(p, h, m, h0, st, nodes) },
+                ));
+            }
+        }
+        levels
+    }
+
+    /// The update the fused kernel replaces, one op at a time: six
+    /// matmuls at the given level, the adds in the tape's order, the
+    /// `sigmoid` and `tanh` kernels and the blend.
+    fn gated_unfused(
+        matmul: MatmulFn,
+        gate: &Gate,
+        d: usize,
+        (h, m, h0): (&[f32], &[f32], Option<&[f32]>),
+        states: &mut [f32],
+        nodes: &[usize],
+    ) {
+        let rows = nodes.len();
+        let product = |a: &[f32], w: &[f32]| {
+            let mut out = vec![0.0f32; rows * d];
+            matmul(a, rows, d, w, d, &mut out);
+            out
+        };
+        let pre = |w: &[f32], u: &[f32], v: Option<&[f32]>, b: &[f32]| {
+            let mut s: Vec<f32> = product(h, w)
+                .iter()
+                .zip(product(m, u))
+                .map(|(x, y)| x + y)
+                .collect();
+            if let (Some(h0), Some(v)) = (h0, v) {
+                for (x, y) in s.iter_mut().zip(product(h0, v)) {
+                    *x += y;
+                }
+            }
+            for row in s.chunks_exact_mut(d) {
+                for (x, &y) in row.iter_mut().zip(b) {
+                    *x += y;
+                }
+            }
+            s
+        };
+        let mut z = pre(gate.wz, gate.uz, gate.v.map(|v| v.0), gate.bz);
+        let mut cand = pre(gate.wh, gate.uh, gate.v.map(|v| v.1), gate.bh);
+        sigmoid(&mut z);
+        tanh(&mut cand);
+        for (r, &node) in nodes.iter().enumerate() {
+            for j in 0..d {
+                let e = r * d + j;
+                states[node * d + j] = (1.0 - z[e]) * h[e] + z[e] * cand[e];
+            }
+        }
+    }
+
+    /// At every level, the fused update writes the unfused sequence's
+    /// bits: state widths with and without a 16-column tail, every row
+    /// count up to two full 4-row tiles and a tail, with and without the
+    /// `h0` term, scattered to non-contiguous node rows.
+    #[test]
+    fn gated_update_matches_the_unfused_sequence() {
+        let scaled = |len, seed, by: f32| -> Vec<f32> {
+            pseudo(len, seed).into_iter().map(|x| x * by).collect()
+        };
+        for d in [8, 16, 20] {
+            let mats: Vec<Vec<f32>> = (0..6).map(|i| scaled(d * d, 30 + i, 0.8)).collect();
+            let (bz, bh) = (scaled(d, 40, 1.0), scaled(d, 41, 1.0));
+            for with_h0 in [false, true] {
+                let gate = Gate {
+                    wz: &mats[0],
+                    uz: &mats[1],
+                    bz: &bz,
+                    wh: &mats[3],
+                    uh: &mats[4],
+                    bh: &bh,
+                    v: with_h0.then_some((&mats[2][..], &mats[5][..])),
+                };
+                let pack = GatePack::new(&gate, d);
+                for rows in 1..=9 {
+                    let total = rows + 3;
+                    let nodes: Vec<usize> = (0..rows).rev().map(|r| r + 2).collect();
+                    let h = scaled(rows * d, 50 + rows as u32, 3.0);
+                    let m = scaled(rows * d, 60 + rows as u32, 3.0);
+                    let h0 = scaled(rows * d, 70 + rows as u32, 3.0);
+                    let h0 = with_h0.then_some(&h0[..]);
+                    let init = scaled(total * d, 80, 1.0);
+                    for (name, matmul, fused) in gated_levels() {
+                        let mut want = init.clone();
+                        gated_unfused(matmul, &gate, d, (&h, &m, h0), &mut want, &nodes);
+                        let mut got = init.clone();
+                        fused(&pack, &h, &m, h0, &mut got, &nodes);
+                        let same = got
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "{name} d={d} rows={rows} h0={with_h0}: fused drifted");
+                    }
+                }
+            }
+        }
+    }
+
     // -----------------------------------------------------------------
     // tanh oracle: output bits pinned from glibc 2.36's `tanhf`
     // -----------------------------------------------------------------
 
-    /// Digest of `tanh` over [`tier1_inputs`].
+    /// Digest of `tanh` over the tier-1 inputs of [`tanh_thresholds`].
     const TANH_TIER1_DIGEST: u64 = 0x7d1f_6a37_c7af_54aa;
     /// Digest of `tanh` over all 2^32 bit patterns, ascending.
     const TANH_ALL_DIGEST: u64 = 0x48f6_1f04_1df8_3081;
@@ -1155,10 +1869,24 @@ mod tests {
         lo
     }
 
+    /// Bit patterns of `|x|` at which glibc's FMA `expf` changes branch,
+    /// plus the one below which its result is subnormal.
+    fn exp_thresholds() -> Vec<u32> {
+        vec![
+            0x0000_0000, // x = ±0
+            0x42ae_ac50, // x ≈ −87.34: the result turns subnormal below
+            0x42b0_0000, // |x| = 88: the special-case filter
+            0x42b1_7217, // x > 88.72 overflows to +∞
+            0x42ce_8ecf, // x < −103.28 gives 2^-149
+            0x42cf_f1b4, // x < −103.97 gives +0
+            0x7f80_0000, // infinity; NaN above
+        ]
+    }
+
     /// The tier-1 inputs: every 4,099th bit pattern, then ±2,048 ulps
-    /// around each threshold of [`tanh_thresholds`], at both signs.
-    fn tier1_inputs() -> impl Iterator<Item = u32> {
-        let windows = tanh_thresholds().into_iter().flat_map(|t| {
+    /// around each of `thresholds`, at both signs.
+    fn tier1_inputs(thresholds: Vec<u32>) -> impl Iterator<Item = u32> {
+        let windows = thresholds.into_iter().flat_map(|t| {
             let magnitudes = t.saturating_sub(2048)..=t + 2048;
             magnitudes
                 .clone()
@@ -1167,16 +1895,16 @@ mod tests {
         (0..=u32::MAX).step_by(4099).chain(windows)
     }
 
-    /// FNV-1a over the output bits of `tanh` applied to `inputs`, one
-    /// 32-bit word per value; `tanh` works in place on batches.
-    fn tanh_digest_of(inputs: impl Iterator<Item = u32>, tanh: impl Fn(&mut [f32])) -> u64 {
+    /// FNV-1a over the output bits of `kernel` applied to `inputs`, one
+    /// 32-bit word per value; `kernel` works in place on batches.
+    fn digest_of(inputs: impl Iterator<Item = u32>, kernel: impl Fn(&mut [f32])) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut inputs = inputs.map(f32::from_bits).peekable();
         let mut batch = Vec::with_capacity(4096);
         while inputs.peek().is_some() {
             batch.clear();
             batch.extend(inputs.by_ref().take(4096));
-            tanh(&mut batch);
+            kernel(&mut batch);
             for y in &batch {
                 h = (h ^ u64::from(y.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -1187,28 +1915,36 @@ mod tests {
     /// An in-place slice kernel.
     type SliceFn = fn(&mut [f32]);
 
-    /// The kernel at every level this CPU supports, by name.
+    /// A slice kernel at every level this CPU supports, by name: its plain
+    /// body, then its `x86` AVX2 and AVX-512 wrappers where the CPU has
+    /// them.
+    macro_rules! at_levels {
+        ($plain:ident, $avx2:ident, $avx512:ident) => {{
+            let mut levels: Vec<(&'static str, SliceFn)> = vec![("plain", $plain)];
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                    // SAFETY: the CPU was just checked for AVX2 and FMA.
+                    levels.push(("avx2", |xs| unsafe { x86::$avx2(xs) }));
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    // SAFETY: the CPU was just checked for AVX-512F.
+                    levels.push(("avx512", |xs| unsafe { x86::$avx512(xs) }));
+                }
+            }
+            levels
+        }};
+    }
+
     fn tanh_levels() -> Vec<(&'static str, SliceFn)> {
-        let mut levels: Vec<(&'static str, SliceFn)> = vec![("plain", tanh_lanes)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                // SAFETY: the CPU was just checked for AVX2 and FMA.
-                levels.push(("avx2", |xs| unsafe { x86::tanh_avx2(xs) }));
-            }
-            if is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU was just checked for AVX-512F.
-                levels.push(("avx512", |xs| unsafe { x86::tanh_avx512(xs) }));
-            }
-        }
-        levels
+        at_levels!(tanh_lanes, tanh_avx2, tanh_avx512)
     }
 
     #[test]
     fn tanh_digest() {
         for (name, tanh) in tanh_levels() {
             assert_eq!(
-                tanh_digest_of(tier1_inputs(), tanh),
+                digest_of(tier1_inputs(tanh_thresholds()), tanh),
                 TANH_TIER1_DIGEST,
                 "{name} tanh drifted on the tier-1 inputs"
             );
@@ -1221,10 +1957,68 @@ mod tests {
     fn tanh_digest_all_bit_patterns() {
         for (name, tanh) in tanh_levels() {
             assert_eq!(
-                tanh_digest_of(0..=u32::MAX, tanh),
+                digest_of(0..=u32::MAX, tanh),
                 TANH_ALL_DIGEST,
                 "{name} tanh drifted on some bit pattern"
             );
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // exp oracle: output bits pinned from glibc 2.36's FMA `expf`
+    // -----------------------------------------------------------------
+
+    /// Digest of `exp` over the tier-1 inputs of [`exp_thresholds`].
+    const EXP_TIER1_DIGEST: u64 = 0x9f2a_23f9_bcd6_c358;
+    /// Digest of `exp` over all 2^32 bit patterns, ascending.
+    const EXP_ALL_DIGEST: u64 = 0xb7ec_9ad6_d5fe_58ac;
+
+    fn exp_levels() -> Vec<(&'static str, SliceFn)> {
+        at_levels!(exp_lanes, exp_avx2, exp_avx512)
+    }
+
+    #[test]
+    fn exp_digest() {
+        for (name, exp) in exp_levels() {
+            assert_eq!(
+                digest_of(tier1_inputs(exp_thresholds()), exp),
+                EXP_TIER1_DIGEST,
+                "{name} exp drifted on the tier-1 inputs"
+            );
+        }
+    }
+
+    /// All 2^32 inputs; run in release with `--include-ignored`.
+    #[test]
+    #[ignore]
+    fn exp_digest_all_bit_patterns() {
+        for (name, exp) in exp_levels() {
+            assert_eq!(
+                digest_of(0..=u32::MAX, exp),
+                EXP_ALL_DIGEST,
+                "{name} exp drifted on some bit pattern"
+            );
+        }
+    }
+
+    /// `sigmoid` is `1 / (1 + e^(−x))` with the `exp` kernel's `e^(−x)`, at
+    /// every level.
+    #[test]
+    fn sigmoid_composes_exp() {
+        let xs: Vec<f32> = tier1_inputs(exp_thresholds()).map(f32::from_bits).collect();
+        let mut want: Vec<f32> = xs.iter().map(|x| -x).collect();
+        exp(&mut want);
+        for e in &mut want {
+            *e = 1.0 / (1.0 + *e);
+        }
+        for (name, sigmoid) in at_levels!(sigmoid_lanes, sigmoid_avx2, sigmoid_avx512) {
+            let mut got = xs.clone();
+            sigmoid(&mut got);
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{name} sigmoid is not 1/(1 + exp(-x))");
         }
     }
 }

@@ -97,6 +97,14 @@ fn reductions_and_elementwise_are_bit_identical_across_the_thread_matrix() {
             one.tanh(&wide).data() == p.tanh(&wide).data(),
             "tanh drifted at {threads} threads"
         );
+        assert!(
+            one.exp(&wide).data() == p.exp(&wide).data(),
+            "exp drifted at {threads} threads"
+        );
+        assert!(
+            one.sigmoid(&wide).data() == p.sigmoid(&wide).data(),
+            "sigmoid drifted at {threads} threads"
+        );
     }
 }
 

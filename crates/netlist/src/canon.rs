@@ -14,14 +14,38 @@
 
 use std::ops::Range;
 
+use crate::cell::CellKind;
 use crate::graph::{Netlist, NodeId, NodeKind};
+
+/// Where each cell kind's lines go among the cell lines: kinds in
+/// `lib_name` order. Library names hold no byte at or below `' '`, so
+/// two lines `c <lib_cell> ...` of different kinds compare as their
+/// library names do, whatever follows.
+fn kind_ranks() -> [usize; CellKind::ALL.len()] {
+    let mut by_name = CellKind::ALL;
+    by_name.sort_unstable_by_key(|k| k.lib_name());
+    let mut ranks = [0; CellKind::ALL.len()];
+    for (rank, kind) in by_name.into_iter().enumerate() {
+        ranks[kind.index()] = rank;
+    }
+    ranks
+}
 
 /// Writes every canonical line of `netlist` into `text`, without
 /// newlines, and returns the lines in output order: inputs, then cells,
-/// then outputs, each group sorted as whole lines.
+/// then outputs, each group sorted as whole lines. Cell lines are
+/// bucketed by kind first, in [`kind_ranks`] order, so each sort is
+/// smaller and the result is the same.
 fn sorted_lines<'t>(netlist: &Netlist, text: &'t mut String) -> Vec<&'t str> {
-    let name_of = |id: NodeId| netlist.node(id).name();
-    let mut groups: [Vec<Range<usize>>; 3] = Default::default();
+    let names: Vec<&str> = netlist.names().collect();
+    let name_of = |id: NodeId| names[id.index()];
+    // Each name is written once for its node and about twice more as a
+    // fanin; the rest of a line is a few bytes.
+    text.reserve(4 * netlist.name_bytes() + 16 * netlist.node_count());
+    let ranks = kind_ranks();
+    // Inputs, one bucket per cell kind, outputs.
+    const OUTPUTS: usize = CellKind::ALL.len() + 1;
+    let mut groups: [Vec<Range<usize>>; OUTPUTS + 1] = Default::default();
     for id in netlist.node_ids() {
         let start = text.len();
         let group = match netlist.kind(id) {
@@ -39,14 +63,14 @@ fn sorted_lines<'t>(netlist: &Netlist, text: &'t mut String) -> Vec<&'t str> {
                     text.push(' ');
                     text.push_str(name_of(f));
                 }
-                1
+                1 + ranks[kind.index()]
             }
             NodeKind::PrimaryOutput => {
                 text.push_str("o ");
                 text.push_str(name_of(id));
                 text.push(' ');
                 text.push_str(name_of(netlist.fanins(id)[0]));
-                2
+                OUTPUTS
             }
         };
         groups[group].push(start..text.len());
@@ -120,7 +144,6 @@ pub fn canonical_hash(netlist: &Netlist) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellKind;
     use crate::verilog::{parse_verilog, write_verilog};
 
     fn sample() -> Netlist {
@@ -203,6 +226,34 @@ mod tests {
         swapped.add_output("y", g2);
         swapped.add_output("q", ff);
         assert_ne!(canonical_hash(&base), canonical_hash(&swapped));
+    }
+
+    #[test]
+    fn cells_bucketed_by_kind_sort_as_whole_lines() {
+        for name in CellKind::ALL.map(CellKind::lib_name) {
+            assert!(name.bytes().all(|b| b > b' '), "{name}");
+        }
+        // Every kind, names that sort against the kind order, and equal
+        // names under different kinds.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        for (i, kind) in CellKind::ALL.into_iter().rev().enumerate() {
+            let fanins = vec![a; kind.input_count()];
+            for name in [format!("{i}"), "z".to_owned(), format!("a{i}")] {
+                nl.add_cell(kind, name, &fanins).unwrap();
+            }
+        }
+        let mut text = String::new();
+        let lines = sorted_lines(&nl, &mut text);
+        let mut cells: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with("c "))
+            .collect();
+        let bucketed = cells.clone();
+        cells.sort_unstable();
+        assert_eq!(bucketed, cells);
+        assert_eq!(cells.len(), 3 * CellKind::ALL.len());
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! index — pin order matters because different inputs of a gate have
 //! different electrical and logical roles (the paper encodes this with edge
 //! positional encoding, §IV-B).
+//!
+//! Storage is flat: a node's kind and its at most three fanins sit inline
+//! in one fixed-size record, all names share one string, and only the
+//! unbounded fanout lists are vectors of their own. [`Netlist::node`]
+//! returns a [`Node`] view that borrows its name from that string.
 
 use std::fmt;
 
@@ -67,26 +72,57 @@ impl NodeKind {
     }
 }
 
-/// A node: its kind plus an instance name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
+/// A node as [`Netlist::node`] returns it: its kind plus its instance
+/// name, borrowed from the netlist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node<'a> {
     kind: NodeKind,
-    name: String,
+    name: &'a str,
 }
 
-impl Node {
+impl<'a> Node<'a> {
     /// The node's kind.
     pub fn kind(&self) -> NodeKind {
         self.kind
     }
 
     /// The instance (or port) name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+}
+
+/// Most fanins any node has: the three-input cells.
+const MAX_FANINS: usize = 3;
+
+/// One node's fixed-size record: its kind and its fanins, inline.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    kind: NodeKind,
+    /// How many leading entries of `fanins` are connected.
+    fanin_count: u8,
+    fanins: [NodeId; MAX_FANINS],
+}
+
+impl Slot {
+    fn fanins(&self) -> &[NodeId] {
+        &self.fanins[..usize::from(self.fanin_count)]
+    }
+
+    /// The cell to name in a [`NetlistError::PinCountMismatch`] about
+    /// this node (ports report `Buf`, the one-pin stand-in).
+    fn mismatch_cell(&self) -> CellKind {
+        match self.kind {
+            NodeKind::Cell(k) => k,
+            _ => CellKind::Buf,
+        }
     }
 }
 
 /// A standard-cell netlist.
+///
+/// Adding a node allocates nothing but its fanout list's growth (see the
+/// module docs for the storage).
 ///
 /// # Examples
 ///
@@ -102,24 +138,40 @@ impl Node {
 /// let _y = nl.add_output("y", g);
 /// assert_eq!(nl.cell_count(), 1);
 /// assert_eq!(nl.fanins(g), [a, b]);
+/// assert_eq!(nl.node(g).name(), "u1");
 /// # Ok::<(), moss_netlist::NetlistError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    nodes: Vec<Node>,
-    fanins: Vec<Vec<NodeId>>,
+    slots: Vec<Slot>,
+    /// Every node's name, back to back in id order.
+    names: String,
+    /// Where each node's name ends in `names`; it starts where the
+    /// previous node's ends.
+    name_ends: Vec<usize>,
     fanouts: Vec<Vec<NodeId>>,
 }
 
 impl Netlist {
     /// Creates an empty netlist with a design name.
     pub fn new(name: impl Into<String>) -> Netlist {
+        Netlist::with_capacity(name, 0, 0)
+    }
+
+    /// An empty netlist with room for `nodes` nodes whose names total
+    /// `name_bytes` bytes.
+    pub(crate) fn with_capacity(
+        name: impl Into<String>,
+        nodes: usize,
+        name_bytes: usize,
+    ) -> Netlist {
         Netlist {
             name: name.into(),
-            nodes: Vec::new(),
-            fanins: Vec::new(),
-            fanouts: Vec::new(),
+            slots: Vec::with_capacity(nodes),
+            names: String::with_capacity(name_bytes),
+            name_ends: Vec::with_capacity(nodes),
+            fanouts: Vec::with_capacity(nodes),
         }
     }
 
@@ -128,17 +180,28 @@ impl Netlist {
         &self.name
     }
 
-    fn push_node(&mut self, kind: NodeKind, name: String) -> NodeId {
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(Node { kind, name });
-        self.fanins.push(Vec::new());
+    fn push_node(&mut self, kind: NodeKind, name: &str, fanins: &[NodeId]) -> NodeId {
+        let id = NodeId::new(self.slots.len());
+        // Callers pass at most a cell's pin count, which is at most three.
+        let mut inline = [NodeId(0); MAX_FANINS];
+        inline[..fanins.len()].copy_from_slice(fanins);
+        self.slots.push(Slot {
+            kind,
+            fanin_count: fanins.len() as u8,
+            fanins: inline,
+        });
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len());
         self.fanouts.push(Vec::new());
+        for &f in fanins {
+            self.fanouts[f.index()].push(id);
+        }
         id
     }
 
     /// Adds a primary input port.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NodeId {
-        self.push_node(NodeKind::PrimaryInput, name.into())
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> NodeId {
+        self.push_node(NodeKind::PrimaryInput, name.as_ref(), &[])
     }
 
     /// Adds a primary output port driven by `src`.
@@ -146,12 +209,9 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `src` is out of bounds.
-    pub fn add_output(&mut self, name: impl Into<String>, src: NodeId) -> NodeId {
-        assert!(src.index() < self.nodes.len(), "source {src} out of bounds");
-        let id = self.push_node(NodeKind::PrimaryOutput, name.into());
-        self.fanins[id.index()].push(src);
-        self.fanouts[src.index()].push(id);
-        id
+    pub fn add_output(&mut self, name: impl AsRef<str>, src: NodeId) -> NodeId {
+        assert!(src.index() < self.slots.len(), "source {src} out of bounds");
+        self.push_node(NodeKind::PrimaryOutput, name.as_ref(), &[src])
     }
 
     /// Adds a standard cell with ordered fanins.
@@ -164,7 +224,7 @@ impl Netlist {
     pub fn add_cell(
         &mut self,
         kind: CellKind,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         fanins: &[NodeId],
     ) -> Result<NodeId, NetlistError> {
         if fanins.len() != kind.input_count() {
@@ -174,17 +234,10 @@ impl Netlist {
                 got: fanins.len(),
             });
         }
-        for &f in fanins {
-            if f.index() >= self.nodes.len() {
-                return Err(NetlistError::UnknownNode(f.index()));
-            }
+        if let Some(f) = fanins.iter().find(|f| f.index() >= self.slots.len()) {
+            return Err(NetlistError::UnknownNode(f.index()));
         }
-        let id = self.push_node(NodeKind::Cell(kind), name.into());
-        for &f in fanins {
-            self.fanins[id.index()].push(f);
-            self.fanouts[f.index()].push(id);
-        }
-        Ok(id)
+        Ok(self.push_node(NodeKind::Cell(kind), name.as_ref(), fanins))
     }
 
     /// Adds a standard cell with no fanins connected yet.
@@ -194,12 +247,8 @@ impl Netlist {
     /// then attaches pins in order via [`Netlist::connect_pin`]. The node is
     /// invalid until all pins are connected; [`Netlist::validate`] reports
     /// it as [`NetlistError::DanglingPins`] until then.
-    pub(crate) fn add_cell_unconnected(
-        &mut self,
-        kind: CellKind,
-        name: impl Into<String>,
-    ) -> NodeId {
-        self.push_node(NodeKind::Cell(kind), name.into())
+    pub(crate) fn add_cell_unconnected(&mut self, kind: CellKind, name: &str) -> NodeId {
+        self.push_node(NodeKind::Cell(kind), name, &[])
     }
 
     /// Connects the next unconnected pin of `node` to `src`.
@@ -210,51 +259,49 @@ impl Netlist {
     /// or [`NetlistError::PinCountMismatch`] if every pin of `node` is
     /// already connected.
     pub(crate) fn connect_pin(&mut self, node: NodeId, src: NodeId) -> Result<(), NetlistError> {
-        if node.index() >= self.nodes.len() {
+        if node.index() >= self.slots.len() {
             return Err(NetlistError::UnknownNode(node.index()));
         }
-        if src.index() >= self.nodes.len() {
+        if src.index() >= self.slots.len() {
             return Err(NetlistError::UnknownNode(src.index()));
         }
-        let kind = self.nodes[node.index()].kind;
-        let expected = kind.input_count();
-        let got = self.fanins[node.index()].len();
+        let slot = &mut self.slots[node.index()];
+        let expected = slot.kind.input_count();
+        let got = usize::from(slot.fanin_count);
         if got >= expected {
             return Err(NetlistError::PinCountMismatch {
-                cell: match kind {
-                    NodeKind::Cell(k) => k,
-                    _ => CellKind::Buf,
-                },
+                cell: slot.mismatch_cell(),
                 expected,
                 got: got + 1,
             });
         }
-        self.fanins[node.index()].push(src);
+        slot.fanins[got] = src;
+        slot.fanin_count += 1;
         self.fanouts[src.index()].push(node);
         Ok(())
     }
 
     /// Total node count including ports.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     /// Number of standard cells (combinational + DFF), excluding ports.
     pub fn cell_count(&self) -> usize {
-        self.nodes
+        self.slots
             .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Cell(_)))
+            .filter(|s| matches!(s.kind, NodeKind::Cell(_)))
             .count()
     }
 
     /// Number of DFFs.
     pub fn dff_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.kind.is_dff()).count()
+        self.slots.iter().filter(|s| s.kind.is_dff()).count()
     }
 
     /// Number of edges (total fanin connections).
     pub fn edge_count(&self) -> usize {
-        self.fanins.iter().map(Vec::len).sum()
+        self.slots.iter().map(|s| usize::from(s.fanin_count)).sum()
     }
 
     /// The node with the given id.
@@ -262,18 +309,38 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
+        Node {
+            kind: self.slots[i].kind,
+            name: &self.names[start..self.name_ends[i]],
+        }
+    }
+
+    /// Every node's name, in id order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.name_ends.iter().map(move |&end| {
+            let name = &self.names[start..end];
+            start = end;
+            name
+        })
+    }
+
+    /// The length of all node names together, in bytes.
+    pub(crate) fn name_bytes(&self) -> usize {
+        self.names.len()
     }
 
     /// The kind of a node.
     pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.nodes[id.index()].kind
+        self.slots[id.index()].kind
     }
 
     /// Ordered fanins (driving nodes, by pin index).
     pub fn fanins(&self, id: NodeId) -> &[NodeId] {
-        &self.fanins[id.index()]
+        self.slots[id.index()].fanins()
     }
 
     /// Fanouts (driven nodes, unordered).
@@ -283,7 +350,7 @@ impl Netlist {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::new)
+        (0..self.slots.len()).map(NodeId::new)
     }
 
     /// Ids of all primary inputs, in insertion order.
@@ -304,7 +371,7 @@ impl Netlist {
 
     fn filter_ids(&self, pred: impl Fn(NodeKind) -> bool) -> Vec<NodeId> {
         self.node_ids()
-            .filter(|&id| pred(self.nodes[id.index()].kind))
+            .filter(|&id| pred(self.slots[id.index()].kind))
             .collect()
     }
 
@@ -313,10 +380,7 @@ impl Netlist {
     /// A linear scan: the netlist keeps no name index, so callers that
     /// never look names up, such as the Verilog parser, pay nothing for one.
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(NodeId::new)
+        self.names().position(|n| n == name).map(NodeId::new)
     }
 
     /// Rewires pin `pin` of `node` to be driven by `new_src`.
@@ -335,47 +399,42 @@ impl Netlist {
         pin: usize,
         new_src: NodeId,
     ) -> Result<(), NetlistError> {
-        if node.index() >= self.nodes.len() {
+        if node.index() >= self.slots.len() {
             return Err(NetlistError::UnknownNode(node.index()));
         }
-        if new_src.index() >= self.nodes.len() {
+        if new_src.index() >= self.slots.len() {
             return Err(NetlistError::UnknownNode(new_src.index()));
         }
-        let kind = self.nodes[node.index()].kind;
-        if pin >= self.fanins[node.index()].len() {
+        let slot = &mut self.slots[node.index()];
+        if pin >= usize::from(slot.fanin_count) {
             return Err(NetlistError::PinCountMismatch {
-                cell: match kind {
-                    NodeKind::Cell(k) => k,
-                    _ => CellKind::Buf,
-                },
-                expected: kind.input_count(),
+                cell: slot.mismatch_cell(),
+                expected: slot.kind.input_count(),
                 got: pin + 1,
             });
         }
-        let old = self.fanins[node.index()][pin];
+        let old = std::mem::replace(&mut slot.fanins[pin], new_src);
         // Remove exactly one fanout entry for the old driver.
         if let Some(p) = self.fanouts[old.index()].iter().position(|&x| x == node) {
             self.fanouts[old.index()].remove(p);
         }
-        self.fanins[node.index()][pin] = new_src;
         self.fanouts[new_src.index()].push(node);
         Ok(())
     }
 
-    /// Flattens the per-node fanin lists into one contiguous CSR arena.
+    /// Flattens every node's fanins into one contiguous CSR arena.
     ///
     /// Compilers over the netlist (e.g. the compiled simulator's instruction
-    /// lowering) iterate every node's fanins exactly once; the
-    /// `Vec<Vec<NodeId>>` adjacency costs one pointer chase per node. The
-    /// returned [`FaninArena`] stores all fanins back-to-back with a
+    /// lowering) iterate every node's fanins exactly once. The returned
+    /// [`FaninArena`] stores all fanins back-to-back with a
     /// `node_count + 1` offset table, so a full sweep is a single linear
-    /// scan.
+    /// scan with no unused pin entries in it.
     pub fn fanin_arena(&self) -> FaninArena {
-        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
+        let mut offsets = Vec::with_capacity(self.slots.len() + 1);
         let mut data = Vec::with_capacity(self.edge_count());
         offsets.push(0);
-        for fi in &self.fanins {
-            data.extend_from_slice(fi);
+        for slot in &self.slots {
+            data.extend_from_slice(slot.fanins());
             offsets.push(data.len() as u32);
         }
         FaninArena { offsets, data }
@@ -389,19 +448,18 @@ impl Netlist {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for id in self.node_ids() {
-            let node = &self.nodes[id.index()];
-            let expected = node.kind.input_count();
-            let got = self.fanins[id.index()].len();
+        for (id, slot) in self.node_ids().zip(&self.slots) {
+            let expected = slot.kind.input_count();
+            let got = usize::from(slot.fanin_count);
             if got != expected {
                 return Err(NetlistError::DanglingPins {
                     node: id.index(),
-                    name: node.name.clone(),
+                    name: self.node(id).name().to_owned(),
                     expected,
                     got,
                 });
             }
-            for &f in &self.fanins[id.index()] {
+            for &f in slot.fanins() {
                 if !self.fanouts[f.index()].contains(&id) {
                     return Err(NetlistError::InconsistentAdjacency {
                         from: f.index(),
@@ -536,6 +594,119 @@ mod tests {
         let (mut nl, a, _, g) = tiny();
         assert!(nl.replace_fanin(g, 5, a).is_err());
         assert!(nl.replace_fanin(NodeId::new(99), 0, a).is_err());
+    }
+
+    #[test]
+    fn three_input_cells_keep_their_pins_inline() {
+        let mut nl = Netlist::new("t");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| nl.add_input(n));
+        let mux = nl.add_cell(CellKind::Mux2, "m", &[a, b, c]).unwrap();
+        assert_eq!(nl.fanins(mux), [a, b, c]);
+        let err = nl
+            .add_cell(CellKind::Mux2, "m2", &[a, b, c, d])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::PinCountMismatch {
+                cell: CellKind::Mux2,
+                expected: 3,
+                got: 4
+            }
+        );
+
+        let aoi = nl.add_cell_unconnected(CellKind::Aoi21, "g");
+        assert!(matches!(
+            nl.validate(),
+            Err(NetlistError::DanglingPins { got: 0, .. })
+        ));
+        for src in [a, b, c] {
+            nl.connect_pin(aoi, src).unwrap();
+        }
+        assert_eq!(nl.fanins(aoi), [a, b, c]);
+        assert_eq!(
+            nl.connect_pin(aoi, d).unwrap_err(),
+            NetlistError::PinCountMismatch {
+                cell: CellKind::Aoi21,
+                expected: 3,
+                got: 4
+            }
+        );
+        assert_eq!(nl.fanins(aoi), [a, b, c], "a refused pin changes nothing");
+        assert!(nl.fanouts(d).is_empty());
+        nl.add_output("y", aoi);
+        assert!(nl.validate().is_ok());
+        assert_eq!(nl.edge_count(), 3 + 3 + 1);
+    }
+
+    #[test]
+    fn replace_fanin_on_the_third_pin_moves_one_fanout_entry() {
+        let mut nl = Netlist::new("t");
+        let [a, b, s, s2] = ["a", "b", "s", "s2"].map(|n| nl.add_input(n));
+        let m = nl.add_cell(CellKind::Mux2, "m", &[a, b, s]).unwrap();
+        // `s` drives two pins of `n`; rewiring one leaves the other.
+        let n = nl.add_cell(CellKind::Nand3, "n", &[s, a, s]).unwrap();
+        nl.replace_fanin(m, 2, s2).unwrap();
+        assert_eq!(nl.fanins(m), [a, b, s2]);
+        assert_eq!(nl.fanouts(s), [n, n]);
+        assert_eq!(nl.fanouts(s2), [m]);
+        nl.replace_fanin(n, 2, s2).unwrap();
+        assert_eq!(nl.fanins(n), [s, a, s2]);
+        assert_eq!(nl.fanouts(s), [n]);
+        assert_eq!(nl.fanouts(s2), [m, n]);
+        assert!(nl.validate().is_ok());
+        assert!(matches!(
+            nl.replace_fanin(m, 3, a),
+            Err(NetlistError::PinCountMismatch {
+                cell: CellKind::Mux2,
+                expected: 3,
+                got: 4
+            })
+        ));
+    }
+
+    #[test]
+    fn edge_count_fanin_arena_and_clone_see_the_same_graph() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let t = nl.add_cell(CellKind::Tie1, "t", &[]).unwrap();
+        let g = nl.add_cell(CellKind::Oai21, "g", &[a, b, t]).unwrap();
+        let q = nl.add_cell(CellKind::Dff, "q", &[g]).unwrap();
+        nl.add_output("y", q);
+        assert_eq!(nl.edge_count(), 3 + 1 + 1);
+        let arena = nl.fanin_arena();
+        assert_eq!(arena.flat(), [a, b, t, g, q]);
+        assert!(arena.fanins(t).is_empty());
+        assert_eq!(arena.fanins(g), [a, b, t]);
+
+        let copy = nl.clone();
+        nl.replace_fanin(g, 0, b).unwrap();
+        assert_eq!(copy.fanins(g), [a, b, t], "a clone owns its storage");
+        assert_eq!(copy.fanouts(a), [g]);
+        assert_eq!(nl.fanouts(a), []);
+        for id in copy.node_ids() {
+            assert_eq!(copy.node(id), nl.node(id));
+        }
+        assert_eq!(copy.edge_count(), nl.edge_count());
+    }
+
+    #[test]
+    fn escaped_and_multibyte_names_come_back_whole() {
+        let names = ["q[0]", "é", "a.b\\c", "", "日本", "q[0]x", "x"];
+        let mut nl = Netlist::new("t");
+        let ids: Vec<NodeId> = names.iter().map(|n| nl.add_input(n)).collect();
+        for (&id, &name) in ids.iter().zip(&names) {
+            assert_eq!(nl.node(id).name(), name);
+            assert_eq!(nl.node(id).kind(), NodeKind::PrimaryInput);
+            assert_eq!(nl.find(name), Some(id), "{name:?}");
+        }
+        assert_eq!(nl.find("q["), None);
+        assert_eq!(nl.find("日"), None);
+        // A name that spans two neighbours in the shared store is no name.
+        assert_eq!(nl.find("q[0]q[0]x"), None);
+        // Owned and borrowed names are accepted alike.
+        let owned = nl.add_input(String::from("ü"));
+        assert_eq!(nl.node(owned).name(), "ü");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! # Ok::<(), moss_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

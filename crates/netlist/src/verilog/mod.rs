@@ -9,11 +9,16 @@
 //! connected exactly once. Failures are typed [`ParseError`]s carrying the
 //! 1-based line/column and expected-vs-found.
 //!
-//! Parsing costs bytes, not allocations: tokens and the AST borrow every
-//! name from the source and carry byte offsets (lines and columns are
-//! computed only for an error), and the elaborator resolves names through
-//! a single namespace table. Apart from error messages, the only strings
-//! it copies are the netlist's node names and the DFF clock nets.
+//! Parsing costs bytes, not allocations: the parser pulls one token at a
+//! time from a cursor over the source and builds no token list; the AST
+//! borrows every name from the source and carries byte offsets (lines
+//! and columns are computed only for an error); and the elaborator
+//! resolves names through a single namespace table, sizes the netlist
+//! from the AST's counts up front, and maps cell and pin names with a
+//! `match`. The netlist keeps fanins inline and every node name in one
+//! shared string, so apart from error messages and the DFF clock nets no
+//! string is allocated per name, and a node's only allocation is its
+//! fanout list.
 //!
 //! Accepted surface (DESIGN.md §14 has the full grammar):
 //!
@@ -78,19 +83,53 @@ const SLOTS: usize = CONTROL + DFF_CONTROL_PINS.len();
 /// An empty pin slot.
 const UNCONNECTED: usize = usize::MAX;
 
-/// The slot of pin `pin` on a `kind` cell, or `None` if it has no such pin.
+/// The library cell named `name`: the inverse of [`CellKind::lib_name`].
+fn cell_kind(name: &str) -> Option<CellKind> {
+    Some(match name {
+        "INV_X1" => CellKind::Inv,
+        "BUF_X1" => CellKind::Buf,
+        "NAND2_X1" => CellKind::Nand2,
+        "NAND3_X1" => CellKind::Nand3,
+        "NOR2_X1" => CellKind::Nor2,
+        "NOR3_X1" => CellKind::Nor3,
+        "AND2_X1" => CellKind::And2,
+        "AND3_X1" => CellKind::And3,
+        "OR2_X1" => CellKind::Or2,
+        "OR3_X1" => CellKind::Or3,
+        "XOR2_X1" => CellKind::Xor2,
+        "XNOR2_X1" => CellKind::Xnor2,
+        "AOI21_X1" => CellKind::Aoi21,
+        "OAI21_X1" => CellKind::Oai21,
+        "MUX2_X1" => CellKind::Mux2,
+        "TIEL_X1" => CellKind::Tie0,
+        "TIEH_X1" => CellKind::Tie1,
+        "DFF_X1" => CellKind::Dff,
+        _ => return None,
+    })
+}
+
+/// The slot of pin `pin` on a `kind` cell, or `None` if it has no such
+/// pin: the [`pin_names`] index of a data input, [`OUT`] for the output,
+/// and the [`DFF_CONTROL_PINS`] slots on a DFF.
 fn pin_slot(kind: CellKind, pin: &str) -> Option<usize> {
-    if let Some(i) = pin_names(kind).iter().position(|&p| p == pin) {
-        Some(i)
-    } else if pin == output_pin(kind) {
-        Some(OUT)
-    } else if kind.is_sequential() {
-        DFF_CONTROL_PINS
-            .iter()
-            .position(|&p| p == pin)
-            .map(|i| CONTROL + i)
-    } else {
-        None
+    if kind.is_sequential() {
+        return match pin {
+            "D" => Some(0),
+            "Q" => Some(OUT),
+            "CK" => Some(CONTROL),
+            "RN" => Some(RN),
+            "SN" => Some(SN),
+            _ => None,
+        };
+    }
+    let inputs = kind.input_count();
+    match pin {
+        "Y" => Some(OUT),
+        "A" if inputs >= 1 => Some(0),
+        "B" if inputs >= 2 => Some(1),
+        "C" if inputs == 3 && kind != CellKind::Mux2 => Some(2),
+        "S" if kind == CellKind::Mux2 => Some(2),
+        _ => None,
     }
 }
 
@@ -173,14 +212,15 @@ pub fn parse_verilog_design(src: &str) -> Result<VerilogDesign, NetlistError> {
 
 /// What currently drives a net.
 #[derive(Debug, Clone, Copy)]
-enum Driver<'a> {
+enum Driver {
     /// Nothing yet.
     None,
     /// A netlist node: a primary input, or a cell's output pin.
     Node(NodeId),
-    /// The right-hand side of an `assign` (resolved lazily, with cycle
-    /// detection, because assigns may chain through output ports).
-    Assign(NetRef<'a>),
+    /// The `assign` at this index of [`Elaborator::assigns`], resolved
+    /// lazily, with cycle detection, because assigns may chain through
+    /// output ports.
+    Assign(usize),
 }
 
 /// What a name in the module's namespace was declared as.
@@ -193,22 +233,24 @@ enum Decl {
 }
 
 #[derive(Debug)]
-struct Symbol<'a> {
+struct Symbol {
     decl: Decl,
     /// Meaningful for ports and wires, the module's nets.
-    driver: Driver<'a>,
-    /// The last [`Elaborator::resolve`] call that followed this net's
-    /// assign, for cycle detection.
+    driver: Driver,
+}
+
+/// An `assign`'s right-hand side.
+#[derive(Debug)]
+struct Assign<'a> {
+    rhs: NetRef<'a>,
+    /// The last [`Elaborator::resolve`] call that followed this assign,
+    /// for cycle detection.
     visited: usize,
 }
 
-/// An instance awaiting its pin connections: each slot holds an index
-/// into [`Ast::pins`], or [`UNCONNECTED`].
-struct Cell {
-    node: NodeId,
-    kind: CellKind,
-    pins: [usize; SLOTS],
-}
+/// An instance's pin slots: each holds an index into [`Ast::pins`], or
+/// [`UNCONNECTED`].
+type Slots = [usize; SLOTS];
 
 /// Elaborates an AST into a netlist under single-driver semantics.
 ///
@@ -221,7 +263,8 @@ struct Elaborator<'s, 'a> {
     /// Every port, wire and instance name → its index in `symbols`. Ports
     /// come first, so port `i` is symbol `i`.
     names: HashMap<&'a str, usize>,
-    symbols: Vec<Symbol<'a>>,
+    symbols: Vec<Symbol>,
+    assigns: Vec<Assign<'a>>,
     /// Each port's direction, from the port list or the body.
     port_dirs: Vec<Option<Dir>>,
     netlist: Netlist,
@@ -234,13 +277,27 @@ struct Elaborator<'s, 'a> {
 impl<'s, 'a> Elaborator<'s, 'a> {
     fn new(src: &'a str, ast: &'s Ast<'a>) -> Elaborator<'s, 'a> {
         let capacity = ast.ports.len() + ast.decls.len() + ast.items.len();
+        // Every port and instance becomes a node, and so may two ties
+        // (`const0`/`const1`, uniquified).
+        let nodes = ast.ports.len() + ast.items.len() + 2;
+        let instance_names: usize = ast
+            .items
+            .iter()
+            .map(|item| match item {
+                Item::Instance { name, .. } => name.text.len(),
+                Item::Assign { .. } => 0,
+            })
+            .sum();
+        let port_names: usize = ast.ports.iter().map(|p| p.name.text.len()).sum();
+        let name_bytes = port_names + instance_names + 2 * "const0_1".len();
         Elaborator {
             src,
             ast,
             names: HashMap::with_capacity(capacity),
             symbols: Vec::with_capacity(capacity),
+            assigns: Vec::new(),
             port_dirs: ast.ports.iter().map(|p| p.dir).collect(),
-            netlist: Netlist::new(ast.name),
+            netlist: Netlist::with_capacity(ast.name, nodes, name_bytes),
             ties: [None; 2],
             resolves: 0,
         }
@@ -255,8 +312,9 @@ impl<'s, 'a> Elaborator<'s, 'a> {
                 self.symbols[i].driver = Driver::Node(self.netlist.add_input(p.name.text));
             }
         }
-        let cells = self.drive_nets()?;
-        let dffs = self.connect_pins(&cells)?;
+        let first_cell = self.netlist.node_count();
+        self.drive_nets()?;
+        let dffs = self.connect_pins(first_cell)?;
         self.add_outputs()?;
         self.netlist.validate()?;
         Ok(VerilogDesign {
@@ -283,7 +341,6 @@ impl<'s, 'a> Elaborator<'s, 'a> {
         self.symbols.push(Symbol {
             decl,
             driver: Driver::None,
-            visited: 0,
         });
         Ok(())
     }
@@ -333,19 +390,18 @@ impl<'s, 'a> Elaborator<'s, 'a> {
     }
 
     /// Records every assign and every instance output as its net's
-    /// driver, in source order, and creates the (unconnected) cells.
-    fn drive_nets(&mut self) -> Result<Vec<Cell>, NetlistError> {
-        let ast = self.ast;
-        let mut cells = Vec::with_capacity(ast.items.len());
-        for item in &ast.items {
+    /// driver, in source order, and creates the (unconnected) cells, one
+    /// per instance, in order.
+    fn drive_nets(&mut self) -> Result<(), NetlistError> {
+        for item in &self.ast.items {
             match item {
                 Item::Assign { lhs, rhs } => self.assign(*lhs, *rhs)?,
                 Item::Instance { cell, name, pins } => {
-                    cells.push(self.instance(*cell, *name, pins.clone())?);
+                    self.instance(*cell, *name, pins.clone())?;
                 }
             }
         }
-        Ok(cells)
+        Ok(())
     }
 
     fn assign(&mut self, lhs: Name<'a>, rhs: NetRef<'a>) -> Result<(), NetlistError> {
@@ -369,7 +425,8 @@ impl<'s, 'a> Elaborator<'s, 'a> {
         if !matches!(self.symbols[s].driver, Driver::None) {
             return Err(self.name_error(lhs, |net| ParseErrorKind::MultipleDrivers { net }));
         }
-        self.symbols[s].driver = Driver::Assign(rhs);
+        self.symbols[s].driver = Driver::Assign(self.assigns.len());
+        self.assigns.push(Assign { rhs, visited: 0 });
         Ok(())
     }
 
@@ -378,31 +435,12 @@ impl<'s, 'a> Elaborator<'s, 'a> {
         cell: Name<'a>,
         name: Name<'a>,
         conns: Range<usize>,
-    ) -> Result<Cell, NetlistError> {
-        let Some(kind) = CellKind::ALL
-            .into_iter()
-            .find(|k| k.lib_name() == cell.text)
-        else {
+    ) -> Result<(), NetlistError> {
+        let Some(kind) = cell_kind(cell.text) else {
             return Err(self.name_error(cell, |cell| ParseErrorKind::UnknownCell { cell }));
         };
         self.declare(name, Decl::Instance)?;
-        let mut pins = [UNCONNECTED; SLOTS];
-        for j in conns {
-            let pin = self.ast.pins[j].pin;
-            let Some(slot) = pin_slot(kind, pin.text) else {
-                return Err(self.fail(
-                    pin.at,
-                    ParseErrorKind::UnknownPin {
-                        cell: kind.lib_name().to_owned(),
-                        pin: pin.text.to_owned(),
-                    },
-                ));
-            };
-            if pins[slot] != UNCONNECTED {
-                return Err(self.name_error(pin, |pin| ParseErrorKind::DuplicatePin { pin }));
-            }
-            pins[slot] = j;
-        }
+        let pins = self.slots(kind, conns)?;
         let out = output_pin(kind);
         let required = pin_names(kind).iter().enumerate();
         for (slot, pin) in required.chain(std::iter::once((OUT, &out))) {
@@ -459,26 +497,63 @@ impl<'s, 'a> Elaborator<'s, 'a> {
                 self.symbols[s].driver = Driver::Node(node);
             }
         }
-        Ok(Cell { node, kind, pins })
+        Ok(())
+    }
+
+    /// The pin slots of a `kind` instance whose connections are
+    /// `ast.pins[conns]`.
+    ///
+    /// # Errors
+    ///
+    /// The first pin the cell does not have, or has connected already.
+    fn slots(&self, kind: CellKind, conns: Range<usize>) -> Result<Slots, NetlistError> {
+        let mut pins = [UNCONNECTED; SLOTS];
+        for j in conns {
+            let pin = self.ast.pins[j].pin;
+            let Some(slot) = pin_slot(kind, pin.text) else {
+                return Err(self.fail(
+                    pin.at,
+                    ParseErrorKind::UnknownPin {
+                        cell: kind.lib_name().to_owned(),
+                        pin: pin.text.to_owned(),
+                    },
+                ));
+            };
+            if pins[slot] != UNCONNECTED {
+                return Err(self.name_error(pin, |pin| ParseErrorKind::DuplicatePin { pin }));
+            }
+            pins[slot] = j;
+        }
+        Ok(pins)
     }
 
     /// Connects every cell's input pins, in instance order (nets may be
     /// driven after their first use), and collects the DFF metadata.
-    fn connect_pins(&mut self, cells: &[Cell]) -> Result<Vec<ParsedDff>, NetlistError> {
+    /// `drive_nets` added the cells from node `first_cell` on; their pin
+    /// slots are worked out again here rather than kept.
+    fn connect_pins(&mut self, first_cell: usize) -> Result<Vec<ParsedDff>, NetlistError> {
+        let instances = self.ast.items.iter().filter_map(|item| match item {
+            Item::Instance { cell, pins, .. } => Some((cell, pins)),
+            Item::Assign { .. } => None,
+        });
         let mut dffs = Vec::new();
-        for c in cells {
-            for &j in &c.pins[..pin_names(c.kind).len()] {
+        for (node, (cell, conns)) in (first_cell..).map(NodeId::new).zip(instances) {
+            let kind = cell_kind(cell.text).expect("cell names checked by drive_nets");
+            let pins = self
+                .slots(kind, conns.clone())
+                .expect("pin names checked by drive_nets");
+            for &j in &pins[..pin_names(kind).len()] {
                 let src = self.resolve_pin(j)?;
                 self.netlist
-                    .connect_pin(c.node, src)
+                    .connect_pin(node, src)
                     .expect("pin arity pre-checked against the cell library");
             }
-            if !c.kind.is_sequential() {
+            if !kind.is_sequential() {
                 continue;
             }
             // Control nets must exist and be driven, but carry no edges:
             // the netlist graph models the D/Q data path only.
-            let control = &c.pins[CONTROL..];
+            let control = &pins[CONTROL..];
             for &j in control.iter().filter(|&&j| j != UNCONNECTED) {
                 self.resolve_pin(j)?;
             }
@@ -486,18 +561,14 @@ impl<'s, 'a> Elaborator<'s, 'a> {
                 Some(NetRef::Net(n)) => Some(n.text.to_owned()),
                 _ => None,
             };
-            let reset = if c.pins[RN] != UNCONNECTED {
+            let reset = if pins[RN] != UNCONNECTED {
                 DffReset::ActiveLowReset
-            } else if c.pins[SN] != UNCONNECTED {
+            } else if pins[SN] != UNCONNECTED {
                 DffReset::ActiveLowSet
             } else {
                 DffReset::Implicit
             };
-            dffs.push(ParsedDff {
-                node: c.node,
-                clock,
-                reset,
-            });
+            dffs.push(ParsedDff { node, clock, reset });
         }
         Ok(dffs)
     }
@@ -542,20 +613,19 @@ impl<'s, 'a> Elaborator<'s, 'a> {
                 let net = name.to_owned();
                 return Err(self.fail(at, ParseErrorKind::UndeclaredNet { net }));
             };
-            let symbol = &self.symbols[s];
-            match symbol.driver {
+            match self.symbols[s].driver {
                 Driver::Node(id) => return Ok(id),
                 Driver::None => {
                     let net = name.to_owned();
                     return Err(self.fail(at, ParseErrorKind::UndrivenNet { net }));
                 }
-                Driver::Assign(_) if symbol.visited == self.resolves => {
+                Driver::Assign(k) if self.assigns[k].visited == self.resolves => {
                     let message = format!("assign cycle through net '{name}'");
                     return Err(self.fail(at, ParseErrorKind::InvalidConnection { message }));
                 }
-                Driver::Assign(next) => {
-                    self.symbols[s].visited = self.resolves;
-                    net = next;
+                Driver::Assign(k) => {
+                    self.assigns[k].visited = self.resolves;
+                    net = self.assigns[k].rhs;
                 }
             }
         }
@@ -769,6 +839,32 @@ mod tests {
         nl.add_output("y", g2);
         nl.add_output("q", ff);
         nl
+    }
+
+    #[test]
+    fn cell_and_pin_names_match_the_library() {
+        for kind in CellKind::ALL {
+            assert_eq!(cell_kind(kind.lib_name()), Some(kind));
+            let pins = [
+                "A", "B", "C", "S", "D", "Y", "Q", "CK", "RN", "SN", "Z", "a", "",
+            ];
+            for pin in pins {
+                let slot = pin_names(kind)
+                    .iter()
+                    .position(|&p| p == pin)
+                    .or_else(|| (pin == output_pin(kind)).then_some(OUT))
+                    .or_else(|| {
+                        let control = DFF_CONTROL_PINS.iter().position(|&p| p == pin);
+                        control
+                            .filter(|_| kind.is_sequential())
+                            .map(|i| CONTROL + i)
+                    });
+                assert_eq!(pin_slot(kind, pin), slot, "{kind} pin {pin:?}");
+            }
+        }
+        for name in ["", "INV", "inv_x1", "INV_X1 ", "DFF_X2"] {
+            assert_eq!(cell_kind(name), None, "{name:?}");
+        }
     }
 
     #[test]

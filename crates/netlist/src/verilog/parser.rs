@@ -1,5 +1,5 @@
-//! Recursive-descent parser: token stream → a flat module AST whose
-//! names borrow from the source.
+//! Recursive-descent parser: tokens pulled from a [`Cursor`] → a flat
+//! module AST whose names borrow from the source.
 //!
 //! The grammar is the structural subset a Design-Compiler-class tool
 //! writes and ISCAS/ITC-style benchmark distributions use:
@@ -15,13 +15,14 @@
 //! const    := 1'b0 | 1'b1
 //! ```
 //!
-//! `consume_*` combinators return `Option` and never fail; `expect_*`
-//! combinators produce a positioned expected-vs-found [`ParseError`].
+//! The cursor's `eat`/`ident` fast paths consume a token only when it is
+//! the one asked for; `expect_*` combinators turn a miss into a
+//! positioned expected-vs-found [`ParseError`].
 
 use std::ops::Range;
 
 use super::error::{ParseError, ParseErrorKind};
-use super::token::{error_at, lex, position, Kind, Token};
+use super::token::{error_at, position, Cursor, Kind, Token};
 
 /// An identifier and the byte offset it starts at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,150 +113,185 @@ pub struct Ast<'a> {
     pub pins: Vec<PinConn<'a>>,
 }
 
-struct Parser<'t, 'a> {
-    src: &'a str,
-    tokens: &'t [Token<'a>],
-    pos: usize,
+impl<'a> Name<'a> {
+    fn of(token: Token<'a>) -> Name<'a> {
+        Name {
+            text: token.text,
+            at: token.at,
+        }
+    }
 }
 
-impl<'a> Parser<'_, 'a> {
-    fn peek(&self) -> Option<Token<'a>> {
-        self.tokens.get(self.pos).copied()
-    }
+struct Parser<'a> {
+    src: &'a str,
+    cur: Cursor<'a>,
+}
 
-    fn unexpected(&self, expected: &str) -> ParseError {
-        let found = self
-            .peek()
-            .map_or_else(|| "end of input".into(), |t| t.describe());
+impl<'a> Parser<'a> {
+    /// A syntax error: the grammar wanted `expected` where the cursor is.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&mut self, expected: &str) -> ParseError {
+        let found = match self.cur.peek() {
+            Ok(found) => found,
+            // The first lexical error in the source, since everything
+            // before the cursor lexed.
+            Err(e) => return e,
+        };
         let kind = ParseErrorKind::UnexpectedToken {
             expected: expected.into(),
-            found,
+            found: found.map_or_else(|| "end of input".into(), |(t, _)| t.describe()),
         };
-        match self.peek() {
-            Some(t) => error_at(self.src, t.at, kind),
+        let err = match found {
+            Some((t, _)) => error_at(self.src, t.at, kind),
             // EOF diagnostics point one past the last token's start.
             None => {
-                let (line, column) = self.tokens.last().map_or((1, 1), |t| {
-                    let (line, column) = position(self.src, t.at);
+                let (line, column) = self.cur.last().map_or((1, 1), |at| {
+                    let (line, column) = position(self.src, at);
                     (line, column.saturating_add(1))
                 });
                 ParseError::new(line, column, kind)
             }
-        }
+        };
+        self.syntax_error(err)
     }
 
-    /// Consumes the next token when it is of `kind`.
-    fn consume(&mut self, kind: Kind) -> bool {
-        if self.peek().is_some_and(|t| t.kind == kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    /// `err`, unless the rest of the source holds a lexical error, which
+    /// wins: a lexical error anywhere is reported ahead of a syntax error
+    /// before it.
+    fn syntax_error(&mut self, err: ParseError) -> ParseError {
+        self.cur.drain().unwrap_or(err)
     }
 
-    /// Consumes an identifier, if one is next.
-    fn consume_ident(&mut self) -> Option<Name<'a>> {
-        let t = self.peek().filter(|t| t.kind == Kind::Ident)?;
-        self.pos += 1;
-        Some(Name {
-            text: t.text,
-            at: t.at,
-        })
-    }
-
-    /// Requires the next token to be of `kind`.
-    fn expect(&mut self, kind: Kind, expected: &str) -> Result<(), ParseError> {
-        if self.consume(kind) {
+    /// Requires the one-byte punctuation token `b` next.
+    #[inline]
+    fn expect(&mut self, b: u8, expected: &str) -> Result<(), ParseError> {
+        if self.cur.eat(b) {
             Ok(())
         } else {
             Err(self.unexpected(expected))
         }
     }
 
+    /// Requires the keyword `kind` next.
+    fn expect_keyword(&mut self, kind: Kind, expected: &str) -> Result<(), ParseError> {
+        match self.cur.peek()? {
+            Some((t, end)) if t.kind == kind => {
+                self.cur.bump(t, end);
+                Ok(())
+            }
+            _ => Err(self.unexpected(expected)),
+        }
+    }
+
     /// Requires an identifier next.
+    #[inline]
     fn expect_ident(&mut self, expected: &str) -> Result<Name<'a>, ParseError> {
-        self.consume_ident()
-            .ok_or_else(|| self.unexpected(expected))
+        match self.cur.ident() {
+            Some(t) => Ok(Name::of(t)),
+            None => Err(self.unexpected(expected)),
+        }
     }
 
     /// Requires an identifier or constant next.
+    #[inline]
     fn expect_net_ref(&mut self, expected: &str) -> Result<NetRef<'a>, ParseError> {
-        if let Some(name) = self.consume_ident() {
-            return Ok(NetRef::Net(name));
+        if let Some(t) = self.cur.ident() {
+            return Ok(NetRef::Net(Name::of(t)));
         }
-        if let Some(Token {
-            kind: Kind::Const(value),
-            at,
-            ..
-        }) = self.peek()
-        {
-            self.pos += 1;
-            return Ok(NetRef::Const { value, at });
+        match self.cur.peek()? {
+            Some((
+                t @ Token {
+                    kind: Kind::Const(value),
+                    at,
+                    ..
+                },
+                end,
+            )) => {
+                self.cur.bump(t, end);
+                Ok(NetRef::Const { value, at })
+            }
+            _ => Err(self.unexpected(expected)),
         }
-        Err(self.unexpected(expected))
     }
 
     fn parse_ports(&mut self) -> Result<Vec<Port<'a>>, ParseError> {
         let mut ports = Vec::new();
-        if self.consume(Kind::RParen) {
+        if self.cur.eat(b')') {
             return Ok(ports);
         }
         loop {
-            let dir = if self.consume(Kind::Input) {
-                Some(Dir::Input)
-            } else if self.consume(Kind::Output) {
-                Some(Dir::Output)
-            } else {
-                None
+            let port = match self.cur.word() {
+                Some((t, end)) if t.kind == Kind::Ident => {
+                    self.cur.bump(t, end);
+                    Port {
+                        name: Name::of(t),
+                        dir: None,
+                    }
+                }
+                Some((t, end)) if matches!(t.kind, Kind::Input | Kind::Output) => {
+                    self.cur.bump(t, end);
+                    Port {
+                        name: self.expect_ident("a port name")?,
+                        dir: Some(if t.kind == Kind::Input {
+                            Dir::Input
+                        } else {
+                            Dir::Output
+                        }),
+                    }
+                }
+                _ => return Err(self.unexpected("a port name")),
             };
-            let name = self.expect_ident("a port name")?;
-            ports.push(Port { name, dir });
-            if self.consume(Kind::Comma) {
+            ports.push(port);
+            if self.cur.eat(b',') {
                 continue;
             }
-            self.expect(Kind::RParen, "')' or ',' in the port list")?;
+            self.expect(b')', "')' or ',' in the port list")?;
             return Ok(ports);
         }
     }
 
     fn parse_decl(&mut self, dir: Dir, decls: &mut Vec<(Dir, Name<'a>)>) -> Result<(), ParseError> {
         decls.push((dir, self.expect_ident("a declared name")?));
-        while self.consume(Kind::Comma) {
+        while self.cur.eat(b',') {
             decls.push((dir, self.expect_ident("a declared name")?));
         }
-        self.expect(Kind::Semi, "';' after the declaration")
+        self.expect(b';', "';' after the declaration")
     }
 
     fn parse_assign(&mut self) -> Result<Item<'a>, ParseError> {
         let lhs = self.expect_ident("the assigned net")?;
-        self.expect(Kind::Equals, "'=' in the assign")?;
+        self.expect(b'=', "'=' in the assign")?;
         let rhs = self.expect_net_ref("a driving net or 1'b0/1'b1")?;
-        self.expect(Kind::Semi, "';' after the assign")?;
+        self.expect(b';', "';' after the assign")?;
         Ok(Item::Assign { lhs, rhs })
     }
 
-    fn parse_instance(&mut self, pins: &mut Vec<PinConn<'a>>) -> Result<Item<'a>, ParseError> {
-        let cell = self.expect_ident("a cell name")?;
+    /// The rest of an instance of `cell`, whose name has been consumed.
+    fn parse_instance(
+        &mut self,
+        cell: Name<'a>,
+        pins: &mut Vec<PinConn<'a>>,
+    ) -> Result<Item<'a>, ParseError> {
         let name = self.expect_ident("an instance name")?;
-        self.expect(Kind::LParen, "'(' opening the pin connections")?;
+        self.expect(b'(', "'(' opening the pin connections")?;
         let first = pins.len();
-        if !self.consume(Kind::RParen) {
+        if !self.cur.eat(b')') {
             loop {
-                self.expect(Kind::Dot, "'.' starting a named pin connection")?;
+                self.expect(b'.', "'.' starting a named pin connection")?;
                 let pin = self.expect_ident("a pin name")?;
-                self.expect(Kind::LParen, "'(' after the pin name")?;
+                self.expect(b'(', "'(' after the pin name")?;
                 let net = self.expect_net_ref("a net name or 1'b0/1'b1")?;
-                self.expect(Kind::RParen, "')' closing the pin connection")?;
+                self.expect(b')', "')' closing the pin connection")?;
                 pins.push(PinConn { pin, net });
-                if self.consume(Kind::Comma) {
+                if self.cur.eat(b',') {
                     continue;
                 }
-                self.expect(Kind::RParen, "')' or ',' after a pin connection")?;
+                self.expect(b')', "')' or ',' after a pin connection")?;
                 break;
             }
         }
-        self.expect(Kind::Semi, "';' after the instance")?;
+        self.expect(b';', "';' after the instance")?;
         Ok(Item::Instance {
             cell,
             name,
@@ -264,71 +300,75 @@ impl<'a> Parser<'_, 'a> {
     }
 
     fn parse_module(&mut self) -> Result<Ast<'a>, ParseError> {
-        self.expect(Kind::Module, "keyword 'module'")?;
+        self.expect_keyword(Kind::Module, "keyword 'module'")?;
         let name = self.expect_ident("the module name")?;
-        self.expect(Kind::LParen, "'(' opening the port list")?;
+        self.expect(b'(', "'(' opening the port list")?;
         let ports = self.parse_ports()?;
-        self.expect(Kind::Semi, "';' after the port list")?;
+        self.expect(b';', "';' after the port list")?;
 
         let mut decls = Vec::new();
         let mut items = Vec::new();
         let mut pins = Vec::new();
         loop {
-            if self.consume(Kind::Endmodule) {
-                break;
-            }
-            if self.consume(Kind::Input) {
-                self.parse_decl(Dir::Input, &mut decls)?;
-            } else if self.consume(Kind::Output) {
-                self.parse_decl(Dir::Output, &mut decls)?;
-            } else if self.consume(Kind::Wire) {
-                self.parse_decl(Dir::Wire, &mut decls)?;
-            } else if self.consume(Kind::Assign) {
-                items.push(self.parse_assign()?);
-            } else if self.peek().is_some_and(|t| t.kind == Kind::Ident) {
-                items.push(self.parse_instance(&mut pins)?);
-            } else {
-                return Err(self.unexpected("a declaration, assign, instance, or 'endmodule'"));
+            let word = match self.cur.word() {
+                Some((t, end)) if t.kind != Kind::Module => {
+                    self.cur.bump(t, end);
+                    t
+                }
+                _ => {
+                    let expected = "a declaration, assign, instance, or 'endmodule'";
+                    return Err(self.unexpected(expected));
+                }
+            };
+            match word.kind {
+                Kind::Endmodule => break,
+                Kind::Input => self.parse_decl(Dir::Input, &mut decls)?,
+                Kind::Output => self.parse_decl(Dir::Output, &mut decls)?,
+                Kind::Wire => self.parse_decl(Dir::Wire, &mut decls)?,
+                Kind::Assign => items.push(self.parse_assign()?),
+                // A word that is no keyword: the cell name of an instance.
+                _ => items.push(self.parse_instance(Name::of(word), &mut pins)?),
             }
         }
 
-        if let Some(next) = self.peek() {
-            let err = if next.kind == Kind::Module {
-                error_at(
+        match self.cur.peek()? {
+            None => Ok(Ast {
+                name: name.text,
+                ports,
+                decls,
+                items,
+                pins,
+            }),
+            Some((next, _)) if next.kind == Kind::Module => {
+                let err = error_at(
                     self.src,
                     next.at,
                     ParseErrorKind::Unsupported {
                         construct: "more than one module per source".into(),
                     },
-                )
-            } else {
-                self.unexpected("end of input after 'endmodule'")
-            };
-            return Err(err);
+                );
+                Err(self.syntax_error(err))
+            }
+            Some(_) => Err(self.unexpected("end of input after 'endmodule'")),
         }
-        Ok(Ast {
-            name: name.text,
-            ports,
-            decls,
-            items,
-            pins,
-        })
     }
 }
 
-/// Parses `src` into an [`Ast`]. The whole source is tokenized first, so
-/// a lexical error anywhere wins over a syntax error before it.
+/// Parses `src` into an [`Ast`], pulling one token at a time from a
+/// [`Cursor`]; no token list is built.
+///
+/// A lexical error anywhere wins over a syntax error before it: on a
+/// syntax error the rest of the source is lexed, storing nothing, and its
+/// first lexical error, if any, is reported instead.
 ///
 /// # Errors
 ///
 /// Returns the first lexical or syntactic [`ParseError`], positioned at
 /// the offending token.
 pub fn parse_source(src: &str) -> Result<Ast<'_>, ParseError> {
-    let tokens = lex(src)?;
     Parser {
         src,
-        tokens: &tokens,
-        pos: 0,
+        cur: Cursor::new(src),
     }
     .parse_module()
 }

@@ -1,12 +1,19 @@
 //! Tokenizer for gate-level structural Verilog.
 //!
-//! One pass over the source bytes yields `Copy` [`Token`]s: a kind, the
-//! byte offset of the token's first character, and, for identifiers, the
-//! name borrowed from the source. Lines and columns are not tracked while
+//! A [`Cursor`] reads the source one token at a time, as the parser asks
+//! for it: nothing is buffered, so decoding holds no more than the AST it
+//! builds, whatever the source's length. A token is `Copy`: a kind, the
+//! byte offset of its first character, and, for identifiers, the name
+//! borrowed from the source. Lines and columns are not tracked while
 //! scanning; [`error_at`] derives them from an offset when an error is
 //! built. Handles the lexical surface real benchmark netlists actually
 //! use: `//` and `/* */` comments, simple and escaped (`\any[chars] `)
 //! identifiers, and the single-bit constants `1'b0` / `1'b1`.
+//!
+//! The hot productions skip the general token dispatch: [`Cursor::eat`]
+//! decides from the next byte whether a punctuation token comes next, and
+//! [`Cursor::ident`] scans only identifiers. Neither can fail; a lexical
+//! error is built only by [`Cursor::peek`], on the parser's error path.
 
 use super::error::{ParseError, ParseErrorKind};
 
@@ -117,6 +124,44 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
 }
 
+/// The offset of the first byte at or after `i` that cannot continue a
+/// simple identifier. Scans eight bytes per step: writer names run to 15
+/// or more bytes, and a byte loop pays a branch per byte.
+fn ident_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an eight-byte chunk"));
+        let stop = !ident_bytes(word) & HIGH_BITS;
+        if stop != 0 {
+            return i + (stop.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    i + bytes[i..]
+        .iter()
+        .position(|&c| !is_ident_byte(c))
+        .unwrap_or(bytes.len() - i)
+}
+
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// [`is_ident_byte`] for the eight bytes of `word` at once: the high bit
+/// of each byte of the result is set where that byte of `word` may
+/// continue a simple identifier; the other bits are noise.
+fn ident_bytes(word: u64) -> u64 {
+    let ascii = !word & HIGH_BITS;
+    let low = word & !HIGH_BITS;
+    // With every byte below 0x80, `b + (0x80 - lo)` sets a byte's high
+    // bit exactly when `b >= lo`, and no byte carries into the next.
+    let at_least = |v: u64, lo: u8| v + LOW_BITS * u64::from(0x80 - lo);
+    let above = |v: u64, hi: u8| at_least(v, hi + 1);
+    let digit = at_least(low, b'0') & !above(low, b'9');
+    let folded = low | (LOW_BITS * 0x20);
+    let letter = at_least(folded, b'a') & !above(folded, b'z');
+    let equal = |c: u8| !at_least(low ^ (LOW_BITS * u64::from(c)), 1);
+    (digit | letter | equal(b'_') | equal(b'$')) & ascii
+}
+
 /// Whether `name` can be emitted as a bare (unescaped) identifier.
 pub fn is_simple_ident(name: &str) -> bool {
     let bytes = name.as_bytes();
@@ -127,58 +172,143 @@ pub fn is_simple_ident(name: &str) -> bool {
         && keyword(name).is_none()
 }
 
-/// Tokenizes `src`.
+/// A [`ParseErrorKind::Lex`] error at byte offset `at` of `src`.
+fn lex_error(src: &str, at: usize, message: String) -> ParseError {
+    error_at(src, at, ParseErrorKind::Lex { message })
+}
+
+/// A read position in the source, always at a token boundary or in the
+/// whitespace and comments between tokens.
 ///
-/// # Errors
-///
-/// Returns a [`ParseError`] with [`ParseErrorKind::Lex`] on stray
-/// characters, unterminated block comments, non-single-bit literals, and
-/// empty escaped identifiers; bus-range brackets get a dedicated
-/// [`ParseErrorKind::Unsupported`] diagnostic.
-pub fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
-    let bytes = src.as_bytes();
-    let lex_err = |at: usize, message: String| error_at(src, at, ParseErrorKind::Lex { message });
-    // Writer output averages a little under five source bytes per token.
-    let mut out = Vec::with_capacity(bytes.len() / 4);
-    let mut i = 0;
-    while let Some(&b) = bytes.get(i) {
-        let at = i;
-        let (kind, text) = match b {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                i += 1;
-                continue;
-            }
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                // The newline itself is left for the whitespace arm.
-                i = bytes[i..]
-                    .iter()
-                    .position(|&c| c == b'\n')
-                    .map_or(bytes.len(), |n| i + n);
-                continue;
-            }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let body = i + 2;
-                match bytes[body..].windows(2).position(|w| w == b"*/") {
-                    Some(n) => i = body + n + 2,
-                    None => return Err(lex_err(at, "unterminated block comment".into())),
+/// The fast paths ([`Cursor::eat`], [`Cursor::word`], [`Cursor::ident`])
+/// cannot fail: where the source is malformed they see no match and stay
+/// put, and the parser's error path then calls [`Cursor::peek`], which
+/// reports the lexical error at that point. Lexical errors are the stray
+/// characters, unterminated block comments, non-single-bit literals and
+/// empty escaped identifiers, as [`ParseErrorKind::Lex`], and bus-range
+/// brackets, which get a dedicated [`ParseErrorKind::Unsupported`]
+/// diagnostic.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    src: &'a str,
+    /// Offset of the next unread byte.
+    pos: usize,
+    /// Start of the last token consumed, for end-of-input diagnostics.
+    last: Option<usize>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `src`.
+    pub fn new(src: &'a str) -> Cursor<'a> {
+        Cursor {
+            src,
+            pos: 0,
+            last: None,
+        }
+    }
+
+    /// The byte offset where the last consumed token starts, if any was.
+    pub fn last(&self) -> Option<usize> {
+        self.last
+    }
+
+    /// Skips whitespace and comments, then returns the next byte: `None`
+    /// at the end of the source, or at an unterminated block comment,
+    /// where the cursor stops on the opener.
+    #[inline]
+    fn next_byte(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let b = *bytes.get(self.pos)?;
+            match b {
+                b' ' | b'\t' | b'\r' | b'\n' => self.pos += 1,
+                b'/' if matches!(bytes.get(self.pos + 1), Some(b'/' | b'*')) => {
+                    self.pos = self.comment_end()?;
                 }
-                continue;
+                _ => return Some(b),
             }
-            b'(' | b')' | b';' | b',' | b'.' | b'=' => {
-                i += 1;
-                let kind = match b {
-                    b'(' => Kind::LParen,
-                    b')' => Kind::RParen,
-                    b';' => Kind::Semi,
-                    b',' => Kind::Comma,
-                    b'.' => Kind::Dot,
-                    _ => Kind::Equals,
-                };
-                (kind, "")
+        }
+    }
+
+    /// The end of the comment at the cursor, or `None` for an
+    /// unterminated block comment.
+    fn comment_end(&self) -> Option<usize> {
+        let bytes = self.src.as_bytes();
+        if bytes[self.pos + 1] == b'/' {
+            // The newline itself is left for the whitespace arm.
+            let line = &bytes[self.pos..];
+            return Some(self.pos + line.iter().position(|&c| c == b'\n').unwrap_or(line.len()));
+        }
+        let body = self.pos + 2;
+        let n = bytes[body..].windows(2).position(|w| w == b"*/")?;
+        Some(body + n + 2)
+    }
+
+    /// Consumes the one-byte punctuation token `b` (one of `(`, `)`, `;`,
+    /// `,`, `.`, `=`) when it comes next.
+    #[inline]
+    pub fn eat(&mut self, b: u8) -> bool {
+        if self.next_byte() != Some(b) {
+            return false;
+        }
+        self.last = Some(self.pos);
+        self.pos += 1;
+        true
+    }
+
+    /// The identifier or keyword that comes next and the offset just past
+    /// it, without consuming it; `None` when anything else does, an empty
+    /// escaped identifier included.
+    #[inline]
+    pub fn word(&mut self) -> Option<(Token<'a>, usize)> {
+        match self.next_byte()? {
+            b'\\' => self.escaped(self.pos),
+            b if b.is_ascii_alphabetic() || b == b'_' => Some(self.simple(self.pos)),
+            _ => None,
+        }
+    }
+
+    /// Consumes `token`, which [`Cursor::peek`] or [`Cursor::word`] just
+    /// returned with `end`.
+    #[inline]
+    pub fn bump(&mut self, token: Token<'a>, end: usize) {
+        self.last = Some(token.at);
+        self.pos = end;
+    }
+
+    /// Consumes an identifier when one comes next; a keyword is not one.
+    #[inline]
+    pub fn ident(&mut self) -> Option<Token<'a>> {
+        let (token, end) = self.word().filter(|(t, _)| t.kind == Kind::Ident)?;
+        self.bump(token, end);
+        Some(token)
+    }
+
+    /// The token that comes next and the offset just past it, without
+    /// consuming it; `None` at the end of the source.
+    ///
+    /// # Errors
+    ///
+    /// The lexical error at the cursor, if the next token is malformed.
+    pub fn peek(&mut self) -> Result<Option<(Token<'a>, usize)>, ParseError> {
+        let Some(b) = self.next_byte() else {
+            if self.pos == self.src.len() {
+                return Ok(None);
             }
+            let message = "unterminated block comment".into();
+            return Err(lex_error(self.src, self.pos, message));
+        };
+        let at = self.pos;
+        let kind = match b {
+            b'(' => Kind::LParen,
+            b')' => Kind::RParen,
+            b';' => Kind::Semi,
+            b',' => Kind::Comma,
+            b'.' => Kind::Dot,
+            b'=' => Kind::Equals,
             b'[' | b']' => {
                 return Err(error_at(
-                    src,
+                    self.src,
                     at,
                     ParseErrorKind::Unsupported {
                         construct: "bus ranges / bit selects (flatten buses to scalar nets, \
@@ -187,78 +317,123 @@ pub fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
                     },
                 ));
             }
-            b'\\' => {
-                let start = i + 1;
-                i = bytes[start..]
-                    .iter()
-                    .position(u8::is_ascii_whitespace)
-                    .map_or(bytes.len(), |n| start + n);
-                if i == start {
-                    return Err(lex_err(at, "empty escaped identifier".into()));
-                }
-                // Escaped identifiers are raw bytes up to ASCII whitespace,
-                // which never splits a UTF-8 sequence.
-                (Kind::Ident, &src[start..i])
-            }
-            _ if b.is_ascii_alphabetic() || b == b'_' => {
-                i += 1;
-                while bytes.get(i).is_some_and(|&c| is_ident_byte(c)) {
-                    i += 1;
-                }
-                let word = &src[at..i];
-                match keyword(word) {
-                    Some(kind) => (kind, ""),
-                    None => (Kind::Ident, word),
-                }
-            }
-            _ if b.is_ascii_digit() => {
-                i += 1;
-                while bytes
-                    .get(i)
-                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'\'' || c == b'_')
-                {
-                    i += 1;
-                }
-                let kind = match &src[at..i] {
-                    "1'b0" => Kind::Const(false),
-                    "1'b1" => Kind::Const(true),
-                    lit => {
-                        return Err(lex_err(
-                            at,
-                            format!("unsupported literal '{lit}' (only 1'b0 and 1'b1)"),
-                        ))
+            _ if b.is_ascii_digit() => return self.constant(at).map(Some),
+            _ => {
+                return match self.word() {
+                    Some(word) => Ok(Some(word)),
+                    None if b == b'\\' => {
+                        let message = "empty escaped identifier".into();
+                        Err(lex_error(self.src, at, message))
+                    }
+                    None => {
+                        let ch = self.src[at..].chars().next().unwrap_or('?');
+                        let message = format!("unexpected character '{ch}'");
+                        Err(lex_error(self.src, at, message))
                     }
                 };
-                (kind, "")
-            }
-            _ => {
-                let ch = src[at..].chars().next().unwrap_or('?');
-                return Err(lex_err(at, format!("unexpected character '{ch}'")));
             }
         };
-        out.push(Token { kind, at, text });
+        Ok(Some((Token { kind, at, text: "" }, at + 1)))
     }
-    Ok(out)
+
+    /// Lexes the rest of the source, storing nothing, and returns its
+    /// first lexical error, if it has one.
+    pub fn drain(&mut self) -> Option<ParseError> {
+        loop {
+            match self.peek() {
+                Ok(Some((token, end))) => self.bump(token, end),
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
+    /// The simple identifier or keyword starting at `at`.
+    #[inline]
+    fn simple(&self, at: usize) -> (Token<'a>, usize) {
+        let end = ident_end(self.src.as_bytes(), at + 1);
+        let word = &self.src[at..end];
+        let token = match keyword(word) {
+            Some(kind) => Token { kind, at, text: "" },
+            None => Token {
+                kind: Kind::Ident,
+                at,
+                text: word,
+            },
+        };
+        (token, end)
+    }
+
+    /// The escaped identifier whose backslash is at `at`, or `None` if it
+    /// is empty.
+    fn escaped(&self, at: usize) -> Option<(Token<'a>, usize)> {
+        let bytes = self.src.as_bytes();
+        let start = at + 1;
+        let end = bytes[start..]
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .map_or(bytes.len(), |n| start + n);
+        // Escaped identifiers are raw bytes up to ASCII whitespace, which
+        // never splits a UTF-8 sequence.
+        let text = &self.src[start..end];
+        (end > start).then_some((
+            Token {
+                kind: Kind::Ident,
+                at,
+                text,
+            },
+            end,
+        ))
+    }
+
+    /// The constant `1'b0` or `1'b1` starting at `at`.
+    fn constant(&self, at: usize) -> Result<(Token<'a>, usize), ParseError> {
+        let rest = &self.src.as_bytes()[at + 1..];
+        let len = rest
+            .iter()
+            .position(|&c| !(c.is_ascii_alphanumeric() || c == b'\'' || c == b'_'))
+            .unwrap_or(rest.len());
+        let end = at + 1 + len;
+        let kind = match &self.src[at..end] {
+            "1'b0" => Kind::Const(false),
+            "1'b1" => Kind::Const(true),
+            lit => {
+                let message = format!("unsupported literal '{lit}' (only 1'b0 and 1'b1)");
+                return Err(lex_error(self.src, at, message));
+            }
+        };
+        Ok((Token { kind, at, text: "" }, end))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every token of `src`, lexed to the end.
     fn toks(src: &str) -> Vec<(Kind, &str)> {
-        lex(src)
-            .unwrap()
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        let mut cur = Cursor::new(src);
+        let mut out = Vec::new();
+        while let Some((t, end)) = cur.peek().unwrap() {
+            cur.bump(t, end);
+            out.push((t.kind, t.text));
+        }
+        out
     }
 
     fn positions(src: &str) -> Vec<(u32, u32)> {
-        lex(src)
-            .unwrap()
-            .iter()
-            .map(|t| position(src, t.at))
-            .collect()
+        let mut cur = Cursor::new(src);
+        let mut out = Vec::new();
+        while let Some((t, end)) = cur.peek().unwrap() {
+            cur.bump(t, end);
+            out.push(position(src, t.at));
+        }
+        out
+    }
+
+    /// The first lexical error in `src`.
+    fn lex_err(src: &str) -> ParseError {
+        Cursor::new(src).drain().expect("a lexical error")
     }
 
     #[test]
@@ -302,25 +477,25 @@ mod tests {
 
     #[test]
     fn unterminated_block_comment_is_a_lex_error_at_the_opener() {
-        let err = lex("wire w; /* oops").unwrap_err();
+        let err = lex_err("wire w; /* oops");
         assert_eq!((err.line, err.column), (1, 9));
         assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
         assert!(err.to_string().contains("unterminated"), "{err}");
         // The opener's `*` does not also close the comment.
-        assert!(lex("/*/ x").is_err());
+        assert!(Cursor::new("/*/ x").drain().is_some());
         assert_eq!(toks("/**/ x"), [(Kind::Ident, "x")]);
     }
 
     #[test]
     fn wide_literals_are_rejected_with_position() {
-        let err = lex("module m; 4'b0101").unwrap_err();
+        let err = lex_err("module m; 4'b0101");
         assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
         assert!(err.to_string().contains("4'b0101"), "{err}");
     }
 
     #[test]
     fn bus_brackets_get_a_dedicated_unsupported_error() {
-        let err = lex("input [3:0] a;").unwrap_err();
+        let err = lex_err("input [3:0] a;");
         assert!(matches!(err.kind, ParseErrorKind::Unsupported { .. }));
     }
 
@@ -330,7 +505,58 @@ mod tests {
             toks("\\a.b[3] x"),
             vec![(Kind::Ident, "a.b[3]"), (Kind::Ident, "x")]
         );
-        assert!(lex("\\ x").is_err(), "empty escaped identifier");
+        assert!(
+            Cursor::new("\\ x").drain().is_some(),
+            "empty escaped identifier"
+        );
+    }
+
+    #[test]
+    fn the_fast_paths_agree_with_peek() {
+        let mut cur = Cursor::new("  ( input a\n, \\w[1] ");
+        assert!(!cur.eat(b')'));
+        assert!(cur.eat(b'('));
+        assert_eq!(cur.last(), Some(2));
+        // A keyword is a word but not an identifier.
+        assert_eq!(cur.word().map(|(t, _)| t.kind), Some(Kind::Input));
+        assert_eq!(cur.ident(), None);
+        let (input, end) = cur.peek().unwrap().unwrap();
+        cur.bump(input, end);
+        assert_eq!(cur.ident().map(|t| t.text), Some("a"));
+        assert_eq!(cur.word(), None);
+        assert!(cur.eat(b','));
+        assert_eq!(cur.ident().map(|t| (t.text, t.at)), Some(("w[1]", 14)));
+        assert_eq!(cur.peek().unwrap(), None);
+        assert_eq!(cur.last(), Some(14));
+    }
+
+    #[test]
+    fn the_fast_paths_leave_lexical_errors_to_peek() {
+        for src in ["  /* open", "\\ x", "4'b0101", "[", "é"] {
+            let mut cur = Cursor::new(src);
+            assert!(!cur.eat(b'('), "{src:?}");
+            assert_eq!(cur.word(), None, "{src:?}");
+            assert_eq!(cur.ident(), None, "{src:?}");
+            assert!(cur.peek().is_err(), "{src:?}");
+            assert_eq!(cur.last(), None, "{src:?}");
+        }
+    }
+
+    #[test]
+    fn the_word_scan_matches_the_byte_predicate() {
+        // Every byte value, at every offset of an eight-byte chunk, after
+        // identifier bytes and before more.
+        for b in 0..=255u8 {
+            for lead in 0..10 {
+                let mut bytes = vec![b'a'; lead];
+                bytes.push(b);
+                bytes.extend_from_slice(b"bcdefghijk");
+                let want = if is_ident_byte(b) { bytes.len() } else { lead };
+                assert_eq!(ident_end(&bytes, 0), want, "byte {b:#x} after {lead}");
+            }
+        }
+        assert_eq!(ident_end(b"", 0), 0);
+        assert_eq!(ident_end(b"ab", 2), 2);
     }
 
     #[test]

@@ -131,13 +131,13 @@ impl NetBuilder {
     }
 
     /// Adds a primary input and returns its bit.
-    pub fn input(&mut self, name: impl Into<String>) -> Bit {
+    pub fn input(&mut self, name: impl AsRef<str>) -> Bit {
         let id = self.netlist.add_input(name);
         Bit::from_node(id)
     }
 
     /// Drives a primary output from `bit` (materializing as needed).
-    pub fn output(&mut self, name: impl Into<String>, bit: Bit) -> NodeId {
+    pub fn output(&mut self, name: impl AsRef<str>, bit: Bit) -> NodeId {
         let node = self.materialize(bit);
         self.netlist.add_output(name, node)
     }

@@ -66,6 +66,7 @@ mod kinds;
 pub mod metrics;
 mod model;
 mod sample;
+mod stimulus;
 mod trainer;
 
 pub use checkpoint::{

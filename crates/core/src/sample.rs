@@ -8,6 +8,8 @@ use moss_store::{store_key, LabelRecord, LabelStore};
 use moss_synth::{synthesize, DffBinding, SynthError, SynthOptions};
 use moss_timing::TimingReport;
 
+use crate::stimulus::Stimulus;
+
 /// Ground-truth labels for one circuit, collected the way the paper does
 /// (VCS-style random simulation + PrimePower/DC-style analysis).
 #[derive(Debug, Clone)]
@@ -96,14 +98,11 @@ fn compute_labels(
     let n = netlist.node_count();
     // Plain xorshift64 (13/7/17), one low bit per primary input per cycle,
     // in input order. This draw order is part of the label definition that
-    // the store key pins: the generator must not change.
-    let mut rng_state = options.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let report = sim.count_toggles(options.sim_cycles, || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state & 1 == 1
-    });
+    // the store key pins: the generator must not change. `Stimulus` draws
+    // it 64 cycles per step; the scalar `stimulus::xorshift64` is its
+    // definition and its oracle.
+    let mut stimulus = Stimulus::new(options.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let report = sim.count_toggles(options.sim_cycles, |words, len| stimulus.fill(words, len));
     let cycles = options.sim_cycles.max(1) as f64;
     let toggle: Vec<f32> = report
         .toggles

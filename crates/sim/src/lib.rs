@@ -8,17 +8,18 @@
 //!   settling (only gates whose fanins changed are re-evaluated) — the
 //!   reference oracle;
 //! - [`CompiledSim`]: the production engine — the levelized netlist lowered
-//!   once into a flat, branchless truth-table instruction stream, next-state
-//!   cone first. Its toggle counting steps only that cone cycle by cycle
-//!   and settles everything else 64 consecutive cycles per `u64` word.
-//!   Results are bit-identical to [`GateSim`];
+//!   once into a flat, branchless truth-table instruction stream. Its
+//!   toggle counting takes stimulus 64 cycles per `u64` word, steps only
+//!   the logic on register feedback loops cycle by cycle, and runs
+//!   everything else 64 consecutive cycles per word. Results are
+//!   bit-identical to [`GateSim`];
 //! - [`simulate_random`] / [`simulate_random_compiled`] / [`toggle_rates`]:
 //!   random-stimulus runs (inputs drawn from `StdRng`) producing per-cell
 //!   [`ToggleReport`]s, for tests and examples. The label pipeline
 //!   (`moss::CircuitSample`) does not use them: it drives
-//!   [`CompiledSim::count_toggles`] with its own xorshift draw, and those
-//!   counts are the supervision signal for the paper's toggle-rate
-//!   prediction task.
+//!   [`CompiledSim::count_toggles`] with its own xorshift stimulus, drawn
+//!   64 cycles at a time, and those counts are the supervision signal for
+//!   the paper's toggle-rate prediction task.
 //!
 //! ## Example
 //!

@@ -92,6 +92,10 @@ pub fn simulate_random(sim: &mut GateSim, cycles: u64, seed: u64) -> ToggleRepor
 /// stream, same sampled semantics, same values after the run), several
 /// times the throughput.
 ///
+/// The draws keep [`simulate_random`]'s order, one per input per cycle,
+/// packed into each block's input words: bit `k` of input `j`'s word is
+/// the draw for input `j` in cycle `k`.
+///
 /// # Examples
 ///
 /// ```
@@ -109,7 +113,13 @@ pub fn simulate_random(sim: &mut GateSim, cycles: u64, seed: u64) -> ToggleRepor
 /// ```
 pub fn simulate_random_compiled(sim: &mut CompiledSim, cycles: u64, seed: u64) -> ToggleReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    sim.count_toggles(cycles, || rng.gen_bool(0.5))
+    sim.count_toggles(cycles, |words, len| {
+        for k in 0..len {
+            for w in words.iter_mut() {
+                *w |= u64::from(rng.gen_bool(0.5)) << k;
+            }
+        }
+    })
 }
 
 /// Convenience: build a simulator, apply DFF reset states, and run a random

@@ -64,10 +64,15 @@ fn random_netlist(seed: u64, cells: usize) -> Netlist {
 /// [`CompiledSim::count_toggles`].
 const EDGE_CYCLES: [u64; 5] = [1, 63, 64, 65, 129];
 
-/// Hand-built corners of the next-state cone, each with logic outside the
-/// cone too: no DFF at all, a D pin read straight from a primary input, a
-/// DFF fed directly by another DFF, a tie-driven D pin, and a D pin wired
-/// to a primary output.
+/// Hand-built corners of [`CompiledSim::count_toggles`]' schedule, each
+/// with logic off the register loops too: no DFF at all, a D pin read
+/// straight from a primary input, a DFF fed directly by another DFF, a
+/// tie-driven D pin, a D pin wired to a primary output, a DFF whose D is
+/// its own Q, a two-DFF ring with no gates, two loops joined by a pipeline
+/// DFF, a loop whose gates read an upstream loop's gate, pipeline DFFs fed
+/// by a loop, and a bank of hold-enable registers whose loop region is its
+/// whole next-state cone. Several loops read a DFF or a gate upstream of
+/// them, whose pre-edge and sampled values differ.
 fn edge_netlists() -> Vec<Netlist> {
     let mut out = Vec::new();
 
@@ -113,6 +118,91 @@ fn edge_netlists() -> Vec<Netlist> {
     let g = nl.add_cell(CellKind::Xor2, "u0", &[q, a]).unwrap();
     let y = nl.add_output("y", g);
     nl.replace_fanin(q, 0, y).unwrap();
+    out.push(nl);
+
+    let mut nl = Netlist::new("self_loop");
+    let a = nl.add_input("a");
+    let q = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    nl.replace_fanin(q, 0, q).unwrap();
+    let u = nl.add_cell(CellKind::Dff, "r1", &[a]).unwrap();
+    let g = nl.add_cell(CellKind::Xor2, "u0", &[q, u]).unwrap();
+    nl.add_output("y", g);
+    out.push(nl);
+
+    let mut nl = Netlist::new("dff_ring");
+    let a = nl.add_input("a");
+    let q0 = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let q1 = nl.add_cell(CellKind::Dff, "r1", &[q0]).unwrap();
+    nl.replace_fanin(q0, 0, q1).unwrap();
+    let g = nl.add_cell(CellKind::Mux2, "u0", &[q0, q1, a]).unwrap();
+    nl.add_output("y", g);
+    out.push(nl);
+
+    // Loop A (r0) → pipeline r1 → loop B (r2); r3 upstream of loop A.
+    let mut nl = Netlist::new("loops_joined_by_pipeline");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let u = nl.add_cell(CellKind::Dff, "r3", &[a]).unwrap();
+    let qa = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let ga = nl.add_cell(CellKind::Xor2, "u0", &[qa, u]).unwrap();
+    nl.replace_fanin(qa, 0, ga).unwrap();
+    let p = nl.add_cell(CellKind::Dff, "r1", &[ga]).unwrap();
+    let qb = nl.add_cell(CellKind::Dff, "r2", &[a]).unwrap();
+    let gb = nl.add_cell(CellKind::Oai21, "u1", &[qb, p, b]).unwrap();
+    nl.replace_fanin(qb, 0, gb).unwrap();
+    let h = nl.add_cell(CellKind::And2, "u2", &[qb, b]).unwrap();
+    nl.add_output("y", h);
+    out.push(nl);
+
+    // Loop B's gate reads loop A's gate; loop A reads an upstream gate of
+    // an upstream DFF.
+    let mut nl = Netlist::new("loop_reads_loop_gate");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let u = nl.add_cell(CellKind::Dff, "r2", &[b]).unwrap();
+    let gu = nl.add_cell(CellKind::Nand2, "u3", &[u, a]).unwrap();
+    let qa = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let ga = nl.add_cell(CellKind::Xnor2, "u0", &[qa, gu]).unwrap();
+    nl.replace_fanin(qa, 0, ga).unwrap();
+    let qb = nl.add_cell(CellKind::Dff, "r1", &[a]).unwrap();
+    let gb = nl.add_cell(CellKind::Aoi21, "u1", &[ga, qb, b]).unwrap();
+    nl.replace_fanin(qb, 0, gb).unwrap();
+    let h = nl.add_cell(CellKind::Or2, "u2", &[gb, a]).unwrap();
+    nl.add_output("y", h);
+    out.push(nl);
+
+    // Downstream pipeline DFFs fed by a loop's gate, by its DFF and by an
+    // upstream DFF, and one more stage behind them.
+    let mut nl = Netlist::new("pipeline_from_loop");
+    let a = nl.add_input("a");
+    let u = nl.add_cell(CellKind::Dff, "r4", &[a]).unwrap();
+    let q = nl.add_cell(CellKind::Dff, "r0", &[a]).unwrap();
+    let g = nl.add_cell(CellKind::Xor2, "u0", &[q, u]).unwrap();
+    nl.replace_fanin(q, 0, g).unwrap();
+    let p0 = nl.add_cell(CellKind::Dff, "r1", &[g]).unwrap();
+    let p1 = nl.add_cell(CellKind::Dff, "r2", &[q]).unwrap();
+    let h = nl.add_cell(CellKind::Nor3, "u1", &[p0, p1, u]).unwrap();
+    let p2 = nl.add_cell(CellKind::Dff, "r3", &[h]).unwrap();
+    let o = nl.add_cell(CellKind::And2, "u2", &[p2, g]).unwrap();
+    nl.add_output("y", o);
+    out.push(nl);
+
+    // Hold-enable registers: r_i' = en ? d_i : r_i, and a parity output.
+    let mut nl = Netlist::new("hold_bank");
+    let en = nl.add_input("en");
+    let mut parity = en;
+    for i in 0..6 {
+        let d = nl.add_input(format!("d{i}"));
+        let q = nl.add_cell(CellKind::Dff, format!("r{i}"), &[d]).unwrap();
+        let m = nl
+            .add_cell(CellKind::Mux2, format!("m{i}"), &[q, d, en])
+            .unwrap();
+        nl.replace_fanin(q, 0, m).unwrap();
+        parity = nl
+            .add_cell(CellKind::Xor2, format!("x{i}"), &[parity, q])
+            .unwrap();
+    }
+    nl.add_output("y", parity);
     out.push(nl);
 
     out

@@ -53,7 +53,9 @@
 //!
 //! Per-store hit/miss/corrupt/byte counters are kept on [`LabelStore`] and
 //! mirrored into `moss-obs` (`store.hit`, `store.miss`, `store.corrupt`,
-//! `store.evict`, `store.bytes_read`, `store.bytes_written`).
+//! `store.evict`, `store.write`, `store.bytes_read`, `store.bytes_written`).
+//! [`LabelStore::load`] and [`LabelStore::store`] each time themselves in a
+//! `moss-obs` span, `store.load` and `store.write`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -379,6 +381,7 @@ impl LabelStore {
     /// file (counted under `store.corrupt` / `store.evict`) so the caller
     /// recomputes and rewrites; poisoned labels are never served.
     pub fn load(&self, key: u64) -> Option<LabelRecord> {
+        let _obs = moss_obs::span("store.load");
         let path = self.path_of(key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -425,6 +428,7 @@ impl LabelStore {
     /// Propagates filesystem errors; on failure the temporary file is
     /// removed (best effort) and any existing record is untouched.
     pub fn store(&self, key: u64, record: &LabelRecord) -> io::Result<()> {
+        let _obs = moss_obs::span("store.write");
         let mut bytes = record.encode();
         if moss_faults::fire(moss_faults::Site::Store, key) {
             // Corrupt deterministically by key parity: even keys get a

@@ -1,6 +1,6 @@
 //! Bring-your-own-netlist ingestion: parse gate-level Verilog files with
 //! the typed frontend and run each through the ground-truth label
-//! pipeline, optionally backed by the sharded label store.
+//! pipeline, optionally backed by the label store.
 //!
 //! ```text
 //! ingest [--store DIR] [--cycles N] [--seed X] [--clock-mhz F] FILE.v...

@@ -1,5 +1,5 @@
-//! Single-command, resumable corpus labeling backed by the sharded label
-//! store. Generates a deterministic random corpus shard-by-shard, labels
+//! Single-command, resumable corpus labeling backed by the append-only
+//! label store. Generates a deterministic random corpus shard-by-shard, labels
 //! first-touch circuits on the thread pool, and serves everything
 //! else from the store — so a killed run rerun with the same arguments
 //! completes from cache bit-identically.
@@ -16,15 +16,16 @@
 //!
 //! `--abort-after N` exits with code 3 after attempting `N` circuits
 //! (mid-shard when `N` is not a shard boundary), simulating a kill:
-//! per-record publishes are atomic renames, so stopping between circuits
-//! is the same as `SIGKILL` between record writes.
+//! each record is one appended frame, and a frame torn by a kill is only
+//! ever a segment's ignored tail, so stopping between circuits is the same
+//! as `SIGKILL` between record writes.
 //!
 //! `--bench` times a cold pass (fresh store) and five warm passes (same
 //! store) over the same plan and writes a `BENCH_labels.json` artifact in
 //! the moss-benchkit shape for `cargo xtask bench-check`; it exits nonzero
 //! if any warm pass disagrees with the cold one on the digest or the
 //! median warm pass is not at least 2x faster (the committed baseline
-//! records well above 5x — the 2x floor just keeps noisy CI boxes from
+//! records about 2.5x — the 2x floor just keeps noisy CI boxes from
 //! flaking).
 
 use std::process::ExitCode;

@@ -24,7 +24,7 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates an id from a raw index.
-    pub fn new(index: usize) -> NodeId {
+    pub const fn new(index: usize) -> NodeId {
         NodeId(index as u32)
     }
 

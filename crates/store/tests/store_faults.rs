@@ -6,6 +6,7 @@
 //! would otherwise write their records through it.
 
 use std::fs;
+use std::sync::atomic::Ordering::Relaxed;
 
 use moss_store::{LabelRecord, LabelStore};
 
@@ -23,18 +24,28 @@ fn store_fault_site_corrupts_writes_but_never_serves_poison() {
         leakage_nw: 23.456,
     };
     let faults = moss_faults::override_for_tests(Some("store:1.0"));
-    // Both corruption flavors: even key = short write, odd = bit flip.
+    // Both corruption flavors: even key = short record, odd = bit flip,
+    // each inside an intact frame.
     for key in [10u64, 11] {
         store.store(key, &rec).unwrap();
         assert_eq!(store.load(key), None, "poisoned record served (key {key})");
-        assert!(
-            !store.path_of(key).exists(),
-            "poisoned record kept (key {key})"
-        );
+        assert_eq!(store.load(key), None, "poisoned record kept (key {key})");
     }
     drop(faults);
+    assert_eq!(store.stats().corrupt.load(Relaxed), 2);
+    // The scan walks past both frames, and a fresh instance's load evicts
+    // them too.
+    let fresh = LabelStore::open(&root).unwrap();
+    assert_eq!(fresh.record_count(), 2);
+    for key in [10u64, 11] {
+        assert_eq!(fresh.load(key), None, "poisoned record served (key {key})");
+    }
+    assert_eq!(fresh.stats().corrupt.load(Relaxed), 2);
     // Recovery: recompute-and-rewrite with the site quiet.
-    store.store(10, &rec).unwrap();
-    assert_eq!(store.load(10), Some(rec));
-    let _ = fs::remove_dir_all(store.root());
+    fresh.store(10, &rec).unwrap();
+    assert_eq!(fresh.load(10).as_ref(), Some(&rec));
+    let later = LabelStore::open(&root).unwrap();
+    assert_eq!(later.load(10), Some(rec));
+    assert_eq!(later.stats().corrupt.load(Relaxed), 0);
+    let _ = fs::remove_dir_all(&root);
 }

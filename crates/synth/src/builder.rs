@@ -8,6 +8,7 @@
 //! naturally: `and(a, b)` creates a NAND2 and returns its *negated* literal.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use moss_netlist::{CellKind, Netlist, NodeId};
 
@@ -80,17 +81,23 @@ impl Default for MapStyle {
     }
 }
 
+/// Pads a structural-hash key's unused fanin slots. A kind fixes its pin
+/// count, so the padding never meets a real fanin at the same position.
+const NO_PIN: NodeId = NodeId::new(u32::MAX as usize);
+
 /// Builds a netlist with structural hashing and smart constructors.
 #[derive(Debug)]
 pub struct NetBuilder {
     netlist: Netlist,
-    /// Structural hash: `(kind, fanins)` → existing node.
-    cache: HashMap<(CellKind, Vec<NodeId>), NodeId>,
+    /// Structural hash: `(kind, fanins padded with NO_PIN)` → existing node.
+    cache: HashMap<(CellKind, [NodeId; 3]), NodeId>,
     /// Cached materialized inverters per node.
     inverters: HashMap<NodeId, NodeId>,
     tie0: Option<NodeId>,
     tie1: Option<NodeId>,
     next_uid: u64,
+    /// The name of the cell being added, reused across cells.
+    name: String,
     /// Mapping style.
     pub style: MapStyle,
 }
@@ -105,6 +112,7 @@ impl NetBuilder {
             tie0: None,
             tie1: None,
             next_uid: 0,
+            name: String::new(),
             style,
         }
     }
@@ -124,10 +132,16 @@ impl NetBuilder {
         self.netlist
     }
 
-    fn fresh_name(&mut self, prefix: &str) -> String {
+    /// Sets `self.name` to `<prefix><base, lowercased>_<uid>` with a fresh
+    /// uid.
+    fn fresh_name(&mut self, prefix: &str, base: &str) {
         let uid = self.next_uid;
         self.next_uid += 1;
-        format!("{prefix}_{uid}")
+        self.name.clear();
+        self.name.push_str(prefix);
+        self.name
+            .extend(base.chars().map(|c| c.to_ascii_lowercase()));
+        write!(self.name, "_{uid}").expect("writing to a String cannot fail");
     }
 
     /// Adds a primary input and returns its bit.
@@ -144,14 +158,16 @@ impl NetBuilder {
 
     /// Instantiates (or reuses) a cell with the given fanins.
     pub fn cell(&mut self, kind: CellKind, fanins: &[NodeId]) -> NodeId {
-        let key = (kind, fanins.to_vec());
+        let mut pins = [NO_PIN; 3];
+        pins[..fanins.len()].copy_from_slice(fanins);
+        let key = (kind, pins);
         if let Some(&hit) = self.cache.get(&key) {
             return hit;
         }
-        let name = self.fresh_name(&format!("u_{}", kind.lib_name().to_lowercase()));
+        self.fresh_name("u_", kind.lib_name());
         let id = self
             .netlist
-            .add_cell(kind, name, fanins)
+            .add_cell(kind, &self.name, fanins)
             .expect("builder supplies correct pin counts");
         self.cache.insert(key, id);
         id
@@ -189,10 +205,10 @@ impl NetBuilder {
         } else {
             CellKind::Tie0
         };
-        let name = self.fresh_name(if value { "tie1" } else { "tie0" });
+        self.fresh_name("", if value { "tie1" } else { "tie0" });
         let id = self
             .netlist
-            .add_cell(kind, name, &[])
+            .add_cell(kind, &self.name, &[])
             .expect("tie cells have no pins");
         if value {
             self.tie1 = Some(id);

@@ -1,4 +1,4 @@
-//! End-to-end tests for the sharded label store through the `labelgen`
+//! End-to-end tests for the label store through the `labelgen`
 //! binary: a cold run, a warm (fully cached) run, and a killed-and-resumed
 //! run must all print the same corpus digest — bytewise-identical labels —
 //! across thread counts, and a store full of corrupt records must be

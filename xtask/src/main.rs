@@ -105,8 +105,8 @@ fn bench_check(args: &[String]) -> ExitCode {
             // benchkit bench: real sockets, concurrent clients.
             cmd.args(["run", "--release", "-p", "moss-serve", "--bin", "loadgen"]);
         } else if *suite == "labels" {
-            // Cold-vs-warm labeling throughput through the sharded label
-            // store; labelgen self-checks digest equality and the warm
+            // Cold-vs-warm labeling throughput through the label store;
+            // labelgen self-checks digest equality and the warm
             // speedup floor before writing its report.
             cmd.args([
                 "run",
